@@ -115,15 +115,6 @@ pub fn baseline_per_sec(json: &str, section: &str) -> Option<f64> {
     val[..end].trim().parse().ok()
 }
 
-/// Builds the shared experiment engine from `--scale` and `--threads`.
-pub fn engine_from_args() -> Engine {
-    let mut builder = Engine::builder().scale(scale_from_args());
-    if let Some(threads) = threads_from_args() {
-        builder = builder.threads(threads);
-    }
-    builder.build()
-}
-
 /// Short git SHA of the working tree, or `"unknown"` when git is
 /// unavailable (bench records must never fail on it).
 pub fn git_short_sha() -> String {
@@ -253,8 +244,8 @@ mod tests {
     }
 
     #[test]
-    fn engine_from_args_uses_host_defaults() {
-        let engine = engine_from_args();
+    fn context_engine_uses_host_defaults() {
+        let engine = BenchContext::from_args("selftest").engine;
         assert_eq!(engine.scale(), ExperimentScale::Standard);
         assert!(engine.threads() >= 1);
         assert_eq!(threads_from_args(), None);
@@ -312,8 +303,8 @@ mod tests {
         assert_eq!(record.sections[0].name, "selftest/a");
         assert_eq!(record.sections[0].samples, 10);
         let json = record.to_json();
-        assert!(json.contains("\"schema_version\":2"), "{json}");
-        assert!(json.contains("\"supervision\":"), "{json}");
+        assert!(json.contains("\"schema_version\":3"), "{json}");
+        assert!(json.contains("\"counters\":"), "{json}");
         assert!(json.contains("\"bin\":\"selftest\""), "{json}");
     }
 }

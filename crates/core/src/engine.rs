@@ -46,7 +46,6 @@ use nc_snn::coding::CodingScheme;
 use nc_snn::{SnnNetwork, SnnParams, WotSnn};
 use nc_substrate::stats::Confusion;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 // nc-lint: allow(R3, reason = "per-job wall-clock is reported as observability metadata only; no result depends on it")
 use std::time::{Duration, Instant};
@@ -380,9 +379,9 @@ impl Engine {
     /// Executes independent jobs across the thread pool and returns
     /// their results **in job order**, whatever order they completed in.
     ///
-    /// Work stealing is a single atomic claim counter: each worker
-    /// repeatedly claims the next unclaimed index. With `threads = 1`
-    /// the jobs run inline in order — the reference schedule that the
+    /// Work stealing is a single shared claim queue: each worker
+    /// repeatedly claims the next unclaimed job. With `threads = 1` the
+    /// jobs run inline in order — the reference schedule that the
     /// determinism contract guarantees every other schedule matches.
     ///
     /// # Panics
@@ -394,80 +393,7 @@ impl Engine {
         I: Send,
         O: Send,
     {
-        let n = jobs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut labels = Vec::with_capacity(n);
-        let mut sample_counts = Vec::with_capacity(n);
-        let inputs: Vec<Mutex<Option<I>>> = jobs
-            .into_iter()
-            .map(|job| {
-                labels.push(job.label);
-                sample_counts.push(job.samples);
-                Mutex::new(Some(job.payload))
-            })
-            .collect();
-        let results: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let walls: Vec<Mutex<Option<Duration>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-        let run_one = |index: usize| {
-            let payload = lock_or_recover(&inputs[index])
-                .take()
-                // nc-lint: allow(R5, reason = "run_one is called exactly once per index; an absent payload is an engine bug worth halting on")
-                .expect("job claimed twice");
-            let _span = Span::enter(self.recorder.as_ref(), &labels[index]);
-            self.recorder.add("engine.jobs", 1);
-            // nc-lint: allow(R3, reason = "wall-clock span feeds JobStat reporting only")
-            let started = Instant::now();
-            let output = work(payload);
-            *lock_or_recover(&walls[index]) = Some(started.elapsed());
-            *lock_or_recover(&results[index]) = Some(output);
-        };
-
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            for index in 0..n {
-                run_one(index);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= n {
-                            break;
-                        }
-                        run_one(index);
-                    });
-                }
-            });
-        }
-
-        // Record stats as one contiguous batch, in job order.
-        let batch: Vec<JobStat> = labels
-            .into_iter()
-            .zip(&sample_counts)
-            .zip(&walls)
-            .map(|((label, &samples), wall)| JobStat {
-                label,
-                // nc-lint: allow(R5, reason = "every job writes its wall slot before the batch joins")
-                wall: lock_or_recover(wall).expect("job completed"),
-                samples,
-            })
-            .collect();
-        lock_or_recover(&self.stats).extend(batch);
-
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    // nc-lint: allow(R5, reason = "every job writes its result slot before the batch joins")
-                    .expect("job completed")
-            })
-            .collect()
+        self.run_pool(jobs, |_, _, _, payload| work(payload))
     }
 
     /// Like [`Engine::run_jobs`], but *supervised*: each job runs under
@@ -494,112 +420,116 @@ impl Engine {
         I: Send + Sync,
         O: Send,
     {
-        let n = jobs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut labels = Vec::with_capacity(n);
-        let mut sample_counts = Vec::with_capacity(n);
-        let inputs: Vec<I> = jobs
-            .into_iter()
-            .map(|job| {
-                labels.push(job.label);
-                sample_counts.push(job.samples);
-                job.payload
-            })
-            .collect();
-        let results: Vec<Mutex<Option<Result<O, Error>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let walls: Vec<Mutex<Duration>> = (0..n).map(|_| Mutex::new(Duration::ZERO)).collect();
-
-        let run_one = |index: usize| {
-            let _span = Span::enter(self.recorder.as_ref(), &labels[index]);
-            self.recorder.add("engine.jobs", 1);
+        self.run_pool(jobs, |index, label, samples, payload| {
             // Deterministic pre-flight: a job over the sample budget is
             // refused without running, at any thread count.
             if let Some(budget) = supervision.sample_budget {
-                if sample_counts[index] > budget {
-                    *lock_or_recover(&results[index]) = Some(Err(Error::BudgetExceeded {
-                        job: labels[index].clone(),
-                        samples: sample_counts[index],
+                if samples > budget {
+                    return Err(Error::BudgetExceeded {
+                        job: label.to_string(),
+                        samples,
                         budget,
-                    }));
-                    return;
+                    });
                 }
             }
-            // nc-lint: allow(R3, reason = "wall-clock span feeds JobStat reporting only")
-            let started = Instant::now();
-            let mut outcome = None;
-            for attempt in 0..=supervision.max_retries {
-                if attempt > 0 {
-                    self.recorder.add("engine.retries", 1);
-                }
+            let mut attempt = 0;
+            loop {
                 let descriptor = Attempt {
                     index: attempt,
                     seed: supervision.attempt_seed(index, attempt),
                 };
                 match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    work(&inputs[index], descriptor)
+                    work(&payload, descriptor)
                 })) {
-                    Ok(output) => {
-                        outcome = Some(Ok(output));
-                        break;
-                    }
-                    Err(payload) => {
+                    Ok(output) => return Ok(output),
+                    Err(panic) => {
                         self.recorder.add("engine.panics", 1);
-                        outcome = Some(Err(Error::JobPanicked {
-                            job: labels[index].clone(),
-                            payload: panic_message(payload.as_ref()),
-                        }));
+                        if attempt == supervision.max_retries {
+                            return Err(Error::JobPanicked {
+                                job: label.to_string(),
+                                payload: panic_message(panic.as_ref()),
+                            });
+                        }
+                        attempt += 1;
+                        self.recorder.add("engine.retries", 1);
                     }
                 }
             }
-            *lock_or_recover(&walls[index]) = started.elapsed();
-            // nc-lint: allow(R5, reason = "the attempt loop always runs at least once and writes the outcome")
-            *lock_or_recover(&results[index]) = Some(outcome.expect("at least one attempt ran"));
+        })
+    }
+
+    /// The scoped pool behind both `run_jobs` variants: calls
+    /// `run_one(index, label, samples, payload)` once per job — inline
+    /// and in order when one worker suffices, otherwise on
+    /// `min(threads, n)` scoped workers claiming jobs from a shared
+    /// queue — then records the batch's [`JobStat`]s and returns the
+    /// outputs, both in job order. A panic in `run_one` propagates to
+    /// the caller once every worker has stopped.
+    fn run_pool<I, O>(
+        &self,
+        jobs: Vec<Job<I>>,
+        run_one: impl Fn(usize, &str, u64, I) -> O + Sync,
+    ) -> Vec<O>
+    where
+        I: Send,
+        O: Send,
+    {
+        let n = jobs.len();
+        let queue = Mutex::new(jobs.into_iter().enumerate());
+        let slots: Vec<Mutex<Option<(O, JobStat)>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let worker = || loop {
+            // Claim under the lock, run outside it.
+            let claimed = lock_or_recover(&queue).next();
+            let Some((
+                index,
+                Job {
+                    label,
+                    samples,
+                    payload,
+                },
+            )) = claimed
+            else {
+                break;
+            };
+            let (output, wall) = {
+                let _span = Span::enter(self.recorder.as_ref(), &label);
+                self.recorder.add("engine.jobs", 1);
+                // nc-lint: allow(R3, reason = "wall-clock span feeds JobStat reporting only")
+                let started = Instant::now();
+                let output = run_one(index, &label, samples, payload);
+                (output, started.elapsed())
+            };
+            let stat = JobStat {
+                label,
+                wall,
+                samples,
+            };
+            *lock_or_recover(&slots[index]) = Some((output, stat));
         };
 
         let workers = self.threads.min(n);
         if workers <= 1 {
-            for index in 0..n {
-                run_one(index);
-            }
+            worker();
         } else {
-            let next = AtomicUsize::new(0);
             std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= n {
-                            break;
-                        }
-                        run_one(index);
-                    });
+                    scope.spawn(worker);
                 }
             });
         }
 
-        let batch: Vec<JobStat> = labels
-            .into_iter()
-            .zip(&sample_counts)
-            .zip(&walls)
-            .map(|((label, &samples), wall)| JobStat {
-                label,
-                wall: *lock_or_recover(wall),
-                samples,
-            })
-            .collect();
-        lock_or_recover(&self.stats).extend(batch);
-
-        results
+        let (outputs, batch): (Vec<O>, Vec<JobStat>) = slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
                     .unwrap_or_else(PoisonError::into_inner)
-                    // nc-lint: allow(R5, reason = "every supervised job writes its result slot before the batch joins")
+                    // nc-lint: allow(R5, reason = "every claimed job writes its slot before the pool joins, and the queue hands out every index")
                     .expect("job completed")
             })
-            .collect()
+            .unzip();
+        // Record stats as one contiguous batch, in job order.
+        lock_or_recover(&self.stats).extend(batch);
+        outputs
     }
 
     /// The standard experiment job: build one model per spec, fit it on
@@ -954,6 +884,7 @@ impl Model for StepDeployedMlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn builder_defaults_are_sane() {
@@ -1174,6 +1105,40 @@ mod tests {
         assert_eq!(engine.stats().len(), 16);
         let again = engine.run_jobs(vec![Job::new("after", 1, 7u64)], |x| x + 1);
         assert_eq!(again, vec![8]);
+    }
+
+    #[test]
+    fn run_jobs_reraises_a_job_panic_and_the_engine_recovers() {
+        for threads in [1, 4] {
+            let engine = Engine::builder()
+                .threads(threads)
+                .scale(ExperimentScale::Tiny)
+                .build();
+            let jobs: Vec<Job<u64>> = (0..8).map(|i| Job::new(format!("p{i}"), 1, i)).collect();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.run_jobs(jobs, |i| {
+                    assert_ne!(i, 3, "job three exploded");
+                    i
+                })
+            }));
+            assert!(
+                caught.is_err(),
+                "threads={threads}: the panic must reach the caller"
+            );
+            // No lock stayed poisoned: a fresh batch runs and records its
+            // stats in job order.
+            let before = engine.stats().len();
+            let again = engine.run_jobs(
+                vec![Job::new("after/a", 2, 1u64), Job::new("after/b", 3, 2u64)],
+                |x| x * 10,
+            );
+            assert_eq!(again, vec![10, 20], "threads={threads}");
+            let stats = engine.stats();
+            assert_eq!(stats.len(), before + 2, "threads={threads}");
+            let labels: Vec<&str> = stats[before..].iter().map(|s| s.label.as_str()).collect();
+            assert_eq!(labels, ["after/a", "after/b"], "threads={threads}");
+            assert_eq!(stats[before + 1].samples, 3);
+        }
     }
 
     #[test]

@@ -10,11 +10,10 @@ use crate::engine::{Engine, Experiment, Job, ModelSpec};
 use crate::error::Error;
 use crate::experiment::{ExperimentScale, Workload};
 use nc_dataset::Dataset;
-use nc_mlp::{metrics, Activation, Mlp};
-use nc_snn::{SnnNetwork, SnnParams, WotSnn};
+use nc_mlp::Activation;
+use nc_snn::SnnParams;
 use nc_substrate::fixed::sat_u8_trunc;
 use nc_substrate::rng::{noise_seed, SplitMix64};
-use nc_substrate::stats::Confusion;
 use std::sync::Arc;
 
 /// One point of the robustness sweep.
@@ -41,33 +40,6 @@ pub fn corrupt(data: &Dataset, noise: f64, seed: u64) -> Dataset {
             *p = sat_u8_trunc(f64::from(*p) + delta);
         }
     })
-}
-
-/// Evaluates pre-trained models under each noise level. The SNN is
-/// evaluated through both its readouts (LIF first-to-fire and the
-/// SNNwot max-potential path).
-pub fn sweep(
-    mlp: &Mlp,
-    snn: &mut SnnNetwork,
-    test: &Dataset,
-    noise_levels: &[f64],
-) -> Vec<RobustnessPoint> {
-    let wot = WotSnn::from_network(snn);
-    noise_levels
-        .iter()
-        .map(|&noise| {
-            let noisy = corrupt(test, noise, noise_seed(noise));
-            let mlp_accuracy = metrics::evaluate(mlp, &noisy).accuracy();
-            let snn_accuracy = snn.evaluate(&noisy).accuracy();
-            let wot_accuracy = wot.evaluate(&noisy).accuracy();
-            RobustnessPoint {
-                noise,
-                mlp_accuracy,
-                snn_accuracy,
-                wot_accuracy,
-            }
-        })
-        .collect()
 }
 
 /// The robustness sweep as an engine experiment: each model family is
@@ -210,25 +182,10 @@ pub fn degradation(
     }
 }
 
-/// Evaluates a single confusion under noise, exposed for custom models.
-pub fn evaluate_under_noise<F>(test: &Dataset, noise: f64, seed: u64, mut predict: F) -> Confusion
-where
-    F: FnMut(&[u8]) -> usize,
-{
-    let noisy = corrupt(test, noise, seed);
-    let mut confusion = Confusion::new(test.num_classes());
-    for s in noisy.iter() {
-        confusion.record(s.label, predict(&s.pixels));
-    }
-    confusion
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nc_dataset::{digits::DigitsSpec, Difficulty};
-    use nc_mlp::{Activation, TrainConfig, Trainer};
-    use nc_snn::SnnParams;
 
     fn task() -> (Dataset, Dataset) {
         DigitsSpec {
@@ -250,36 +207,6 @@ mod tests {
         assert_ne!(a, c);
         // Zero noise is the identity.
         assert_eq!(corrupt(&test, 0.0, 7), test);
-    }
-
-    #[test]
-    fn accuracy_degrades_with_noise() {
-        let (train, test) = task();
-        let mut mlp = Mlp::new(&[784, 16, 10], Activation::sigmoid(), 3).unwrap();
-        Trainer::new(TrainConfig {
-            epochs: 8,
-            ..TrainConfig::default()
-        })
-        .fit(&mut mlp, &train);
-        let mut snn = SnnNetwork::new(784, 10, SnnParams::tuned(15), 3);
-        snn.set_stdp_delta(8);
-        snn.train_stdp(&train, 2);
-        snn.self_label(&train);
-        let points = sweep(&mlp, &mut snn, &test, &[0.0, 0.6]);
-        assert_eq!(points.len(), 2);
-        assert!(
-            points[1].mlp_accuracy <= points[0].mlp_accuracy + 0.05,
-            "{points:?}"
-        );
-        let deg = degradation(&points, |p| p.mlp_accuracy).unwrap();
-        assert!((-0.1..=1.0).contains(&deg));
-    }
-
-    #[test]
-    fn custom_predictor_hook_works() {
-        let (_, test) = task();
-        let confusion = evaluate_under_noise(&test, 0.1, 1, |_| 0);
-        assert_eq!(confusion.total(), test.len() as u64);
     }
 
     #[test]
@@ -309,7 +236,7 @@ mod tests {
         use crate::engine::Engine;
         use crate::experiment::{ExperimentScale, Workload};
         let sweep = RobustnessSweep {
-            noise_levels: vec![0.0, 0.5],
+            noise_levels: vec![0.0, 0.6],
             mlp_hidden: 6,
             snn_neurons: 8,
             ..RobustnessSweep::standard(Workload::Shapes)
@@ -325,6 +252,13 @@ mod tests {
             .unwrap();
         assert_eq!(sequential, parallel);
         assert_eq!(sequential.len(), 2);
+        // Heavy noise does not raise accuracy.
+        assert!(
+            sequential[1].mlp_accuracy <= sequential[0].mlp_accuracy + 0.05,
+            "{sequential:?}"
+        );
+        let deg = degradation(&sequential, |p| p.mlp_accuracy).unwrap();
+        assert!((-0.1..=1.0).contains(&deg), "{sequential:?}");
     }
 
     #[test]

@@ -2,10 +2,8 @@
 //! slope (Figures 5–6), coding schemes (Figure 14).
 //!
 //! Each sweep is an [`Experiment`]: its grid points are independent
-//! trainings, fanned out as engine jobs and collected in grid order.
-//! The dataset-level free functions remain as sequential conveniences
-//! for callers that already hold `(train, test)` in hand; both paths
-//! drive every model through the unified [`Model`](nc_dataset::Model)
+//! trainings, fanned out as engine jobs and collected in grid order,
+//! every model driven through the unified [`Model`](nc_dataset::Model)
 //! interface.
 
 use crate::engine::{Engine, Experiment, Job, ModelSpec};
@@ -16,7 +14,6 @@ use nc_dataset::Dataset;
 use nc_mlp::Activation;
 use nc_snn::coding::CodingScheme;
 use nc_snn::SnnParams;
-use std::sync::Arc;
 
 /// One point of the Figure 8 sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,75 +104,6 @@ fn collect(results: Vec<Result<f64, Error>>) -> Result<Vec<f64>, Error> {
     results.into_iter().collect()
 }
 
-/// Figure 8 (MLP side): accuracy vs hidden-layer width, sequentially on
-/// datasets in hand. Prefer [`NeuronSweep`] on an [`Engine`] for
-/// parallel runs.
-pub fn mlp_neuron_sweep(
-    train: &Dataset,
-    test: &Dataset,
-    widths: &[usize],
-    epochs: usize,
-    seed: u64,
-) -> Vec<NeuronSweepPoint> {
-    let engine = Engine::sequential(ExperimentScale::Tiny);
-    let data = Arc::new((train.clone(), test.clone()));
-    let jobs = widths
-        .iter()
-        .map(|&h| mlp_point_job(train, h, epochs, seed, format!("fig8/mlp/{h}")))
-        .collect();
-    // nc-lint: allow(R5, reason = "sweep grids use paper-constant topologies; validated by tier-1 tests")
-    let accuracies = collect(engine.train_and_score(&data, jobs)).expect("valid sweep topology");
-    widths
-        .iter()
-        .zip(accuracies)
-        .map(|(&neurons, accuracy)| NeuronSweepPoint { neurons, accuracy })
-        .collect()
-}
-
-/// Figure 8 (SNN side): accuracy vs layer size, STDP-trained,
-/// sequentially on datasets in hand. Prefer [`NeuronSweep`] on an
-/// [`Engine`] for parallel runs.
-pub fn snn_neuron_sweep(
-    train: &Dataset,
-    test: &Dataset,
-    sizes: &[usize],
-    scale: ExperimentScale,
-    seed: u64,
-) -> Vec<NeuronSweepPoint> {
-    let engine = Engine::sequential(scale);
-    let data = Arc::new((train.clone(), test.clone()));
-    let jobs = sizes
-        .iter()
-        .map(|&n| snn_point_job(train, n, None, scale, seed, format!("fig8/snn/{n}")))
-        .collect();
-    // nc-lint: allow(R5, reason = "sweep grids use paper-constant topologies; validated by tier-1 tests")
-    let accuracies = collect(engine.train_and_score(&data, jobs)).expect("valid sweep topology");
-    sizes
-        .iter()
-        .zip(accuracies)
-        .map(|(&neurons, accuracy)| NeuronSweepPoint { neurons, accuracy })
-        .collect()
-}
-
-/// Figures 5–6: train/test the MLP under `f_a` for each slope plus the
-/// step function, returning error rates. Sequential convenience for
-/// datasets in hand; prefer [`SigmoidBridge`] on an [`Engine`].
-pub fn sigmoid_bridge_sweep(
-    train: &Dataset,
-    test: &Dataset,
-    slopes: &[f64],
-    hidden: usize,
-    epochs: usize,
-    seed: u64,
-) -> Vec<BridgePoint> {
-    let engine = Engine::sequential(ExperimentScale::Tiny);
-    let data = Arc::new((train.clone(), test.clone()));
-    let jobs = bridge_jobs(train, slopes, hidden, epochs, seed);
-    // nc-lint: allow(R5, reason = "sweep grids use paper-constant topologies; validated by tier-1 tests")
-    let accuracies = collect(engine.train_and_score(&data, jobs)).expect("valid sweep topology");
-    bridge_points(slopes, accuracies)
-}
-
 fn bridge_jobs(
     train: &Dataset,
     slopes: &[f64],
@@ -234,48 +162,6 @@ fn bridge_points(slopes: &[f64], accuracies: Vec<f64>) -> Vec<BridgePoint> {
         .map(|(slope, accuracy)| BridgePoint {
             slope,
             error_rate: 1.0 - accuracy,
-        })
-        .collect()
-}
-
-/// Figure 14: STDP accuracy per coding scheme per layer size.
-/// Sequential convenience for datasets in hand; prefer [`CodingSweep`]
-/// on an [`Engine`].
-pub fn coding_sweep(
-    train: &Dataset,
-    test: &Dataset,
-    schemes: &[CodingScheme],
-    sizes: &[usize],
-    scale: ExperimentScale,
-    seed: u64,
-) -> Vec<CodingPoint> {
-    let engine = Engine::sequential(scale);
-    let data = Arc::new((train.clone(), test.clone()));
-    let grid: Vec<(CodingScheme, usize)> = schemes
-        .iter()
-        .flat_map(|&s| sizes.iter().map(move |&n| (s, n)))
-        .collect();
-    let jobs = grid
-        .iter()
-        .map(|&(scheme, n)| {
-            snn_point_job(
-                train,
-                n,
-                Some(scheme),
-                scale,
-                seed,
-                format!("fig14/{scheme:?}/{n}"),
-            )
-        })
-        .collect();
-    // nc-lint: allow(R5, reason = "sweep grids use paper-constant topologies; validated by tier-1 tests")
-    let accuracies = collect(engine.train_and_score(&data, jobs)).expect("valid sweep topology");
-    grid.iter()
-        .zip(accuracies)
-        .map(|(&(scheme, neurons), accuracy)| CodingPoint {
-            scheme,
-            neurons,
-            accuracy,
         })
         .collect()
 }
@@ -468,81 +354,66 @@ impl Experiment for CodingSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nc_dataset::{digits::DigitsSpec, Difficulty};
-
-    fn tiny() -> (Dataset, Dataset) {
-        DigitsSpec {
-            train: 250,
-            test: 80,
-            seed: 13,
-            difficulty: Difficulty::default(),
-        }
-        .generate()
-    }
 
     #[test]
-    fn mlp_sweep_improves_with_width() {
-        let (train, test) = tiny();
-        let pts = mlp_neuron_sweep(&train, &test, &[2, 24], 8, 1);
-        assert_eq!(pts.len(), 2);
-        assert!(
-            pts[1].accuracy > pts[0].accuracy,
-            "wider net should win: {pts:?}"
-        );
-    }
-
-    #[test]
-    fn snn_sweep_improves_with_size() {
-        let (train, test) = tiny();
-        let pts = snn_neuron_sweep(&train, &test, &[5, 40], ExperimentScale::Quick, 1);
-        assert!(
-            pts[1].accuracy >= pts[0].accuracy,
-            "larger layer should win: {pts:?}"
-        );
-    }
-
-    #[test]
-    fn bridge_sweep_includes_the_step_reference() {
-        let (train, test) = tiny();
-        let pts = sigmoid_bridge_sweep(&train, &test, &[1.0, 8.0], 12, 6, 1);
-        assert_eq!(pts.len(), 3);
-        assert_eq!(pts[2].slope, None);
-        assert!(pts.iter().all(|p| (0.0..=1.0).contains(&p.error_rate)));
-    }
-
-    #[test]
-    fn coding_sweep_covers_the_grid() {
-        let (train, test) = tiny();
-        let train = train.take(120);
-        let pts = coding_sweep(
-            &train,
-            &test,
-            &[CodingScheme::PoissonRate, CodingScheme::TimeToFirstSpike],
-            &[8],
-            ExperimentScale::Quick,
-            1,
-        );
-        assert_eq!(pts.len(), 2);
-    }
-
-    #[test]
-    fn neuron_sweep_experiment_runs_on_the_engine() {
+    fn sweep_experiments_cover_their_grids_on_the_engine() {
         let engine = Engine::builder()
             .threads(2)
             .scale(ExperimentScale::Tiny)
             .build();
         let sweep = NeuronSweep {
-            workload: Workload::Shapes,
+            workload: Workload::Digits,
             scale: None,
-            mlp_widths: vec![4],
-            snn_sizes: vec![6],
+            mlp_widths: vec![2, 24],
+            snn_sizes: vec![5, 40],
             seed: 1,
         };
         let results = engine.run(&sweep).unwrap();
-        assert_eq!(results.mlp.len(), 1);
-        assert_eq!(results.snn.len(), 1);
-        assert_eq!(results.mlp[0].neurons, 4);
-        assert_eq!(results.snn[0].neurons, 6);
+        let neurons = |pts: &[NeuronSweepPoint]| pts.iter().map(|p| p.neurons).collect::<Vec<_>>();
+        assert_eq!(neurons(&results.mlp), [2, 24]);
+        assert_eq!(neurons(&results.snn), [5, 40]);
+        assert!(
+            results.mlp[1].accuracy > results.mlp[0].accuracy,
+            "wider net should win: {results:?}"
+        );
+        assert!(
+            results.snn[1].accuracy >= results.snn[0].accuracy,
+            "larger layer should win: {results:?}"
+        );
+
+        let bridge = SigmoidBridge {
+            workload: Workload::Digits,
+            scale: None,
+            slopes: vec![1.0, 8.0],
+            hidden: 12,
+            seed: 1,
+        };
+        let pts = engine.run(&bridge).unwrap();
+        let slopes: Vec<Option<f64>> = pts.iter().map(|p| p.slope).collect();
+        assert_eq!(
+            slopes,
+            [Some(1.0), Some(8.0), None],
+            "ends with the step reference"
+        );
+        assert!(pts.iter().all(|p| (0.0..=1.0).contains(&p.error_rate)));
+
+        let schemes = [CodingScheme::PoissonRate, CodingScheme::TimeToFirstSpike];
+        let coding = CodingSweep {
+            workload: Workload::Digits,
+            scale: None,
+            schemes: schemes.to_vec(),
+            sizes: vec![8, 12],
+            seed: 1,
+        };
+        let cells: Vec<(CodingScheme, usize)> = engine
+            .run(&coding)
+            .unwrap()
+            .iter()
+            .map(|p| (p.scheme, p.neurons))
+            .collect();
+        let grid: Vec<(CodingScheme, usize)> =
+            schemes.iter().flat_map(|&s| [(s, 8), (s, 12)]).collect();
+        assert_eq!(cells, grid);
     }
 
     #[test]

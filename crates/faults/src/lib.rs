@@ -108,13 +108,6 @@ impl FaultModel {
             FaultModel::DeadRouter => "dead_router",
         }
     }
-
-    /// `true` for the routing-fabric models ([`FaultModel::DeadLink`],
-    /// [`FaultModel::DeadRouter`]) that only have an effect on meshed
-    /// substrates and are inert everywhere else.
-    pub fn is_fabric(self) -> bool {
-        matches!(self, FaultModel::DeadLink | FaultModel::DeadRouter)
-    }
 }
 
 impl fmt::Display for FaultModel {
@@ -547,11 +540,6 @@ mod tests {
         // must not be copies of each other.
         let same_seed_links = plan(FaultModel::DeadLink, 0.3, 17);
         assert_ne!(dead_link_mask(10_000, &same_seed_links), r);
-        // Fabric classification is exactly the two mesh models.
-        for model in FaultModel::ALL {
-            let expect = matches!(model, FaultModel::DeadLink | FaultModel::DeadRouter);
-            assert_eq!(model.is_fabric(), expect, "{model}");
-        }
     }
 
     #[test]

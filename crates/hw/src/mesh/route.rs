@@ -173,11 +173,6 @@ impl Fabric {
         self.dead_links[link]
     }
 
-    /// Whether `core`'s router is dead.
-    pub fn is_dead_router(&self, core: usize) -> bool {
-        self.dead_routers[core]
-    }
-
     /// Number of dead outbound links.
     pub fn dead_link_count(&self) -> usize {
         self.dead_links.iter().filter(|&&d| d).count()

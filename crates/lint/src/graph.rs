@@ -256,11 +256,6 @@ impl<'a> SymbolGraph<'a> {
         self.units[self.defs[d].unit].path
     }
 
-    /// Resolved callees of a def.
-    pub fn callees_of(&self, d: usize) -> &[usize] {
-        &self.callees[d]
-    }
-
     /// Is `name` a method of a trait the workspace uses via `dyn`?
     pub fn dyn_trait_of(&self, name: &str) -> Option<&str> {
         self.dyn_methods.get(name).copied()

@@ -45,10 +45,9 @@
 //!
 //! The crate is std-only and dependency-free: there is no `syn` because
 //! the build is offline. Run it as `cargo run -p nc-lint` (`--json` for
-//! the machine-readable report, `--sarif FILE` for SARIF 2.1.0,
-//! `--incremental` for the content-hash cache under `target/nc-lint/`).
+//! the machine-readable report, `--sarif FILE` for SARIF 2.1.0). A cold
+//! run over the whole workspace is fast enough that nothing is cached.
 
-pub mod cache;
 pub mod graph;
 pub mod lexer;
 pub mod parse;
@@ -62,14 +61,13 @@ pub use report::Report;
 pub use rules::{check_source, scan_file, Finding, RuleId};
 
 use rules::FileScan;
-use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
 /// Runs phase 2 and suppression resolution over completed phase-1 scans.
 fn finish(mut scans: Vec<FileScan>) -> Report {
     // Sort before building the graph so the report is byte-identical
-    // regardless of the order files were discovered (or cached) in.
+    // regardless of the order files were discovered in.
     scans.sort_by(|a, b| a.path.cmp(&b.path));
     let phase2 = rules::run_phase2(&scans);
     rules::resolve_workspace(scans, phase2)
@@ -89,8 +87,8 @@ pub fn lint_sources(files: &[(String, String)]) -> Report {
 }
 
 /// Lints every `.rs` file under `root` (skipping `target/`, hidden
-/// directories, and fixture corpora) and folds the results into one
-/// [`Report`].
+/// directories, fixture corpora and nested workspaces) and folds the
+/// results into one [`Report`].
 ///
 /// # Errors
 ///
@@ -105,42 +103,4 @@ pub fn lint_tree(root: &Path) -> io::Result<Report> {
         scans.push(rules::scan_file(&key, &source));
     }
     Ok(finish(scans))
-}
-
-/// Like [`lint_tree`], but with a persistent phase-1 cache at
-/// `cache_path`: files whose content hash is unchanged reuse their
-/// cached scan, and the report's `files_reparsed` records how many were
-/// actually re-parsed. Phase 2 always re-runs over the whole workspace
-/// (a one-file edit can change cross-file conclusions anywhere), and a
-/// missing or corrupt cache silently degrades to a full rescan.
-///
-/// # Errors
-///
-/// Returns an I/O error if the tree cannot be walked, a source file
-/// cannot be read, or the refreshed cache cannot be written.
-pub fn lint_tree_cached(root: &Path, cache_path: &Path) -> io::Result<Report> {
-    let files = walk::rust_files(root)?;
-    let old = cache::load(cache_path);
-    let mut fresh: BTreeMap<String, cache::CachedScan> = BTreeMap::new();
-    let mut reparsed = 0usize;
-    for path in &files {
-        let bytes = std::fs::read(path)?;
-        let hash = cache::fnv64(&bytes);
-        let key = walk::relative_key(root, path);
-        let scan = match old.get(&key) {
-            Some(hit) if hit.hash == hash => hit.scan.clone(),
-            _ => {
-                reparsed += 1;
-                let source = String::from_utf8_lossy(&bytes);
-                rules::scan_file(&key, &source)
-            }
-        };
-        // Entries for deleted files drop out here: only files present in
-        // this walk are written back.
-        fresh.insert(key, cache::CachedScan { hash, scan });
-    }
-    cache::save(cache_path, &fresh)?;
-    let mut report = finish(fresh.into_values().map(|e| e.scan).collect());
-    report.files_reparsed = Some(reparsed);
-    Ok(report)
 }

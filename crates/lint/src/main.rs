@@ -2,9 +2,8 @@
 //!
 //! ```text
 //! cargo run -p nc-lint                  # human-readable report, exit 1 on findings
-//! cargo run -p nc-lint -- --json        # machine-readable report (schema v2)
+//! cargo run -p nc-lint -- --json        # machine-readable report (schema v3)
 //! cargo run -p nc-lint -- --sarif out.sarif   # also write SARIF 2.1.0
-//! cargo run -p nc-lint -- --incremental # phase-1 cache under target/nc-lint/
 //! cargo run -p nc-lint -- --root path/to/tree
 //! ```
 //!
@@ -15,14 +14,12 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut json = false;
-    let mut incremental = false;
     let mut sarif_out: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--incremental" => incremental = true,
             "--sarif" => match args.next() {
                 Some(path) => sarif_out = Some(PathBuf::from(path)),
                 None => return usage("--sarif needs an output path argument"),
@@ -32,7 +29,7 @@ fn main() -> ExitCode {
                 None => return usage("--root needs a path argument"),
             },
             "--help" | "-h" => {
-                println!("usage: nc-lint [--json] [--sarif FILE] [--incremental] [--root DIR]");
+                println!("usage: nc-lint [--json] [--sarif FILE] [--root DIR]");
                 println!(
                     "Checks workspace invariants R1-R11; see DESIGN.md \"Static invariants\"."
                 );
@@ -53,13 +50,7 @@ fn main() -> ExitCode {
         },
     };
 
-    let result = if incremental {
-        let cache = root.join("target").join("nc-lint").join("cache.v1");
-        nc_lint::lint_tree_cached(&root, &cache)
-    } else {
-        nc_lint::lint_tree(&root)
-    };
-    match result {
+    match nc_lint::lint_tree(&root) {
         Ok(report) => {
             if let Some(path) = sarif_out {
                 let doc = nc_lint::sarif::render_sarif(&report);
@@ -88,7 +79,7 @@ fn main() -> ExitCode {
 
 fn usage(problem: &str) -> ExitCode {
     eprintln!("nc-lint: {problem}");
-    eprintln!("usage: nc-lint [--json] [--sarif FILE] [--incremental] [--root DIR]");
+    eprintln!("usage: nc-lint [--json] [--sarif FILE] [--root DIR]");
     ExitCode::from(2)
 }
 
@@ -97,11 +88,8 @@ fn usage(problem: &str) -> ExitCode {
 fn find_workspace_root() -> Option<PathBuf> {
     let mut dir: PathBuf = std::env::current_dir().ok()?;
     loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(dir);
-            }
+        if nc_lint::walk::is_workspace_root(&dir) {
+            return Some(dir);
         }
         if !pop(&mut dir) {
             return None;

@@ -14,10 +14,6 @@ pub struct Report {
     pub suppressions_total: usize,
     /// Suppressions that actually silenced a finding.
     pub suppressions_used: usize,
-    /// In incremental mode, how many files were actually re-parsed
-    /// (the rest came from the content-hash cache). `None` for a full
-    /// run.
-    pub files_reparsed: Option<usize>,
 }
 
 impl Report {
@@ -33,33 +29,22 @@ impl Report {
         for f in &self.findings {
             let _ = writeln!(out, "{}:{}: {}: {}", f.file, f.line, f.rule, f.message);
         }
-        let reparse_note = match self.files_reparsed {
-            Some(n) => format!(" ({n} re-parsed)"),
-            None => String::new(),
-        };
         let _ = writeln!(
             out,
-            "nc-lint: {} finding(s) across {} file(s){}; {}/{} suppression(s) in use",
+            "nc-lint: {} finding(s) across {} file(s); {}/{} suppression(s) in use",
             self.findings.len(),
             self.files_scanned,
-            reparse_note,
             self.suppressions_used,
             self.suppressions_total,
         );
         out
     }
 
-    /// Renders the machine-readable report (schema `version` 2; v2 added
-    /// `files_reparsed`, `null` outside incremental mode).
+    /// Renders the machine-readable report (schema `version` 3; v3
+    /// dropped v2's `files_reparsed`).
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"version\": 2,\n");
+        let mut out = String::from("{\n  \"version\": 3,\n");
         let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
-        match self.files_reparsed {
-            Some(n) => {
-                let _ = writeln!(out, "  \"files_reparsed\": {n},");
-            }
-            None => out.push_str("  \"files_reparsed\": null,\n"),
-        }
         let _ = writeln!(
             out,
             "  \"suppressions\": {{ \"total\": {}, \"used\": {} }},",
@@ -131,22 +116,18 @@ mod tests {
             files_scanned: 1,
             suppressions_total: 2,
             suppressions_used: 1,
-            files_reparsed: None,
         };
         let json = report.render_json();
-        assert!(json.contains("\"version\": 2"));
-        assert!(json.contains("\"files_reparsed\": null"));
+        assert!(json.contains("\"version\": 3"));
+        assert!(!json.contains("files_reparsed"));
         assert!(json.contains("\"rule\": \"R4\""));
         assert!(json.contains("say \\\"no\\\"\\tplease"));
         assert!(json.contains("\"clean\": false"));
-        let empty = Report {
-            files_scanned: 0,
-            files_reparsed: Some(0),
-            ..Report::default()
-        };
+        let empty = Report::default();
         assert!(empty.render_json().contains("\"findings\": []"));
-        assert!(empty.render_json().contains("\"files_reparsed\": 0"));
-        assert!(empty.render_text().contains("(0 re-parsed)"));
+        assert!(empty
+            .render_text()
+            .contains("0 finding(s) across 0 file(s); 0/0 suppression(s) in use"));
         assert!(empty.is_clean());
     }
 }

@@ -426,8 +426,7 @@ impl FileWaivers {
 
 /// Everything phase 1 extracts from one file: the parsed model (for the
 /// graph), the raw phase-1 findings (not yet suppressed), and the
-/// suppression table. Pure per-file data — exactly what the incremental
-/// cache stores.
+/// suppression table. Pure per-file data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileScan {
     /// Workspace-relative path.
@@ -466,8 +465,7 @@ impl FileScan {
 
 /// Phase 1 for one file: lex, split comments from code, parse the item
 /// model, run the per-file rules, and collect suppressions. Pure (no
-/// filesystem), so fixtures and the cache share the exact code path the
-/// CLI uses.
+/// filesystem), so fixtures share the exact code path the CLI uses.
 pub fn scan_file(path: &str, source: &str) -> FileScan {
     let file = FileContext::classify(path);
     let tokens = lex(source);
@@ -629,7 +627,6 @@ pub fn resolve_workspace(mut scans: Vec<FileScan>, phase2: Vec<Finding>) -> Repo
         files_scanned: scans.len(),
         suppressions_total,
         suppressions_used,
-        files_reparsed: None,
     }
 }
 

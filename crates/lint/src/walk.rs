@@ -9,8 +9,18 @@ use std::path::{Path, PathBuf};
 /// fixture corpus.
 const SKIP_DIRS: [&str; 4] = ["target", ".git", "fixtures", "node_modules"];
 
+/// Whether `dir` holds a `Cargo.toml` with a `[workspace]` table — the
+/// root of a Cargo workspace.
+pub fn is_workspace_root(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|text| text.lines().any(|line| line.trim() == "[workspace]"))
+}
+
 /// Collects every `.rs` file under `root`, sorted by path so reports are
 /// byte-stable across filesystems (directory iteration order is not).
+/// A subdirectory that is itself a workspace root is a separate
+/// workspace with its own call graph, so it is skipped whole: linking
+/// its items into this one would invent cross-workspace call edges.
 ///
 /// # Errors
 ///
@@ -31,7 +41,8 @@ pub fn rust_files(root: &Path) -> io::Result<Vec<PathBuf>> {
                 .and_then(|n| n.to_str())
                 .unwrap_or_default();
             if path.is_dir() {
-                if !SKIP_DIRS.contains(&name) && !name.starts_with('.') {
+                if !SKIP_DIRS.contains(&name) && !name.starts_with('.') && !is_workspace_root(&path)
+                {
                     stack.push(path);
                 }
             } else if name.ends_with(".rs") {

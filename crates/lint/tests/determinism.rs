@@ -3,9 +3,8 @@
 //!
 //! `lint_sources` is fed the phase-2 violation corpus in seeded random
 //! permutations; every permutation must produce the same rustc-style,
-//! JSON, and SARIF bytes as the sorted baseline. This is the contract
-//! that makes the incremental cache safe: cached and fresh scans meet
-//! in one `finish()` that must not care who arrived first.
+//! JSON, and SARIF bytes as the sorted baseline: every scan meets the
+//! others in one `finish()` that must not care who arrived first.
 
 use nc_substrate::check::check_cases;
 use nc_substrate::rng::SplitMix64;

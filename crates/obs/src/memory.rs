@@ -104,11 +104,6 @@ impl MemoryRecorder {
         lock_or_recover(&self.inner).spans.get(name).copied()
     }
 
-    /// Number of epoch reports received.
-    pub fn epoch_count(&self) -> usize {
-        lock_or_recover(&self.inner).epochs.len()
-    }
-
     /// Clones out a named latency histogram, if any sample ever landed
     /// in it.
     pub fn histogram(&self, name: &str) -> Option<LatencyHistogram> {
@@ -215,7 +210,6 @@ mod tests {
         let snap = rec.snapshot();
         assert_eq!(snap.epochs.len(), 3);
         assert_eq!(snap.epochs[2].metrics.epoch, 2);
-        assert_eq!(rec.epoch_count(), 3);
     }
 
     #[test]

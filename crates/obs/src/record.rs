@@ -7,12 +7,11 @@ use crate::memory::ObsSnapshot;
 
 /// Schema version stamped into every record; bump on breaking changes.
 ///
-/// v2 (PR 9): adds the top-level `"supervision"` object — the engine's
-/// panic-isolation counters (`panics`, `retries`, `fault_injections`)
-/// surfaced as first-class fields so soak artifacts show supervision
-/// activity, not just latency. v1 consumers that ignore unknown keys
-/// are unaffected; the counters also remain in `"counters"` verbatim.
-pub const SCHEMA_VERSION: u64 = 2;
+/// v3 drops v2's top-level `"supervision"` object, which repeated the
+/// engine's `engine.panics`, `engine.retries` and
+/// `engine.fault_injections` counters; they are read from `"counters"`,
+/// where a counter that never fired is absent.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Wall-clock and throughput of one named section of a bench run
 /// (for `all`, one table/figure generator).
@@ -159,23 +158,6 @@ impl BenchRecord {
                 })
                 .collect(),
         );
-        let counter = |name: &str| {
-            Json::int(
-                self.snapshot
-                    .counters
-                    .get(name)
-                    .copied()
-                    .unwrap_or_default(),
-            )
-        };
-        let supervision = Json::Obj(vec![
-            ("panics".into(), counter("engine.panics")),
-            ("retries".into(), counter("engine.retries")),
-            (
-                "fault_injections".into(),
-                counter("engine.fault_injections"),
-            ),
-        ]);
         Json::Obj(vec![
             ("schema_version".into(), Json::int(SCHEMA_VERSION)),
             ("git_sha".into(), Json::str(self.git_sha.clone())),
@@ -184,7 +166,6 @@ impl BenchRecord {
             ("scale".into(), Json::str(self.scale.clone())),
             ("total_wall_s".into(), Json::Num(self.total_wall_s())),
             ("sections".into(), sections),
-            ("supervision".into(), supervision),
             ("counters".into(), counters),
             ("series".into(), series),
             ("spans".into(), spans),
@@ -249,11 +230,13 @@ mod tests {
             snapshot: rec.snapshot(),
         };
         let json = record.to_json();
+        assert!(!json.contains("supervision"), "{json}");
+        assert_eq!(json.matches("engine.panics").count(), 1, "{json}");
         for needle in [
-            "\"schema_version\":2",
-            // The v2 supervision block: explicitly-recorded counters
-            // surface, unrecorded ones default to zero.
-            "\"supervision\":{\"panics\":3,\"retries\":2,\"fault_injections\":0}",
+            "\"schema_version\":3",
+            // The supervision counters appear once, in `counters`.
+            "\"engine.panics\":3",
+            "\"engine.retries\":2",
             "\"git_sha\":\"abc1234\"",
             "\"threads\":4",
             "\"scale\":\"tiny\"",

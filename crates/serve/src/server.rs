@@ -188,11 +188,6 @@ impl Server {
         })
     }
 
-    /// The serving names, in registration order.
-    pub fn model_names(&self) -> Vec<&str> {
-        self.snapshots.iter().map(|s| s.name()).collect()
-    }
-
     /// Requests admitted but not yet answered.
     pub fn in_flight(&self) -> usize {
         lock_or_recover(&self.state).in_flight

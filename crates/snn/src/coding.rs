@@ -109,20 +109,6 @@ impl CodingScheme {
         events.sort_unstable_by_key(|e| (e.t, e.input));
     }
 
-    /// The expected total spike count for an image under this scheme
-    /// (used by tests and by threshold scaling).
-    pub fn expected_spikes(&self, pixels: &[u8], params: &SnnParams) -> f64 {
-        match self {
-            CodingScheme::PoissonRate | CodingScheme::GaussianRate => pixels
-                .iter()
-                .map(|&p| params.rate_per_ms(p) * f64::from(params.t_period))
-                .sum(),
-            CodingScheme::RankOrder | CodingScheme::TimeToFirstSpike => {
-                pixels.iter().filter(|&&p| p >= ACTIVE_THRESHOLD).count() as f64
-            }
-        }
-    }
-
     /// A reasonable initial firing threshold for this scheme: temporal
     /// codes deliver ~10× fewer spikes than rate codes, so the Table 1
     /// threshold is scaled accordingly (homeostasis then fine-tunes).

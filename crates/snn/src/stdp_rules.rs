@@ -25,7 +25,6 @@
 //! piecewise-linear interpolation unit as the leak.
 
 use nc_substrate::fixed::{sat_u8_from_i32, sat_u8_round};
-use nc_substrate::interp::PiecewiseLinear;
 
 /// A pluggable STDP magnitude rule.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,17 +108,6 @@ impl StdpRule {
             StdpRule::Exponential { .. } => StdpUpdateUnit::InterpolatedAdder,
         }
     }
-
-    /// A reference piecewise-linear table of the exponential window (what
-    /// the hardware would store), if this is the exponential rule.
-    pub fn window_table(&self, segments: usize, max_dt_ms: f64) -> Option<PiecewiseLinear> {
-        match *self {
-            StdpRule::Exponential { tau, .. } => {
-                Some(PiecewiseLinear::exp_decay(segments, tau, max_dt_ms))
-            }
-            _ => None,
-        }
-    }
 }
 
 impl Default for StdpRule {
@@ -193,18 +181,6 @@ mod tests {
             StdpRule::Multiplicative { rate: 0.1 }.update_unit(),
             StdpUpdateUnit::Multiplier
         );
-    }
-
-    #[test]
-    fn exponential_exposes_its_window_table() {
-        let rule = StdpRule::Exponential {
-            delta: 5.0,
-            tau: 20.0,
-        };
-        let t = rule.window_table(16, 60.0).expect("exponential rule");
-        assert!((t.eval(0.0) - 1.0).abs() < 1e-12);
-        assert!(t.eval(60.0) < 0.06);
-        assert!(StdpRule::default().window_table(16, 60.0).is_none());
     }
 
     #[test]
