@@ -95,30 +95,46 @@ impl GreyImage {
     }
 
     /// 3×3 box blur, used to soften rasterized strokes the way optics and
-    /// anti-aliased scans soften MNIST digits.
+    /// anti-aliased scans soften MNIST digits. Border pixels average the
+    /// neighbours that exist.
     pub fn blur3(&mut self) {
+        let w = self.width;
         let mut out = vec![0u8; self.pixels.len()];
-        for y in 0..self.height {
-            for x in 0..self.width {
-                let mut sum = 0u32;
-                let mut n = 0u32;
-                for dy in -1i64..=1 {
-                    for dx in -1i64..=1 {
-                        let neighbor = (
-                            usize::try_from(x as i64 + dx),
-                            usize::try_from(y as i64 + dy),
-                        );
-                        let (Ok(nx), Ok(ny)) = neighbor else { continue };
-                        if nx < self.width && ny < self.height {
-                            sum += u32::from(self.pixels[ny * self.width + nx]);
-                            n += 1;
-                        }
-                    }
+        // Interior pixels have all nine neighbours: no clipping needed.
+        if w >= 3 && self.height >= 3 {
+            let rows = self.pixels.chunks_exact(w);
+            let triples = rows.clone().zip(rows.clone().skip(1)).zip(rows.skip(2));
+            for (y, ((up, mid), down)) in triples.enumerate() {
+                let sums = up.windows(3).zip(mid.windows(3)).zip(down.windows(3));
+                let centre = (y + 1) * w + 1;
+                for (o, ((a, b), c)) in out[centre..centre + w - 2].iter_mut().zip(sums) {
+                    let sum: u32 = a.iter().chain(b).chain(c).map(|&p| u32::from(p)).sum();
+                    *o = u8::try_from(sum / 9).unwrap_or(u8::MAX);
                 }
-                out[y * self.width + x] = u8::try_from(sum / n).unwrap_or(u8::MAX);
+            }
+        }
+        for y in 0..self.height {
+            for x in 0..w {
+                if x == 0 || y == 0 || x + 1 == w || y + 1 == self.height {
+                    out[y * w + x] = self.clipped_mean3(x, y);
+                }
             }
         }
         self.pixels = out;
+    }
+
+    /// Mean of the 3×3 neighbourhood of `(x, y)` that lies inside the
+    /// image.
+    fn clipped_mean3(&self, x: usize, y: usize) -> u8 {
+        let mut sum = 0u32;
+        let mut n = 0u32;
+        for ny in y.saturating_sub(1)..(y + 2).min(self.height) {
+            for nx in x.saturating_sub(1)..(x + 2).min(self.width) {
+                sum += u32::from(self.pixels[ny * self.width + nx]);
+                n += 1;
+            }
+        }
+        u8::try_from(sum / n).unwrap_or(u8::MAX)
     }
 
     /// ASCII-art rendering for debugging and the examples (darker pixels
@@ -193,21 +209,28 @@ impl Jitter {
         }
     }
 
-    fn apply(&self, p: Point, width: f64, height: f64) -> Point {
-        // Rotate and scale about the glyph center in normalized space.
-        let cx = 0.5;
-        let cy = 0.5;
-        let dx = (p.x - cx) * self.scale;
-        let dy = (p.y - cy) * self.scale;
+    /// Maps glyph points into pixel space; the rotation's `sin_cos` is
+    /// evaluated once for the whole slice.
+    fn apply(&self, points: &[Point], width: f64, height: f64) -> Vec<Point> {
         let (sin, cos) = self.rotation.sin_cos();
-        let rx = cx + dx * cos - dy * sin;
-        let ry = cy + dx * sin + dy * cos;
-        // Map into pixel space with a small margin, then translate.
-        let margin = 0.12;
-        Point {
-            x: (margin + rx * (1.0 - 2.0 * margin)) * width + self.shift_x,
-            y: (margin + ry * (1.0 - 2.0 * margin)) * height + self.shift_y,
-        }
+        points
+            .iter()
+            .map(|p| {
+                // Rotate and scale about the glyph center in normalized space.
+                let cx = 0.5;
+                let cy = 0.5;
+                let dx = (p.x - cx) * self.scale;
+                let dy = (p.y - cy) * self.scale;
+                let rx = cx + dx * cos - dy * sin;
+                let ry = cy + dx * sin + dy * cos;
+                // Map into pixel space with a small margin, then translate.
+                let margin = 0.12;
+                Point {
+                    x: (margin + rx * (1.0 - 2.0 * margin)) * width + self.shift_x,
+                    y: (margin + ry * (1.0 - 2.0 * margin)) * height + self.shift_y,
+                }
+            })
+            .collect()
     }
 }
 
@@ -225,11 +248,41 @@ fn dist_to_segment(px: f64, py: f64, a: Point, b: Point) -> f64 {
     ((px - qx).powi(2) + (py - qy).powi(2)).sqrt()
 }
 
+/// A stroke segment with its bounding box grown by the cull radius.
+struct Segment {
+    a: Point,
+    b: Point,
+    x0: f64,
+    x1: f64,
+    y0: f64,
+    y1: f64,
+}
+
+impl Segment {
+    fn new(a: Point, b: Point, reach: f64) -> Self {
+        Segment {
+            a,
+            b,
+            x0: a.x.min(b.x) - reach,
+            x1: a.x.max(b.x) + reach,
+            y0: a.y.min(b.y) - reach,
+            y1: a.y.max(b.y) + reach,
+        }
+    }
+}
+
 /// Rasterizes a set of polylines (in normalized glyph coordinates) into an
 /// image, with anti-aliased strokes of the given thickness (in pixels).
 ///
 /// Luminance falls off linearly over one pixel at the stroke boundary,
 /// which mimics the anti-aliasing of scanned handwriting.
+///
+/// Only a segment within `half + 1` pixels of a pixel centre can set its
+/// luminance. Each segment's bounding box is grown by `half + 2` (one
+/// pixel of slack over that reach, far more than any rounding in
+/// [`dist_to_segment`]), and a pixel centre outside it skips the segment.
+/// A skipped segment is farther than every distance that can light the
+/// pixel, so the image is exactly the one the all-segment minimum gives.
 pub fn rasterize_strokes(
     width: usize,
     height: usize,
@@ -240,23 +293,26 @@ pub fn rasterize_strokes(
     let mut img = GreyImage::new(width, height);
     let w = width as f64;
     let h = height as f64;
-    let mapped: Vec<Vec<Point>> = strokes
-        .iter()
-        .map(|s| s.iter().map(|&p| jitter.apply(p, w, h)).collect())
-        .collect();
     let half = thickness / 2.0;
+    let reach = half + 2.0;
+    let mut segments = Vec::new();
+    for stroke in strokes {
+        let mapped = jitter.apply(stroke, w, h);
+        segments.extend(mapped.windows(2).map(|p| Segment::new(p[0], p[1], reach)));
+        if let [dot] = mapped[..] {
+            segments.push(Segment::new(dot, dot, reach));
+        }
+    }
+    let mut live: Vec<&Segment> = Vec::with_capacity(segments.len());
     for y in 0..height {
+        let py = y as f64 + 0.5;
+        live.clear();
+        live.extend(segments.iter().filter(|s| s.y0 <= py && py <= s.y1));
         for x in 0..width {
             let px = x as f64 + 0.5;
-            let py = y as f64 + 0.5;
             let mut best = f64::INFINITY;
-            for stroke in &mapped {
-                for pair in stroke.windows(2) {
-                    best = best.min(dist_to_segment(px, py, pair[0], pair[1]));
-                }
-                if stroke.len() == 1 {
-                    best = best.min(dist_to_segment(px, py, stroke[0], stroke[0]));
-                }
+            for s in live.iter().filter(|s| s.x0 <= px && px <= s.x1) {
+                best = best.min(dist_to_segment(px, py, s.a, s.b));
             }
             // 1-pixel anti-aliasing ramp outside the stroke core.
             let lum = if best <= half {
@@ -287,7 +343,7 @@ pub fn rasterize_polygon(
     }
     let w = width as f64;
     let h = height as f64;
-    let poly: Vec<Point> = polygon.iter().map(|&p| jitter.apply(p, w, h)).collect();
+    let poly = jitter.apply(polygon, w, h);
     let inside = |px: f64, py: f64| -> bool {
         // Even-odd ray casting.
         let mut crossings = 0;

@@ -2,7 +2,7 @@
 //! in the comparison is scored identically (paper §3: "the full 10,000
 //! testing images").
 
-use crate::network::Mlp;
+use crate::network::{ForwardScratch, Mlp};
 use crate::quant::QuantizedMlp;
 use nc_dataset::Dataset;
 use nc_substrate::stats::Confusion;
@@ -28,8 +28,9 @@ use nc_substrate::stats::Confusion;
 pub fn evaluate(mlp: &Mlp, data: &Dataset) -> Confusion {
     assert_eq!(data.input_dim(), mlp.sizes()[0], "geometry mismatch");
     let mut confusion = Confusion::new(data.num_classes());
+    let mut scratch = ForwardScratch::default();
     for s in data.iter() {
-        confusion.record(s.label, mlp.predict(&s.pixels_unit()));
+        confusion.record(s.label, mlp.predict_pixels(&s.pixels, &mut scratch));
     }
     confusion
 }

@@ -3,7 +3,7 @@
 //! deployment, scheduled as independent jobs by the experiment engine.
 
 use crate::metrics;
-use crate::network::Mlp;
+use crate::network::{ForwardScratch, Mlp};
 use crate::quant::QuantizedMlp;
 use crate::trainer::{TrainConfig, Trainer};
 use nc_dataset::model::{check_fit_inputs, EvalBatch, FitBudget, Model, ModelError};
@@ -48,8 +48,18 @@ impl Model for Mlp {
     }
 
     fn predict(&mut self, pixels: &[u8], _presentation_seed: u64) -> usize {
-        let unit: Vec<f64> = pixels.iter().map(|&p| f64::from(p) / 255.0).collect();
-        Mlp::predict(self, &unit)
+        self.predict_pixels(pixels, &mut ForwardScratch::default())
+    }
+
+    /// One scratch for the whole batch: after the first image, the
+    /// forward pass allocates nothing.
+    fn predict_batch(&mut self, batch: &EvalBatch<'_>, out: &mut Vec<usize>) {
+        out.clear();
+        out.reserve(batch.len());
+        let mut scratch = ForwardScratch::default();
+        for i in 0..batch.len() {
+            out.push(self.predict_pixels(batch.item(i), &mut scratch));
+        }
     }
 
     /// The float reference has no 8-bit SRAM, read port, or spike

@@ -164,32 +164,9 @@ impl Mlp {
     ///
     /// Panics if `input.len()` does not match the input layer width.
     pub fn forward_trace(&self, input: &[f64]) -> Vec<Vec<f64>> {
-        assert_eq!(
-            input.len(),
-            self.sizes[0],
-            "input width {} does not match topology input {}",
-            input.len(),
-            self.sizes[0]
-        );
-        let mut activations: Vec<Vec<f64>> = Vec::with_capacity(self.layers.len());
-        let mut current: &[f64] = input;
-        for (l, weights) in self.layers.iter().enumerate() {
-            let fan_in = self.sizes[l];
-            let fan_out = self.sizes[l + 1];
-            let mut out = Vec::with_capacity(fan_out);
-            for j in 0..fan_out {
-                let row = &weights[j * (fan_in + 1)..(j + 1) * (fan_in + 1)];
-                let mut s = row[fan_in]; // bias
-                for i in 0..fan_in {
-                    s += row[i] * current[i];
-                }
-                out.push(self.activation.eval(s));
-            }
-            activations.push(out);
-            // nc-lint: allow(R5, reason = "the vector was pushed to on the previous line")
-            current = activations.last().expect("just pushed");
-        }
-        activations
+        let mut trace = Vec::new();
+        self.forward_into(input, &mut trace, true);
+        trace
     }
 
     /// The output layer's pre-activation sums (membrane potentials in
@@ -199,27 +176,10 @@ impl Mlp {
     ///
     /// Panics if `input.len()` does not match the input layer width.
     pub fn output_potentials(&self, input: &[f64]) -> Vec<f64> {
-        assert_eq!(input.len(), self.sizes[0], "input width mismatch");
-        // Run all but the last layer normally.
-        let penultimate: Vec<f64> = if self.layers.len() == 1 {
-            input.to_vec()
-        } else {
-            let mut trace = self.forward_trace(input);
-            trace.swap_remove(self.layers.len() - 2)
-        };
-        let l = self.layers.len() - 1;
-        let fan_in = self.sizes[l];
-        let weights = &self.layers[l];
-        (0..self.sizes[l + 1])
-            .map(|j| {
-                let row = &weights[j * (fan_in + 1)..(j + 1) * (fan_in + 1)];
-                let mut s = row[fan_in];
-                for i in 0..fan_in {
-                    s += row[i] * penultimate[i];
-                }
-                s
-            })
-            .collect()
+        let mut trace = Vec::new();
+        self.forward_into(input, &mut trace, false);
+        // nc-lint: allow(R5, reason = "Mlp::new rejects empty topologies, so the trace is nonempty")
+        trace.pop().expect("at least one layer")
     }
 
     /// Predicted class: index of the maximum output activation. For the
@@ -232,10 +192,120 @@ impl Mlp {
     ///
     /// Panics if `input.len()` does not match the input layer width.
     pub fn predict(&self, input: &[f64]) -> usize {
-        match self.activation {
-            Activation::Step => argmax(&self.output_potentials(input)),
-            _ => argmax(&self.forward(input)),
+        self.predict_into(input, &mut Vec::new())
+    }
+
+    /// [`Mlp::predict`] on 8-bit pixels, through `scratch`'s reusable
+    /// buffers.
+    pub(crate) fn predict_pixels(&self, pixels: &[u8], scratch: &mut ForwardScratch) -> usize {
+        scratch.load_pixels(pixels);
+        self.predict_into(&scratch.input, &mut scratch.trace)
+    }
+
+    fn predict_into(&self, input: &[f64], trace: &mut Vec<Vec<f64>>) -> usize {
+        let potentials = self.activation == Activation::Step;
+        self.forward_into(input, trace, !potentials);
+        // nc-lint: allow(R5, reason = "Mlp::new rejects empty topologies, so the trace is nonempty")
+        argmax(trace.last().expect("at least one layer"))
+    }
+
+    /// The one float forward pass: fills `trace` with every layer's
+    /// activations, reusing its buffers. With `activate_output` false
+    /// the output layer keeps its pre-activation sums.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input.len()` does not match the input layer width.
+    pub(crate) fn forward_into(
+        &self,
+        input: &[f64],
+        trace: &mut Vec<Vec<f64>>,
+        activate_output: bool,
+    ) {
+        assert_eq!(
+            input.len(),
+            self.sizes[0],
+            "input width {} does not match topology input {}",
+            input.len(),
+            self.sizes[0]
+        );
+        let last = self.layers.len() - 1;
+        trace.resize_with(self.layers.len(), Vec::new);
+        for (l, weights) in self.layers.iter().enumerate() {
+            let (done, rest) = trace.split_at_mut(l);
+            let current = done.last().map_or(input, Vec::as_slice);
+            let out = &mut rest[0];
+            out.resize(self.sizes[l + 1], 0.0);
+            layer_sums(weights, current, out);
+            if l < last || activate_output {
+                for s in out.iter_mut() {
+                    *s = self.activation.eval(*s);
+                }
+            }
         }
+    }
+}
+
+/// Output rows [`layer_sums`] accumulates side by side: enough
+/// independent add chains to cover the latency of a float add.
+const ROW_BLOCK: usize = 8;
+
+/// One layer's pre-activation sums, `out[j] = w[j][n] + Σ_i w[j][i]·input[i]`
+/// over a row-major bias-last weight matrix (`n = input.len()`).
+///
+/// Each sum starts from the bias and adds the products `w·x` in `i`
+/// ascending order, one rounded multiply and one rounded add per term,
+/// so every output is bit-identical to the plain serial loop. Speed
+/// comes from running [`ROW_BLOCK`] rows at once: their chains are
+/// independent, so the adds overlap instead of waiting on each other.
+fn layer_sums(weights: &[f64], input: &[f64], out: &mut [f64]) {
+    let n = input.len();
+    let row_w = n + 1;
+    let mut blocks = weights.chunks_exact(ROW_BLOCK * row_w);
+    let mut outs = out.chunks_exact_mut(ROW_BLOCK);
+    for (block, sums) in (&mut blocks).zip(&mut outs) {
+        let rows: [&[f64]; ROW_BLOCK] = std::array::from_fn(|k| &block[k * row_w..][..n]);
+        let mut acc: [f64; ROW_BLOCK] = std::array::from_fn(|k| block[k * row_w + n]);
+        for (i, &x) in input.iter().enumerate() {
+            for (a, row) in acc.iter_mut().zip(&rows) {
+                *a += row[i] * x;
+            }
+        }
+        sums.copy_from_slice(&acc);
+    }
+    for (row, sum) in blocks
+        .remainder()
+        .chunks_exact(row_w)
+        .zip(outs.into_remainder())
+    {
+        let mut s = row[n];
+        for (&w, &x) in row[..n].iter().zip(input) {
+            s += w * x;
+        }
+        *sum = s;
+    }
+}
+
+/// Reusable buffers for the float forward pass: the input rescaled to
+/// `[0, 1]` and one activation vector per layer. Grown on first use, so
+/// a caller that keeps one across presentations allocates nothing in
+/// the steady state (the float counterpart of
+/// `nc_substrate::kernel::Scratch`).
+#[derive(Debug, Default)]
+pub(crate) struct ForwardScratch {
+    /// The current presentation, as `[0, 1]` luminances.
+    pub(crate) input: Vec<f64>,
+    /// Every layer's outputs, as [`Mlp::forward_trace`] returns them.
+    pub(crate) trace: Vec<Vec<f64>>,
+}
+
+impl ForwardScratch {
+    /// Loads 8-bit pixels as the `[0, 1]` luminances
+    /// `Sample::pixels_unit` gives.
+    pub(crate) fn load_pixels(&mut self, pixels: &[u8]) {
+        self.input.clear();
+        self.input
+            .extend(pixels.iter().map(|&p| f64::from(p) / 255.0));
     }
 }
 

@@ -9,7 +9,7 @@
 //! protocol ("this process is repeated multiple times until the target
 //! error is achieved or the allocated learning time has elapsed").
 
-use crate::network::Mlp;
+use crate::network::{ForwardScratch, Mlp};
 use nc_dataset::Dataset;
 use nc_obs::{EpochMetrics, Recorder};
 use nc_substrate::rng::SplitMix64;
@@ -125,14 +125,22 @@ impl Trainer {
         let mut order: Vec<usize> = (0..data.len()).collect();
         let mut rng = SplitMix64::new(self.config.seed);
         let mut stats = Vec::with_capacity(self.config.epochs);
+        let mut forward = ForwardScratch::default();
+        let mut deltas = Vec::new();
         for epoch in 0..self.config.epochs {
             shuffle(&mut order, &mut rng);
             let mut sq_err = 0.0;
             let mut correct = 0usize;
             for &idx in &order {
                 let sample = &data.samples()[idx];
-                let input = sample.pixels_unit();
-                let (err, hit) = self.step(mlp, &input, sample.label);
+                forward.load_pixels(&sample.pixels);
+                let (err, hit) = self.step_with(
+                    mlp,
+                    &forward.input,
+                    sample.label,
+                    &mut forward.trace,
+                    &mut deltas,
+                );
                 sq_err += err;
                 correct += usize::from(hit);
             }
@@ -165,66 +173,68 @@ impl Trainer {
     /// One BP step on a single sample; returns `(squared error, correct)`.
     /// Exposed so the SNN+BP hybrid can reuse the identical update rule.
     pub fn step(&self, mlp: &mut Mlp, input: &[f64], label: usize) -> (f64, bool) {
+        self.step_with(mlp, input, label, &mut Vec::new(), &mut Vec::new())
+    }
+
+    /// [`Trainer::step`] with the caller's activation and gradient
+    /// buffers, reused across samples.
+    fn step_with(
+        &self,
+        mlp: &mut Mlp,
+        input: &[f64],
+        label: usize,
+        trace: &mut Vec<Vec<f64>>,
+        deltas: &mut Vec<Vec<f64>>,
+    ) -> (f64, bool) {
         let activation = mlp.activation();
-        let sizes = mlp.sizes().to_vec();
-        let trace = mlp.forward_trace(input);
-        // nc-lint: allow(R5, reason = "Mlp::new rejects empty topologies, so the trace is nonempty")
-        let output = trace.last().expect("at least one layer");
+        mlp.forward_into(input, trace, true);
+        let last = trace.len() - 1;
+        let output = &trace[last];
         let (off, on) = self.config.targets;
+        deltas.resize_with(trace.len(), Vec::new);
 
         // Output error e_j and squared-error telemetry.
         let mut sq_err = 0.0;
-        let correct_label;
-        let mut deltas: Vec<Vec<f64>> = vec![Vec::new(); trace.len()];
-        {
-            let last = trace.len() - 1;
-            let mut d = Vec::with_capacity(output.len());
-            let predicted = crate::network::argmax(output);
-            correct_label = predicted == label;
-            for (j, &y) in output.iter().enumerate() {
-                let target = if j == label { on } else { off };
-                let e = target - y;
-                sq_err += e * e;
-                d.push(activation.derivative_from_output(y) * e);
-            }
-            deltas[last] = d;
+        let correct_label = crate::network::argmax(output) == label;
+        let d = &mut deltas[last];
+        d.clear();
+        for (j, &y) in output.iter().enumerate() {
+            let target = if j == label { on } else { off };
+            let e = target - y;
+            sq_err += e * e;
+            d.push(activation.derivative_from_output(y) * e);
         }
 
         // Hidden-layer gradients, back to front:
-        // δ_j = f'(s_j) · Σ_k δ_k · w_kj.
-        for l in (0..trace.len() - 1).rev() {
-            let fan_in_next = sizes[l + 1];
-            let next_weights = mlp.layer_weights(l + 1);
-            let next_deltas = deltas[l + 1].clone();
-            let mut d = Vec::with_capacity(trace[l].len());
-            for (j, &y) in trace[l].iter().enumerate() {
-                let mut sum = 0.0;
-                for (k, &dk) in next_deltas.iter().enumerate() {
-                    sum += dk * next_weights[k * (fan_in_next + 1) + j];
+        // δ_j = f'(s_j) · Σ_k δ_k · w_kj, each sum accumulated k
+        // ascending, one weight row at a time.
+        for l in (0..last).rev() {
+            let (head, tail) = deltas.split_at_mut(l + 1);
+            let (d, next_deltas) = (&mut head[l], &tail[0]);
+            let y = &trace[l];
+            d.clear();
+            d.resize(y.len(), 0.0);
+            let next_rows = mlp.layer_weights(l + 1).chunks_exact(y.len() + 1);
+            for (&dk, row) in next_deltas.iter().zip(next_rows) {
+                for (sum, &w) in d.iter_mut().zip(row) {
+                    *sum += dk * w;
                 }
-                d.push(activation.derivative_from_output(y) * sum);
             }
-            deltas[l] = d;
+            for (sum, &yj) in d.iter_mut().zip(y) {
+                *sum *= activation.derivative_from_output(yj);
+            }
         }
 
         // Weight updates: w += η · δ_j · y_i (bias input is 1).
         let eta = self.config.learning_rate;
-        for l in 0..trace.len() {
-            let fan_in = sizes[l];
-            // Split borrows: the previous layer's activations vs weights.
-            let prev_owned;
-            let prev: &[f64] = if l == 0 {
-                input
-            } else {
-                prev_owned = trace[l - 1].clone();
-                &prev_owned
-            };
+        for (l, layer_deltas) in deltas.iter().enumerate() {
+            let prev: &[f64] = if l == 0 { input } else { &trace[l - 1] };
+            let fan_in = prev.len();
             let weights = mlp.layer_weights_mut(l);
-            for (j, &dj) in deltas[l].iter().enumerate() {
-                let row = &mut weights[j * (fan_in + 1)..(j + 1) * (fan_in + 1)];
+            for (row, &dj) in weights.chunks_exact_mut(fan_in + 1).zip(layer_deltas) {
                 let step = eta * dj;
-                for i in 0..fan_in {
-                    row[i] += step * prev[i];
+                for (w, &y) in row.iter_mut().zip(prev) {
+                    *w += step * y;
                 }
                 row[fan_in] += step; // bias
             }

@@ -5,7 +5,8 @@
 //! tests fully offline.
 
 use nc_mlp::network::argmax;
-use nc_mlp::{Activation, Mlp, QuantizedMlp};
+use nc_mlp::{Activation, Mlp, QuantizedMlp, TrainConfig, Trainer};
+use nc_substrate::check::check_cases;
 use nc_substrate::rng::SplitMix64;
 
 const CASES: u64 = 48;
@@ -147,4 +148,136 @@ fn initialization_is_bounded_by_fan_in() {
             );
         }
     }
+}
+
+/// The float forward pass as a plain serial loop: each sum starts at the
+/// bias and adds `w·x` with `i` ascending. Returns every layer's
+/// activations and the output layer's pre-activation sums.
+fn reference_forward(mlp: &Mlp, input: &[f64]) -> (Vec<Vec<f64>>, Vec<f64>) {
+    let sizes = mlp.sizes();
+    let mut trace: Vec<Vec<f64>> = Vec::new();
+    let mut potentials = Vec::new();
+    for l in 0..sizes.len() - 1 {
+        let current = trace.last().map_or(input, Vec::as_slice);
+        let (fan_in, weights) = (sizes[l], mlp.layer_weights(l));
+        potentials = (0..sizes[l + 1])
+            .map(|j| {
+                let row = &weights[j * (fan_in + 1)..(j + 1) * (fan_in + 1)];
+                let mut s = row[fan_in];
+                for i in 0..fan_in {
+                    s += row[i] * current[i];
+                }
+                s
+            })
+            .collect();
+        let out = potentials
+            .iter()
+            .map(|&s| mlp.activation().eval(s))
+            .collect();
+        trace.push(out);
+    }
+    (trace, potentials)
+}
+
+/// One BP step written out serially, element by element.
+fn reference_step(mlp: &mut Mlp, input: &[f64], label: usize, eta: f64, targets: (f64, f64)) {
+    let f = mlp.activation();
+    let sizes = mlp.sizes().to_vec();
+    let (trace, _) = reference_forward(mlp, input);
+    let last = trace.len() - 1;
+    let mut deltas = vec![Vec::new(); trace.len()];
+    deltas[last] = trace[last]
+        .iter()
+        .enumerate()
+        .map(|(j, &y)| {
+            let target = if j == label { targets.1 } else { targets.0 };
+            f.derivative_from_output(y) * (target - y)
+        })
+        .collect();
+    for l in (0..last).rev() {
+        let next = mlp.layer_weights(l + 1);
+        deltas[l] = (0..sizes[l + 1])
+            .map(|j| {
+                let mut sum = 0.0;
+                for (k, &dk) in deltas[l + 1].iter().enumerate() {
+                    sum += dk * next[k * (sizes[l + 1] + 1) + j];
+                }
+                f.derivative_from_output(trace[l][j]) * sum
+            })
+            .collect();
+    }
+    for l in 0..=last {
+        let fan_in = sizes[l];
+        let prev = if l == 0 { input } else { &trace[l - 1][..] };
+        let weights = mlp.layer_weights_mut(l);
+        for (j, &dj) in deltas[l].iter().enumerate() {
+            let step = eta * dj;
+            for i in 0..fan_in {
+                weights[j * (fan_in + 1) + i] += step * prev[i];
+            }
+            weights[j * (fan_in + 1) + fan_in] += step;
+        }
+    }
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn blocked_forward_and_bp_step_are_bit_identical_to_the_serial_loop() {
+    check_cases(0x3109, 96, |case, rng| {
+        // 1–4 weight layers, widths 1–130: every block remainder occurs.
+        let layers = 1 + rng.next_below(4) as usize;
+        let sizes: Vec<usize> = (0..=layers)
+            .map(|_| 1 + rng.next_below(130) as usize)
+            .collect();
+        let activation = match rng.next_below(3) {
+            0 => Activation::Step,
+            _ => Activation::sigmoid_slope(rng.next_range(0.25, 16.0)),
+        };
+        let mut mlp = Mlp::new(&sizes, activation, rng.next_u64()).unwrap();
+        let input: Vec<f64> = (0..sizes[0]).map(|_| rng.next_range(0.0, 1.0)).collect();
+
+        let (trace, potentials) = reference_forward(&mlp, &input);
+        let got = mlp.forward_trace(&input);
+        assert_eq!(got.len(), trace.len(), "case {case}: {sizes:?}");
+        for (l, (g, want)) in got.iter().zip(&trace).enumerate() {
+            assert_eq!(bits(g), bits(want), "case {case}: {sizes:?} layer {l}");
+        }
+        assert_eq!(
+            bits(&mlp.forward(&input)),
+            bits(&trace[layers - 1]),
+            "case {case}: {sizes:?}"
+        );
+        assert_eq!(
+            bits(&mlp.output_potentials(&input)),
+            bits(&potentials),
+            "case {case}: {sizes:?}"
+        );
+        let readout = match activation {
+            Activation::Step => argmax(&potentials),
+            Activation::Sigmoid { .. } => argmax(&trace[layers - 1]),
+        };
+        assert_eq!(mlp.predict(&input), readout, "case {case}: {sizes:?}");
+
+        let label = rng.next_below(sizes[layers] as u64) as usize;
+        let config = TrainConfig::default();
+        let mut reference = mlp.clone();
+        reference_step(
+            &mut reference,
+            &input,
+            label,
+            config.learning_rate,
+            config.targets,
+        );
+        Trainer::new(config).step(&mut mlp, &input, label);
+        for l in 0..layers {
+            assert_eq!(
+                bits(mlp.layer_weights(l)),
+                bits(reference.layer_weights(l)),
+                "case {case}: {sizes:?} layer {l} after one BP step"
+            );
+        }
+    });
 }
