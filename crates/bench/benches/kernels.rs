@@ -10,7 +10,9 @@
 //! Run with: `cargo bench -p nc-bench --features bench-harness --bench kernels`
 //!
 //! * `--json <path>` writes the results as a `BenchRecord` (one section
-//!   per benchmark, `samples_per_sec` = iterations/sec at the median).
+//!   per benchmark: `samples` = iterations timed, `wall_s` = that many
+//!   iterations at the median time, so `samples_per_sec` = iterations/sec
+//!   at the median).
 //! * `--baseline <path>` compares every gated section (the Figure-3
 //!   presentation loop and the batched 50-image evaluation) against a
 //!   previously committed record and exits non-zero on a >20% regression.
@@ -91,8 +93,8 @@ fn bench_all() -> Vec<BenchResult> {
         });
 
         // The canonical evaluation number: the full batched path the
-        // experiment engine runs (contiguous slab view, streaming
-        // winner-only SNN inference).
+        // experiment engine runs (contiguous slab view, winner-only SNN
+        // inference that stops at the first fire).
         let mut eval_snn = fig3_network(&train);
         eval_snn.self_label(&train);
         let slab = PixelSlab::from_dataset(&test);
@@ -113,10 +115,13 @@ fn to_record(results: &[BenchResult]) -> BenchRecord {
         scale: "bench".to_string(),
         sections: results
             .iter()
-            .map(|r| SectionRecord {
-                name: r.name.clone(),
-                wall_s: r.median.as_secs_f64(),
-                samples: 1,
+            .map(|r| {
+                let samples = r.iters * r.samples as u64;
+                SectionRecord {
+                    name: r.name.clone(),
+                    wall_s: r.median.as_secs_f64() * samples as f64,
+                    samples,
+                }
             })
             .collect(),
         snapshot: nc_core::ObsSnapshot::default(),

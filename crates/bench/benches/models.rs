@@ -67,6 +67,20 @@ fn bench_snn() {
         snn.present(pixels, seed)
     });
 
+    // The temporal codes (one spike per active pixel) run the same loop
+    // as the rate codes; these two guard their speed.
+    for (name, coding) in [
+        ("present_784_100_ttfs", CodingScheme::TimeToFirstSpike),
+        ("present_784_100_rank_order", CodingScheme::RankOrder),
+    ] {
+        let mut snn = SnnNetwork::with_coding(784, 10, SnnParams::tuned(100), coding, 1);
+        let mut seed = 0u64;
+        group.bench(name, || {
+            seed += 1;
+            snn.present(pixels, seed)
+        });
+    }
+
     let mut learner = SnnNetwork::new(784, 10, SnnParams::tuned(100), 1);
     learner.set_stdp_delta(2);
     let mut seed = 0u64;

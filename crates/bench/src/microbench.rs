@@ -2,8 +2,8 @@
 //!
 //! The sandbox this repository grows in is offline, so the benches cannot
 //! pull in criterion; this module provides the minimal subset the bench
-//! targets need: warmup, adaptive iteration count, and median-of-runs
-//! reporting. Timings are wall-clock (`std::time::Instant`) and printed
+//! targets need: warmup, adaptive iteration count, and min/median/max
+//! of the measured samples. Timings are wall-clock (`std::time::Instant`) and printed
 //! as a plain-text table row per benchmark.
 
 use std::hint::black_box;
@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 /// Target wall-clock per measured sample.
 const SAMPLE_TARGET: Duration = Duration::from_millis(40);
-/// Number of measured samples (median is reported).
+/// Number of measured samples.
 const SAMPLES: usize = 9;
 /// Smoke-mode sample target (`NC_BENCH_SMOKE=1`). Kept long enough that
 /// each sample still amortizes warm-up — short samples read tens of
@@ -51,8 +51,14 @@ pub struct BenchResult {
     pub name: String,
     /// Median time per iteration.
     pub median: Duration,
+    /// Fastest sample's time per iteration.
+    pub min: Duration,
+    /// Slowest sample's time per iteration.
+    pub max: Duration,
     /// Iterations per measured sample.
     pub iters: u64,
+    /// Measured samples.
+    pub samples: usize,
 }
 
 impl BenchResult {
@@ -85,7 +91,8 @@ impl Group {
 
     /// Times `f`, auto-scaling the iteration count so each sample takes
     /// roughly [`SAMPLE_TARGET`] ([`SMOKE_SAMPLE_TARGET`] under
-    /// `NC_BENCH_SMOKE=1`), and prints the median per-iteration time.
+    /// `NC_BENCH_SMOKE=1`), and prints the median per-iteration time with
+    /// the fastest and slowest sample's.
     pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) -> &mut Self {
         let target = sample_target();
         // Calibrate: double iters until one sample is long enough.
@@ -119,16 +126,26 @@ impl Group {
             })
             .collect();
         samples.sort();
-        let median = samples[samples.len() / 2];
+        let (min, median, max) = (
+            samples[0],
+            samples[samples.len() / 2],
+            samples[samples.len() - 1],
+        );
         let full = format!("{}/{}", self.name, name);
         println!(
-            "{full:<44} {:>12}  ({iters} iters/sample)",
-            fmt_duration(median)
+            "{full:<44} {:>12}  [{} .. {}]  ({iters} iters x {} samples)",
+            fmt_duration(median),
+            fmt_duration(min),
+            fmt_duration(max),
+            samples.len()
         );
         self.results.push(BenchResult {
             name: full,
             median,
+            min,
+            max,
             iters,
+            samples: samples.len(),
         });
         self
     }
@@ -170,7 +187,10 @@ mod tests {
         let r = BenchResult {
             name: "x".into(),
             median: Duration::from_millis(10),
+            min: Duration::from_millis(9),
+            max: Duration::from_millis(12),
             iters: 1,
+            samples: 9,
         };
         assert!((r.per_sec() - 100.0).abs() < 1e-9);
     }

@@ -4,7 +4,7 @@
 //! `predict` loop it replaced — same confusion matrix, same per-image
 //! predictions, same seeds. The batched paths are allowed to reorder
 //! arithmetic only where the result is provably bit-equal (integer
-//! GEMM tiles, the streaming SNN winner path), so any drift here is a
+//! GEMM tiles, the SNN winner path that stops at the first fire), so any drift here is a
 //! correctness bug, not a tolerance issue.
 
 use nc_dataset::model::{FitBudget, Model, EVAL_PRESENTATION_SEED_BASE};

@@ -51,7 +51,7 @@ use crate::mesh::{
 use crate::sram::{bank_area_um2, bank_read_energy_pj};
 use nc_faults::FaultPlan;
 use nc_snn::network::decay_with_lut;
-use nc_snn::{tie_broken_readout, CodingScheme, SnnNetwork, SnnParams};
+use nc_snn::{tie_broken_readout, CodingScheme, SnnNetwork, SnnParams, SpikeCalendar};
 
 /// Synaptic SRAM bank depth (rows per bank), the TrueNorth-style core
 /// geometry shared with [`crate::truenorth`].
@@ -351,6 +351,7 @@ pub struct MeshSnn {
     /// Off-chip ingress: input spikes enter the fabric at core 0.
     injector: usize,
     // Reused presentation scratch.
+    calendar: SpikeCalendar,
     candidates: Vec<(usize, usize)>,
     link_load: Vec<u64>,
     touched_links: Vec<usize>,
@@ -465,6 +466,7 @@ impl MeshSnn {
             cores,
             used,
             injector: 0,
+            calendar: SpikeCalendar::default(),
             candidates: Vec::new(),
             link_load,
             touched_links: Vec::new(),
@@ -567,15 +569,17 @@ impl MeshSnn {
             self.inputs
         );
         let seed = self.stream_base.wrapping_add(presentation_seed);
-        let events = self.coding.encode(pixels, &self.params, seed);
         let t_refrac = self.params.t_refrac;
         let t_inhibit = self.params.t_inhibit;
         let n = self.params.neurons;
         let injector = self.injector;
         let MeshSnn {
+            coding,
+            params,
             cores,
             used,
             fabric,
+            calendar,
             candidates,
             link_load,
             touched_links,
@@ -589,71 +593,70 @@ impl MeshSnn {
         link_load.fill(0);
         touched_links.clear();
 
+        calendar.fill(*coding, pixels, params, seed, None);
+
         let mut cost = MeshCost::default();
         let mut winner: Option<usize> = None;
         let mut fires: Vec<(u32, usize)> = Vec::new();
-        let mut cur_t: Option<u32> = None;
 
-        for ev in &events {
-            let (t, input) = (ev.t, ev.input);
-            if cur_t != Some(t) {
-                flush_tick(link_load, touched_links, &mut cost);
-                cur_t = Some(t);
-            }
-            if let Some(tr) = trace.as_deref_mut() {
-                let _ = writeln!(tr, "E {t} {input}");
-            }
-            // Input multicast: ingress router to every populated core.
-            for &c in used.iter() {
-                let delivered =
-                    route_packet(fabric, link_load, touched_links, injector, c, &mut cost);
-                let core = &mut cores[c];
-                core.delivered_event = delivered;
-                core.inhibited_event = false;
-                core.undo.clear();
-            }
-            // Tentative local integration; each core nominates at most
-            // one firing candidate.
-            candidates.clear();
-            for &c in used.iter() {
-                let core = &mut cores[c];
-                if !core.delivered_event || t < core.skip_until {
-                    continue;
-                }
-                if let Some(global) = core.scan(input, t, decay_lut, &mut cost) {
-                    candidates.push((global, c));
-                }
-            }
-            // Resolve in ascending global order — the reference scan
-            // order. On a healthy fabric the first fire inhibits every
-            // other candidate; a missed inhibition packet lets the next
-            // candidate cascade, deterministically.
-            candidates.sort_unstable();
-            for &(j, cj) in candidates.iter() {
-                if cores[cj].inhibited_event {
-                    continue;
-                }
-                fires.push((t, j));
-                if winner.is_none() {
-                    winner = Some(j);
-                }
+        // One calendar bucket is one tick of the fabric.
+        for (t, bucket) in calendar.buckets() {
+            for &input in bucket {
                 if let Some(tr) = trace.as_deref_mut() {
-                    let _ = writeln!(tr, "F {t} {j}");
+                    let _ = writeln!(tr, "E {t} {input}");
                 }
-                cores[cj].commit_fire(j, t, t_refrac, t_inhibit);
-                for &c2 in used.iter() {
-                    if c2 == cj {
+                // Input multicast: ingress router to every populated core.
+                for &c in used.iter() {
+                    let delivered =
+                        route_packet(fabric, link_load, touched_links, injector, c, &mut cost);
+                    let core = &mut cores[c];
+                    core.delivered_event = delivered;
+                    core.inhibited_event = false;
+                    core.undo.clear();
+                }
+                // Tentative local integration; each core nominates at most
+                // one firing candidate.
+                candidates.clear();
+                for &c in used.iter() {
+                    let core = &mut cores[c];
+                    if !core.delivered_event || t < core.skip_until {
                         continue;
                     }
-                    let delivered =
-                        route_packet(fabric, link_load, touched_links, cj, c2, &mut cost);
-                    if delivered {
-                        cores[c2].receive_inhibition(j, t, t_inhibit);
+                    if let Some(global) = core.scan(input, t, decay_lut, &mut cost) {
+                        candidates.push((global, c));
+                    }
+                }
+                // Resolve in ascending global order — the reference scan
+                // order. On a healthy fabric the first fire inhibits every
+                // other candidate; a missed inhibition packet lets the next
+                // candidate cascade, deterministically.
+                candidates.sort_unstable();
+                for &(j, cj) in candidates.iter() {
+                    if cores[cj].inhibited_event {
+                        continue;
+                    }
+                    fires.push((t, j));
+                    if winner.is_none() {
+                        winner = Some(j);
+                    }
+                    if let Some(tr) = trace.as_deref_mut() {
+                        let _ = writeln!(tr, "F {t} {j}");
+                    }
+                    cores[cj].commit_fire(j, t, t_refrac, t_inhibit);
+                    for &c2 in used.iter() {
+                        if c2 == cj {
+                            continue;
+                        }
+                        let delivered =
+                            route_packet(fabric, link_load, touched_links, cj, c2, &mut cost);
+                        if delivered {
+                            cores[c2].receive_inhibition(j, t, t_inhibit);
+                        }
                     }
                 }
             }
+            flush_tick(link_load, touched_links, &mut cost);
         }
-        flush_tick(link_load, touched_links, &mut cost);
 
         let mut potentials = vec![0.0f64; n];
         for &c in used.iter() {

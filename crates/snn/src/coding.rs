@@ -54,59 +54,15 @@ impl CodingScheme {
     }
 
     /// Encodes an image into a time-sorted spike train for one
-    /// presentation window.
+    /// presentation window: the events of a [`SpikeCalendar`] in
+    /// `(t, input)` order.
     ///
     /// `seed` individualizes the stochastic generators per presentation;
     /// temporal codes are deterministic and ignore it.
     pub fn encode(&self, pixels: &[u8], params: &SnnParams, seed: u64) -> Vec<SpikeEvent> {
-        self.encode_faulty(pixels, params, seed, None)
-    }
-
-    /// Like [`CodingScheme::encode`], but with an optional `StuckLfsrTap`
-    /// fault plan over the per-pixel interval generators: each faulty
-    /// pixel's generator is built with its `x^3` tap stuck
-    /// ([`nc_substrate::rng::Lfsr31::with_stuck_tap`]). Which generators
-    /// are faulty is a per-pixel property of the plan, not of the
-    /// presentation, so a defective chip stays defective across images.
-    /// Healthy pixels draw exactly the seeds they would without the plan,
-    /// and temporal codes (no generators) ignore it entirely.
-    pub fn encode_faulty(
-        &self,
-        pixels: &[u8],
-        params: &SnnParams,
-        seed: u64,
-        gen_fault: Option<&FaultPlan>,
-    ) -> Vec<SpikeEvent> {
-        let mut events = Vec::new();
-        self.encode_faulty_into(pixels, params, seed, gen_fault, &mut events);
-        events
-    }
-
-    /// Like [`CodingScheme::encode_faulty`], but encodes into `events`
-    /// (cleared first) so steady-state presentation loops reuse one
-    /// buffer instead of allocating a fresh spike train per image. The
-    /// rate codes and time-to-first-spike push straight into the buffer;
-    /// rank-order additionally sorts a small internal index vector (it
-    /// is not on the rate-coded hot path).
-    pub fn encode_faulty_into(
-        &self,
-        pixels: &[u8],
-        params: &SnnParams,
-        seed: u64,
-        gen_fault: Option<&FaultPlan>,
-        events: &mut Vec<SpikeEvent>,
-    ) {
-        events.clear();
-        match self {
-            CodingScheme::PoissonRate => poisson_rate(pixels, params, seed, gen_fault, events),
-            CodingScheme::GaussianRate => gaussian_rate(pixels, params, seed, gen_fault, events),
-            CodingScheme::RankOrder => rank_order(pixels, params, events),
-            CodingScheme::TimeToFirstSpike => time_to_first_spike(pixels, params, events),
-        }
-        // Unstable sort: equal `(t, input)` keys only arise between
-        // identical events, so the order is fully determined and the
-        // stable sort's scratch allocation is avoided.
-        events.sort_unstable_by_key(|e| (e.t, e.input));
+        let mut calendar = SpikeCalendar::default();
+        calendar.fill(*self, pixels, params, seed, None);
+        calendar.events().collect()
     }
 
     /// A reasonable initial firing threshold for this scheme: temporal
@@ -219,6 +175,9 @@ fn rank_order(pixels: &[u8], params: &SnnParams, events: &mut Vec<SpikeEvent>) {
                 input,
             }),
     );
+    // Ranks that share a millisecond are emitted by luminance; the
+    // calendar's buckets list inputs ascending.
+    events.sort_unstable_by_key(|e| (e.t, e.input));
 }
 
 fn time_to_first_spike(pixels: &[u8], params: &SnnParams, events: &mut Vec<SpikeEvent>) {
@@ -237,214 +196,106 @@ fn time_to_first_spike(pixels: &[u8], params: &SnnParams, events: &mut Vec<Spike
     );
 }
 
-/// Streaming generator state for one rate-coded pixel (see
-/// [`RateStreams`]).
-#[derive(Debug, Clone)]
-enum PixelGen {
-    /// The software model's exponential-interval sampler.
-    Poisson {
-        gen: PoissonInterval,
-        /// Cumulative spike time (exact, sub-millisecond).
-        t: f64,
-        rate: f64,
-    },
-    /// The hardware CLT interval generator.
-    Gaussian {
-        gen: GaussianClt,
-        /// Cumulative spike time in whole milliseconds.
-        t: u64,
-        mean: f64,
-        std: f64,
-    },
-}
-
-/// The rate codes, spike by spike, without materializing the train.
+/// One presentation's input spikes as a per-millisecond calendar:
+/// bucket `t` lists the inputs that spike at `t` ms in ascending order,
+/// a pixel's same-millisecond spikes adjacent — the `(t, input)` order of
+/// the spike train. The presentation loop walks it bucket by bucket and
+/// the mesh simulator ticks once per bucket.
 ///
-/// [`poisson_rate`] and [`gaussian_rate`] collect every event into one
-/// vector and sort it by `(time, input)` — fine for learning (STDP
-/// needs the whole train) but wasteful for inference, where the
-/// consumer buckets events by millisecond anyway. `RateStreams` holds
-/// the same per-pixel generators open so a consumer can pull spikes
-/// one at a time ([`RateStreams::next_spike`]) or drain a pixel
-/// straight into its own data structure ([`RateStreams::drain_spikes`])
-/// with no intermediate event vector and no sort.
-///
-/// Equivalence with the eager encoders is by construction: generator
-/// seeds are drawn from the master [`SplitMix64`] stream in pixel order
-/// (skipping dark pixels), exactly as the eager loops draw them, and
-/// [`RateStreams::next_spike`] performs one iteration of the eager
-/// loop's body — so stream `k` emits bit-for-bit the spike times the
-/// eager encoder emits for the same pixel, in the same order.
+/// The generators emit pixel-major (inputs ascending, times ascending
+/// within a pixel), so one stable counting sort by millisecond yields
+/// that order without comparisons. Rank order emits by rank and sorts its
+/// own train first.
 #[derive(Debug, Clone, Default)]
-pub struct RateStreams {
-    /// Input (pixel) index of each live stream, ascending.
+pub struct SpikeCalendar {
+    /// Spikes in generation order, before the counting sort.
+    raw: Vec<SpikeEvent>,
+    /// Bucket boundaries: bucket `t` is `inputs[starts[t]..starts[t + 1]]`.
+    starts: Vec<usize>,
+    /// Input ids grouped by bucket.
     inputs: Vec<usize>,
-    gens: Vec<PixelGen>,
-    t_period: u32,
 }
 
-impl RateStreams {
-    /// Rebuilds the streams for one presentation, reusing the internal
-    /// buffers (allocation-free once warm). Returns `false` — leaving no
-    /// streams — for the temporal codes, which have no per-pixel
-    /// generators to stream. The `gen_fault` plan degrades exactly the
-    /// generators [`CodingScheme::encode_faulty`] would degrade.
-    pub fn rebuild(
+impl SpikeCalendar {
+    /// Encodes `pixels` into the calendar, reusing its buffers.
+    ///
+    /// `gen_fault` is an optional `StuckLfsrTap` plan over the per-pixel
+    /// interval generators: each faulty pixel's generator is built with
+    /// its `x^3` tap stuck ([`nc_substrate::rng::Lfsr31::with_stuck_tap`]).
+    /// Which generators are faulty is a per-pixel property of the plan,
+    /// not of the presentation, so a defective chip stays defective
+    /// across images. Healthy pixels draw exactly the seeds they would
+    /// without the plan, and temporal codes (no generators) ignore it.
+    pub fn fill(
         &mut self,
         scheme: CodingScheme,
         pixels: &[u8],
         params: &SnnParams,
         seed: u64,
         gen_fault: Option<&FaultPlan>,
-    ) -> bool {
-        self.inputs.clear();
-        self.gens.clear();
-        self.t_period = params.t_period;
+    ) {
+        self.raw.clear();
         match scheme {
             CodingScheme::PoissonRate => {
-                let mut sm = SplitMix64::new(seed);
-                for (input, &p) in pixels.iter().enumerate() {
-                    let rate = params.rate_per_ms(p);
-                    if rate <= 0.0 {
-                        continue;
-                    }
-                    let gen_seed = sm.next_seed32();
-                    let pixel = u64::try_from(input).unwrap_or(u64::MAX);
-                    let gen = match gen_fault.and_then(|plan| stuck_tap_for(plan, pixel)) {
-                        Some(stuck) => PoissonInterval::with_stuck_tap(gen_seed, stuck),
-                        None => PoissonInterval::new(gen_seed),
-                    };
-                    self.inputs.push(input);
-                    self.gens.push(PixelGen::Poisson { gen, t: 0.0, rate });
-                }
-                true
+                poisson_rate(pixels, params, seed, gen_fault, &mut self.raw)
             }
             CodingScheme::GaussianRate => {
-                let mut sm = SplitMix64::new(seed ^ 0x6A05_5150);
-                for (input, &p) in pixels.iter().enumerate() {
-                    let rate = params.rate_per_ms(p);
-                    if rate <= 0.0 {
-                        continue;
-                    }
-                    let mean = 1.0 / rate;
-                    let std = mean / 3.0;
-                    let gen_seed = sm.next_u64();
-                    let pixel = u64::try_from(input).unwrap_or(u64::MAX);
-                    let gen = match gen_fault.and_then(|plan| stuck_tap_for(plan, pixel)) {
-                        Some(stuck) => GaussianClt::with_stuck_tap(gen_seed, stuck),
-                        None => GaussianClt::new(gen_seed),
-                    };
-                    self.inputs.push(input);
-                    self.gens.push(PixelGen::Gaussian {
-                        gen,
-                        t: 0,
-                        mean,
-                        std,
-                    });
-                }
-                true
+                gaussian_rate(pixels, params, seed, gen_fault, &mut self.raw)
             }
-            CodingScheme::RankOrder | CodingScheme::TimeToFirstSpike => false,
+            CodingScheme::RankOrder => rank_order(pixels, params, &mut self.raw),
+            CodingScheme::TimeToFirstSpike => time_to_first_spike(pixels, params, &mut self.raw),
         }
-    }
-
-    /// Number of live streams (pixels with a nonzero rate).
-    pub fn len(&self) -> usize {
-        self.gens.len()
-    }
-
-    /// Whether no pixel streams (an all-dark image, or a temporal code).
-    pub fn is_empty(&self) -> bool {
-        self.gens.is_empty()
-    }
-
-    /// The input (pixel) index stream `k` feeds. Streams are ordered by
-    /// ascending input, so sorting stream indices sorts inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn input(&self, k: usize) -> usize {
-        self.inputs[k]
-    }
-
-    /// Advances stream `k` by one spike and returns its time (whole ms
-    /// within the window), or `None` once the stream has left the
-    /// presentation window. Times are non-decreasing per stream;
-    /// repeated times are genuine duplicate events (two sub-millisecond
-    /// Poisson intervals landing in one bucket). A finished stream keeps
-    /// returning `None`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn next_spike(&mut self, k: usize) -> Option<u32> {
-        match &mut self.gens[k] {
-            PixelGen::Poisson { gen, t, rate } => {
-                let dt = gen.sample_interval(*rate);
-                *t += dt;
-                if !t.is_finite() || *t >= f64::from(self.t_period) {
-                    None
-                } else {
-                    Some(sat_u32_trunc(*t))
-                }
-            }
-            PixelGen::Gaussian { gen, t, mean, std } => {
-                let dt = gen.sample_interval_ms(*mean, *std);
-                *t += u64::from(dt);
-                if *t >= u64::from(self.t_period) {
-                    None
-                } else {
-                    Some(u32::try_from(*t).unwrap_or(u32::MAX))
-                }
-            }
+        // Counting sort. Each spike counts into `starts[t + 2]`, so after
+        // the prefix sum `starts[t + 1]` is where bucket `t` begins; the
+        // scatter advances it to where bucket `t` ends, which leaves
+        // bucket `t` spanning `starts[t]..starts[t + 1]`.
+        let buckets = usize::try_from(params.t_period).unwrap_or(usize::MAX);
+        self.starts.clear();
+        self.starts.resize(buckets + 2, 0);
+        for e in &self.raw {
+            self.starts[bucket_index(e.t) + 2] += 1;
         }
+        for b in 2..self.starts.len() {
+            self.starts[b] += self.starts[b - 1];
+        }
+        self.inputs.clear();
+        self.inputs.resize(self.raw.len(), 0);
+        for e in &self.raw {
+            let slot = &mut self.starts[bucket_index(e.t) + 1];
+            self.inputs[*slot] = e.input;
+            *slot += 1;
+        }
+        self.starts.pop();
     }
 
-    /// Drains stream `k` to exhaustion, invoking `emit` with each spike
-    /// time in order — exactly the sequence repeated
-    /// [`RateStreams::next_spike`] calls would produce, in one tight
-    /// loop that keeps the generator state in locals instead of paying
-    /// a state load/store round trip per spike. The streaming inference
-    /// path fills its whole per-millisecond calendar this way: spikes
-    /// after the first output fire are rarely needed, but generating
-    /// them costs less than the per-call bookkeeping of pulling spikes
-    /// one at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn drain_spikes(&mut self, k: usize, mut emit: impl FnMut(u32)) {
-        match &mut self.gens[k] {
-            PixelGen::Poisson { gen, t, rate } => {
-                let period = f64::from(self.t_period);
-                let mut time = *t;
-                loop {
-                    time += gen.sample_interval(*rate);
-                    if !time.is_finite() || time >= period {
-                        break;
-                    }
-                    emit(sat_u32_trunc(time));
-                }
-                // An infinite `time` (dark-adjacent rate underflow)
-                // persists, so the stream stays exhausted exactly as
-                // the one-at-a-time path leaves it.
-                *t = time;
-            }
-            PixelGen::Gaussian { gen, t, mean, std } => {
-                let period = u64::from(self.t_period);
-                let mut time = *t;
-                loop {
-                    time += u64::from(gen.sample_interval_ms(*mean, *std));
-                    if time >= period {
-                        break;
-                    }
-                    emit(u32::try_from(time).unwrap_or(u32::MAX));
-                }
-                *t = time;
-            }
-        }
+    /// The non-empty buckets in time order, as `(t, inputs)`.
+    pub fn buckets(&self) -> impl Iterator<Item = (u32, &[usize])> {
+        self.starts
+            .windows(2)
+            .zip(0u32..)
+            .filter(|(span, _)| span[0] < span[1])
+            .map(|(span, t)| (t, &self.inputs[span[0]..span[1]]))
     }
+
+    /// Every spike in `(t, input)` order.
+    pub fn events(&self) -> impl Iterator<Item = SpikeEvent> + '_ {
+        self.buckets()
+            .flat_map(|(t, inputs)| inputs.iter().map(move |&input| SpikeEvent { t, input }))
+    }
+
+    /// The calendar's buffers, for allocation-reuse tests.
+    #[cfg(test)]
+    pub(crate) fn buffers(&self) -> [(*const (), usize); 3] {
+        [
+            (self.raw.as_ptr().cast(), self.raw.capacity()),
+            (self.starts.as_ptr().cast(), self.starts.capacity()),
+            (self.inputs.as_ptr().cast(), self.inputs.capacity()),
+        ]
+    }
+}
+
+fn bucket_index(t: u32) -> usize {
+    usize::try_from(t).unwrap_or(usize::MAX)
 }
 
 /// The SNNwot spike-count conversion (paper §4.2.2): an 8-bit pixel maps
@@ -587,62 +438,6 @@ mod tests {
             let c = wot_spike_count(p);
             assert!(c >= prev && c <= 10);
             prev = c;
-        }
-    }
-
-    #[test]
-    fn drained_streams_reproduce_the_eager_encoders() {
-        use nc_faults::{FaultModel, FaultPlan};
-        let params = SnnParams::for_neurons(10);
-        let plan = FaultPlan::new(FaultModel::StuckLfsrTap, 0.6, 21).unwrap();
-        for scheme in [CodingScheme::PoissonRate, CodingScheme::GaussianRate] {
-            for fault in [None, Some(&plan)] {
-                for seed in [0u64, 7, 0xDEAD_BEEF] {
-                    let eager = scheme.encode_faulty(&px(), &params, seed, fault);
-                    let mut streams = RateStreams::default();
-                    assert!(streams.rebuild(scheme, &px(), &params, seed, fault));
-                    let mut drained = Vec::new();
-                    for k in 0..streams.len() {
-                        let input = streams.input(k);
-                        while let Some(t) = streams.next_spike(k) {
-                            drained.push(SpikeEvent { t, input });
-                        }
-                    }
-                    drained.sort_unstable_by_key(|e| (e.t, e.input));
-                    assert_eq!(
-                        drained,
-                        eager,
-                        "{scheme:?} seed {seed} fault {:?}",
-                        fault.is_some()
-                    );
-
-                    // The bulk drain must emit the identical sequence.
-                    let mut streams = RateStreams::default();
-                    assert!(streams.rebuild(scheme, &px(), &params, seed, fault));
-                    let mut bulk = Vec::new();
-                    for k in 0..streams.len() {
-                        let input = streams.input(k);
-                        streams.drain_spikes(k, |t| bulk.push(SpikeEvent { t, input }));
-                    }
-                    bulk.sort_unstable_by_key(|e| (e.t, e.input));
-                    assert_eq!(
-                        bulk,
-                        eager,
-                        "bulk {scheme:?} seed {seed} fault {:?}",
-                        fault.is_some()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn temporal_codes_do_not_stream() {
-        let params = SnnParams::for_neurons(10);
-        let mut streams = RateStreams::default();
-        for scheme in [CodingScheme::RankOrder, CodingScheme::TimeToFirstSpike] {
-            assert!(!streams.rebuild(scheme, &px(), &params, 3, None));
-            assert!(streams.is_empty(), "{scheme:?}");
         }
     }
 

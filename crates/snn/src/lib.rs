@@ -54,7 +54,7 @@ pub mod stdp_rules;
 pub mod trace;
 pub mod wot;
 
-pub use coding::{CodingScheme, RateStreams, SpikeEvent};
+pub use coding::{CodingScheme, SpikeCalendar, SpikeEvent};
 pub use network::{decay_with_lut, tie_broken_readout, SnnNetwork};
 pub use params::SnnParams;
 pub use wot::WotSnn;

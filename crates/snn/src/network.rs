@@ -22,7 +22,7 @@
 //!   neuron wins on a training image; final label = highest count
 //!   normalized by label frequency.
 
-use crate::coding::{CodingScheme, RateStreams, SpikeEvent};
+use crate::coding::{CodingScheme, SpikeCalendar};
 use crate::params::SnnParams;
 use crate::trace::PresentationTrace;
 use nc_dataset::model::{ModelError, EVAL_PRESENTATION_SEED_BASE};
@@ -125,14 +125,17 @@ pub fn tie_broken_readout(winner: Option<usize>, potentials: &[f64], tie_seed: u
 
 /// Reusable per-presentation simulation state. Kept on the network and
 /// reset (not reallocated) at the start of every [`SnnNetwork::simulate`]
-/// call, so the steady-state inference loop performs no heap allocation
-/// once the buffers have grown to the working-set size.
+/// call, so the steady-state presentation loop performs no heap
+/// allocation once the buffers have grown to the working-set size.
 #[derive(Debug, Clone, Default)]
 struct SimScratch {
-    /// Encoded input spike train for the current presentation.
-    events: Vec<SpikeEvent>,
+    /// The current presentation's input spikes, bucketed by millisecond.
+    calendar: SpikeCalendar,
     /// Membrane potentials after the most recent event.
     potentials: Vec<f64>,
+    /// The bucket kernel's second potential buffer: a bucket integrates
+    /// into it, and the two swap when the bucket commits.
+    staged: Vec<f64>,
     /// Per-neuron time of the last potential update.
     last_update: Vec<u32>,
     /// Per-neuron end of the refractory window.
@@ -152,6 +155,8 @@ impl SimScratch {
     fn reset(&mut self, neurons: usize, inputs: usize) {
         self.potentials.clear();
         self.potentials.resize(neurons, 0.0);
+        self.staged.clear();
+        self.staged.resize(neurons, 0.0);
         self.last_update.clear();
         self.last_update.resize(neurons, 0);
         self.refractory_until.clear();
@@ -162,42 +167,6 @@ impl SimScratch {
         self.last_input_spike.resize(inputs, NEVER);
         self.fires.clear();
     }
-}
-
-/// Reusable state for the streaming winner-only inference path
-/// ([`SnnNetwork`]'s `simulate_streaming`): the per-pixel generator
-/// streams, the per-millisecond calendar queue, and the working buffers
-/// of the bucket-at-a-time potential kernel.
-#[derive(Debug, Clone, Default)]
-struct StreamScratch {
-    /// Lazy per-pixel spike generators for the current presentation.
-    streams: RateStreams,
-    /// Stream index of every spike of the presentation, in drain order
-    /// (pixel-major, times ascending within a pixel).
-    spike_k: Vec<u32>,
-    /// Millisecond of every spike, parallel to `spike_k`.
-    spike_t: Vec<u32>,
-    /// Calendar bucket boundaries after the counting sort: bucket `t`
-    /// is `slots[starts[t]..starts[t + 1]]`.
-    starts: Vec<u32>,
-    /// Scatter cursors (working copy of `starts`).
-    cursor: Vec<u32>,
-    /// Stream indices grouped by millisecond bucket. Within a bucket
-    /// the scatter preserves drain order — ascending input with same-ms
-    /// duplicates adjacent — so a bucket doubles as the replay script
-    /// when a threshold crossing is detected.
-    slots: Vec<u32>,
-    /// Second half of the potential double buffer (the first half is
-    /// the simulation scratch's potential vector).
-    pot_next: Vec<f64>,
-    /// `f64` mirror of the network's column-major `weights_t`
-    /// (`f64::from` per element is exact, so adding from this mirror is
-    /// bit-identical to converting each `u8` on the fly — it just lets
-    /// the add sweep autovectorize as pure f64 adds). Rebuilt lazily
-    /// whenever `wcols_rev` trails the network's weight revision.
-    wcols: Vec<f64>,
-    /// Weight revision this mirror was built from (0 = never built).
-    wcols_rev: u64,
 }
 
 /// The single-layer WTA spiking network.
@@ -219,17 +188,13 @@ pub struct SnnNetwork {
     coding: CodingScheme,
     /// Excitatory weights, row-major `[neuron][input]`, 8-bit.
     weights: Vec<u8>,
-    /// Column-major mirror of `weights` (`[input][neuron]`): the event
-    /// loop touches every neuron for one input, so this layout makes the
-    /// hot inner loop a contiguous scan instead of an `inputs`-strided
-    /// gather. Kept in sync by [`SnnNetwork::rebuild_weights_t`] and the
+    /// Column-major `f64` mirror of `weights` (`[input][neuron]`): the
+    /// presentation loop touches every neuron for one input, so this
+    /// layout makes its inner loop a contiguous scan, and `f64::from` is
+    /// exact, so adding from the mirror equals converting each `u8` on
+    /// the fly. Kept in sync by [`SnnNetwork::rebuild_weights_t`] and the
     /// incremental STDP update.
-    weights_t: Vec<u8>,
-    /// Monotone weight revision, bumped by every mutation of
-    /// `weights_t`; lets the streaming path's f64 mirror rebuild lazily
-    /// (weights never change during inference, so the mirror is built
-    /// once per trained network, not once per presentation).
-    weights_rev: u64,
+    weights_t: Vec<f64>,
     /// Per-neuron firing thresholds (homeostasis adjusts them).
     thresholds: Vec<f64>,
     /// Per-(neuron, class) win counters for self-labeling.
@@ -249,7 +214,6 @@ pub struct SnnNetwork {
     /// scaled-down runs use larger steps, and alternative rules are the
     /// paper's future-work lever — see [`crate::stdp_rules`]).
     stdp_rule: crate::stdp_rules::StdpRule,
-    presentation_counter: u64,
     seed: u64,
     /// Transient SRAM read faults on the synapse array (disabled unless a
     /// `TransientRead` plan was injected). Stored weights stay pristine;
@@ -260,8 +224,6 @@ pub struct SnnNetwork {
     gen_fault: Option<FaultPlan>,
     /// Reused simulation buffers (allocation-free steady state).
     sim: SimScratch,
-    /// Reused buffers for the streaming winner-only inference path.
-    stream: StreamScratch,
 }
 
 impl SnnNetwork {
@@ -309,7 +271,6 @@ impl SnnNetwork {
             coding,
             weights,
             weights_t: Vec::new(),
-            weights_rev: 0,
             thresholds: vec![threshold; n],
             label_counts: vec![0; n * classes],
             class_presented: vec![0; classes],
@@ -318,12 +279,10 @@ impl SnnNetwork {
             epoch_elapsed_ms: 0,
             decay_lut,
             stdp_rule: crate::stdp_rules::StdpRule::default(),
-            presentation_counter: 0,
             seed,
             faults: TransientReads::disabled(),
             gen_fault: None,
             sim: SimScratch::default(),
-            stream: StreamScratch::default(),
         };
         net.rebuild_weights_t();
         net
@@ -335,15 +294,14 @@ impl SnnNetwork {
     /// update maintains it incrementally instead.
     fn rebuild_weights_t(&mut self) {
         let n = self.params.neurons;
-        self.weights_rev += 1;
         self.weights_t.clear();
-        self.weights_t.resize(n * self.inputs, 0);
+        self.weights_t.resize(n * self.inputs, 0.0);
         for j in 0..n {
             for (i, &w) in self.weights[j * self.inputs..(j + 1) * self.inputs]
                 .iter()
                 .enumerate()
             {
-                self.weights_t[i * n + j] = w;
+                self.weights_t[i * n + j] = f64::from(w);
             }
         }
     }
@@ -520,14 +478,14 @@ impl SnnNetwork {
     /// Presents one image without learning and returns the outcome.
     pub fn present(&mut self, pixels: &[u8], presentation_seed: u64) -> Presentation {
         let tie_seed = self.presentation_rng_seed(presentation_seed);
-        let winner = self.simulate(pixels, false, presentation_seed, None);
+        let winner = self.simulate(pixels, false, false, presentation_seed, None);
         self.snapshot_presentation(winner, tie_seed)
     }
 
     /// Presents one image with STDP + homeostasis enabled.
     pub fn present_learn(&mut self, pixels: &[u8], presentation_seed: u64) -> Presentation {
         let tie_seed = self.presentation_rng_seed(presentation_seed);
-        let winner = self.simulate(pixels, true, presentation_seed, None);
+        let winner = self.simulate(pixels, true, false, presentation_seed, None);
         self.snapshot_presentation(winner, tie_seed)
     }
 
@@ -535,7 +493,7 @@ impl SnnNetwork {
     pub fn present_traced(&mut self, pixels: &[u8], presentation_seed: u64) -> PresentationTrace {
         let mut trace = PresentationTrace::new(self.params.neurons);
         let tie_seed = self.presentation_rng_seed(presentation_seed);
-        let winner = self.simulate(pixels, false, presentation_seed, Some(&mut trace));
+        let winner = self.simulate(pixels, false, false, presentation_seed, Some(&mut trace));
         trace.finish(self.snapshot_presentation(winner, tie_seed));
         trace
     }
@@ -554,13 +512,40 @@ impl SnnNetwork {
         }
     }
 
-    /// The event-driven core shared by learning, inference and tracing.
+    /// The presentation loop, shared by learning, inference and tracing:
+    /// the one place that applies integrate, leak, fire and inhibit.
     /// Returns the winner (first neuron to fire, if any); the full
     /// outcome lives in the reused scratch until the next presentation.
+    /// `winner_only` callers read nothing but the winner — or, when no
+    /// neuron fires, the final potentials — so the loop stops at the
+    /// first fire for them.
+    ///
+    /// It runs in two phases over the spike calendar, and the outcome is
+    /// bit-identical to one scan of every neuron per input event:
+    ///
+    /// * **Bucket kernel**, up to the first bucket that crosses a
+    ///   threshold. Before any fire nothing is gated and every neuron
+    ///   shares one `last_update`, so the per-event scan reduces to one
+    ///   decay per bucket (in-window gaps `dt < Tperiod` hit a single
+    ///   table factor, exactly as [`decay`] applies it) and one f64 add
+    ///   sweep per event — the same operations on each neuron. Weights
+    ///   are unsigned and decay only happens at bucket boundaries, so
+    ///   potentials rise through a bucket and one branchless check at its
+    ///   end finds any crossing inside it.
+    /// * **Scalar loop**, from that bucket on, restarting from the
+    ///   pre-bucket potentials: gating, the WTA skip window, STDP, trace
+    ///   samples and faulty reads, event by event. A trace or armed
+    ///   transient read faults start it at the first bucket: under a
+    ///   transient fault, read order is part of the semantics.
+    ///
+    /// When learning, the kernel records `last_input_spike` only for the
+    /// buckets it commits; the scalar loop records the crossing bucket
+    /// event by event, so STDP at a fire sees only the spikes before it.
     fn simulate(
         &mut self,
         pixels: &[u8],
         learn: bool,
+        winner_only: bool,
         presentation_seed: u64,
         mut trace: Option<&mut PresentationTrace>,
     ) -> Option<usize> {
@@ -573,37 +558,79 @@ impl SnnNetwork {
         );
         let n = self.params.neurons;
         let seed = self.presentation_rng_seed(presentation_seed);
-        // Move the scratch out for the duration of the event loop so STDP
-        // (which borrows `self` mutably) can run mid-simulation; the
+        // Move the scratch out for the duration of the loop so STDP
+        // (which borrows `self` mutably) can run mid-presentation; the
         // buffers are handed back before returning.
         let mut sim = std::mem::take(&mut self.sim);
-        self.coding.encode_faulty_into(
+        sim.calendar.fill(
+            self.coding,
             pixels,
             &self.params,
             seed,
             self.gen_fault.as_ref(),
-            &mut sim.events,
         );
         if let Some(t) = trace.as_deref_mut() {
-            t.record_inputs(&sim.events);
+            t.record_inputs(sim.calendar.events());
         }
-
         sim.reset(n, self.inputs);
         let faults_active = self.faults.is_active();
+        // The transient fault stream persists across presentations, so
+        // with it armed every read of the presentation must still happen.
+        let stop_at_first_fire = winner_only && !faults_active;
+        let SimScratch {
+            calendar,
+            potentials,
+            staged,
+            last_update,
+            refractory_until,
+            inhibited_until,
+            last_input_spike,
+            fires,
+        } = &mut sim;
+        let mut buckets = calendar.buckets().peekable();
 
-        // Inference with healthy SRAM and no trace — the evaluate /
-        // predict hot path — runs the sliced fast loop; everything else
-        // takes the general loop below. Both loops perform the identical
-        // operation sequence per processed neuron, so outcomes are
-        // bit-equal.
-        if !learn && !faults_active && trace.is_none() {
-            let winner = self.run_events_fast(&mut sim);
-            self.presentation_counter += 1;
-            self.sim = sim;
-            return winner;
+        if trace.is_none() && !faults_active {
+            let lut = self.decay_lut.as_slice();
+            let thresholds = &self.thresholds[..n];
+            let mut committed = 0u32;
+            while let Some(&(t, bucket)) = buckets.peek() {
+                let dt = t - committed;
+                if dt > 0 {
+                    let factor = lut[usize::try_from(dt).unwrap_or(usize::MAX)];
+                    for (next, &v) in staged.iter_mut().zip(potentials.iter()) {
+                        *next = v * factor;
+                    }
+                } else {
+                    staged.copy_from_slice(potentials);
+                }
+                for &input in bucket {
+                    let col = &self.weights_t[input * n..(input + 1) * n];
+                    for (next, &w) in staged.iter_mut().zip(col) {
+                        *next += w;
+                    }
+                }
+                // A fold rather than a short-circuiting `any`, so the
+                // compare sweep vectorizes: almost every bucket ends
+                // without a crossing.
+                let mut crossed = false;
+                for (&v, &th) in staged.iter().zip(thresholds) {
+                    crossed |= v >= th;
+                }
+                if crossed {
+                    break;
+                }
+                std::mem::swap(potentials, staged);
+                committed = t;
+                if learn {
+                    for &input in bucket {
+                        last_input_spike[input] = t;
+                    }
+                }
+                buckets.next();
+            }
+            last_update.fill(committed);
         }
 
-        let mut winner = None;
         // After any fire at `t` the firing neuron is refractory and every
         // other neuron inhibited, so nothing can respond before
         // `t + min(Trefrac, Tinhibit)`: events in that window skip the
@@ -611,56 +638,60 @@ impl SnnNetwork {
         // own gate check and `continue` anyway, touching nothing).
         let all_gated = self.params.t_refrac.min(self.params.t_inhibit);
         let mut skip_until = 0u32;
-
-        for ei in 0..sim.events.len() {
-            let SpikeEvent { t, input } = sim.events[ei];
-            sim.last_input_spike[input] = t;
-            if t < skip_until {
-                continue;
-            }
-            let col = input * n;
-            for j in 0..n {
-                // Refractory / inhibited neurons ignore input spikes
-                // entirely (§2.2: "incoming spikes have no impact").
-                if t < sim.refractory_until[j] || t < sim.inhibited_until[j] {
+        let mut winner = None;
+        let potentials = &mut potentials[..n];
+        let last_update = &mut last_update[..n];
+        let refractory_until = &mut refractory_until[..n];
+        let inhibited_until = &mut inhibited_until[..n];
+        'presentation: for (t, bucket) in buckets {
+            for &input in bucket {
+                last_input_spike[input] = t;
+                if t < skip_until {
                     continue;
                 }
-                // Analytic leak since this neuron's last update.
-                let dt = u64::from(t - sim.last_update[j]);
-                if dt > 0 {
-                    sim.potentials[j] = decay(&self.decay_lut, sim.potentials[j], dt);
-                }
-                sim.last_update[j] = t;
-                let w = self.weights_t[col + j];
-                let w = if faults_active {
-                    self.faults.read_u8(w)
-                } else {
-                    w
-                };
-                sim.potentials[j] += f64::from(w);
-                if let Some(tr) = trace.as_deref_mut() {
-                    tr.record_potential(j, t, sim.potentials[j]);
-                }
-                if sim.potentials[j] >= self.thresholds[j] {
-                    // Fire!
-                    sim.fires.push((t, j));
-                    if winner.is_none() {
-                        winner = Some(j);
+                let col = input * n;
+                for j in 0..n {
+                    // Refractory / inhibited neurons ignore input spikes
+                    // entirely (§2.2: "incoming spikes have no impact").
+                    if t < refractory_until[j] || t < inhibited_until[j] {
+                        continue;
                     }
-                    sim.potentials[j] = 0.0;
-                    sim.refractory_until[j] = t + self.params.t_refrac;
-                    for (k, inh) in sim.inhibited_until.iter_mut().enumerate() {
-                        if k != j {
-                            *inh = (*inh).max(t + self.params.t_inhibit);
-                        }
+                    // Analytic leak since this neuron's last update.
+                    let dt = u64::from(t - last_update[j]);
+                    if dt > 0 {
+                        potentials[j] = decay(&self.decay_lut, potentials[j], dt);
                     }
-                    skip_until = t + all_gated;
+                    last_update[j] = t;
+                    potentials[j] += if faults_active {
+                        f64::from(self.faults.read_u8(self.weights[j * self.inputs + input]))
+                    } else {
+                        self.weights_t[col + j]
+                    };
                     if let Some(tr) = trace.as_deref_mut() {
-                        tr.record_fire(j, t);
+                        tr.record_potential(j, t, potentials[j]);
                     }
-                    if learn {
-                        self.fire_counts[j] += 1;
-                        self.apply_stdp(j, t, &sim.last_input_spike);
+                    if potentials[j] >= self.thresholds[j] {
+                        // Fire!
+                        fires.push((t, j));
+                        winner.get_or_insert(j);
+                        if stop_at_first_fire {
+                            break 'presentation;
+                        }
+                        potentials[j] = 0.0;
+                        refractory_until[j] = t + self.params.t_refrac;
+                        for (k, inh) in inhibited_until.iter_mut().enumerate() {
+                            if k != j {
+                                *inh = (*inh).max(t + self.params.t_inhibit);
+                            }
+                        }
+                        skip_until = t + all_gated;
+                        if let Some(tr) = trace.as_deref_mut() {
+                            tr.record_fire(j, t);
+                        }
+                        if learn {
+                            self.fire_counts[j] += 1;
+                            self.apply_stdp(j, t, last_input_spike);
+                        }
                     }
                 }
             }
@@ -672,292 +703,7 @@ impl SnnNetwork {
                 self.apply_homeostasis();
             }
         }
-        self.presentation_counter += 1;
         self.sim = sim;
-        winner
-    }
-
-    /// The inference event loop: no learning, no trace, no SRAM read
-    /// faults. Split from the general loop in [`SnnNetwork::simulate`] so
-    /// the per-neuron body can hold plain length-`n` slice borrows (the
-    /// bounds checks hoist out of the loop) — `self` is never reborrowed
-    /// mutably mid-loop here, which the STDP path requires. The
-    /// arithmetic is the general loop's, operation for operation.
-    fn run_events_fast(&self, sim: &mut SimScratch) -> Option<usize> {
-        let n = self.params.neurons;
-        let t_refrac = self.params.t_refrac;
-        let t_inhibit = self.params.t_inhibit;
-        // See the general loop: after a fire at `t`, every neuron is
-        // gated until at least `t + min(Trefrac, Tinhibit)`.
-        let all_gated = t_refrac.min(t_inhibit);
-        let mut skip_until = 0u32;
-        let mut winner = None;
-        let SimScratch {
-            events,
-            potentials,
-            last_update,
-            refractory_until,
-            inhibited_until,
-            // Only STDP reads the per-input spike times.
-            last_input_spike: _,
-            fires,
-        } = sim;
-        let potentials = &mut potentials[..n];
-        let last_update = &mut last_update[..n];
-        let refractory_until = &mut refractory_until[..n];
-        let inhibited_until = &mut inhibited_until[..n];
-        let thresholds = &self.thresholds[..n];
-        let lut = self.decay_lut.as_slice();
-        for &SpikeEvent { t, input } in events.iter() {
-            if t < skip_until {
-                continue;
-            }
-            let col = input * n;
-            let wcol = &self.weights_t[col..col + n];
-            for j in 0..n {
-                if t < refractory_until[j] || t < inhibited_until[j] {
-                    continue;
-                }
-                let dt = u64::from(t - last_update[j]);
-                if dt > 0 {
-                    potentials[j] = decay(lut, potentials[j], dt);
-                }
-                last_update[j] = t;
-                potentials[j] += f64::from(wcol[j]);
-                if potentials[j] >= thresholds[j] {
-                    fires.push((t, j));
-                    if winner.is_none() {
-                        winner = Some(j);
-                    }
-                    potentials[j] = 0.0;
-                    refractory_until[j] = t + t_refrac;
-                    for (k, inh) in inhibited_until.iter_mut().enumerate() {
-                        if k != j {
-                            *inh = (*inh).max(t + t_inhibit);
-                        }
-                    }
-                    skip_until = t + all_gated;
-                }
-            }
-        }
-        winner
-    }
-
-    /// Whether the streaming winner-only path may serve inference for
-    /// the current configuration: rate codes only (the streams are the
-    /// per-pixel interval generators, so temporal codes have nothing to
-    /// stream) and a healthy SRAM read port (with transient read faults
-    /// armed, the batch loop's per-read RNG stream makes read *order*
-    /// part of the semantics). A stuck generator tap is fine — the
-    /// streams degrade exactly the generators the eager encoder would.
-    fn streaming_inference_ok(&self) -> bool {
-        self.coding.is_rate_code() && !self.faults.is_active()
-    }
-
-    /// Winner-only simulation: the streaming fast path when the
-    /// configuration allows it, the full event loop otherwise. Either
-    /// way the returned winner — and, when there is no winner, the final
-    /// potentials left in the simulation scratch — are bit-identical to
-    /// [`SnnNetwork::simulate`]'s, which is all the readout consumes.
-    fn simulate_winner(&mut self, pixels: &[u8], presentation_seed: u64) -> Option<usize> {
-        if self.streaming_inference_ok() {
-            self.simulate_streaming(pixels, presentation_seed)
-        } else {
-            self.simulate(pixels, false, presentation_seed, None)
-        }
-    }
-
-    /// The streaming winner-only inference path.
-    ///
-    /// Inference only needs the readout: the first neuron to fire, or —
-    /// if none fires — the final potentials. The eager path materializes
-    /// the whole spike train as one vector and sorts it by
-    /// `(time, input)`; this path instead drains each pixel's generator
-    /// straight into a per-millisecond calendar ([`RateStreams`]) and
-    /// runs a bucket-at-a-time potential kernel that exits at the first
-    /// threshold crossing.
-    ///
-    /// Mechanics, and why the outcome is bit-identical to the event
-    /// loop's:
-    ///
-    /// * **Calendar queue.** Draining pixels in ascending input order
-    ///   files every bucket's events already sorted: within one
-    ///   millisecond, lower inputs were drained first, and a pixel's
-    ///   duplicate same-ms spikes land adjacent. That is exactly the
-    ///   `(t, input)`-sorted event order of the eager encoder, with no
-    ///   global sort.
-    /// * **Bucket-at-a-time kernel.** Until the first fire nothing is
-    ///   refractory or inhibited and every neuron shares one
-    ///   `last_update`, so the per-event scalar loop degenerates to: one
-    ///   shared decay at the bucket boundary, then one add sweep per
-    ///   event. Performing the decay as one pass and the adds as
-    ///   per-event passes applies the identical f64 operation sequence
-    ///   to each neuron, hence bit-identical potentials.
-    /// * **One threshold check per bucket.** Weights are unsigned and
-    ///   decay happens only at the bucket boundary, so potentials are
-    ///   monotone non-decreasing across a bucket: a crossing anywhere
-    ///   inside survives to the bucket end and cannot be missed.
-    /// * **Scalar replay.** On a crossing, the bucket is replayed in
-    ///   event order from the pre-bucket potentials; the first
-    ///   `(event, neuron)` crossing is the winner, because in the event
-    ///   loop a fire instantly inhibits every other neuron — nothing
-    ///   later in the bucket can fire first.
-    ///
-    /// With no crossing anywhere the full train has been processed and
-    /// the committed buffer holds the same final potentials the event
-    /// loop leaves behind (no fire means no gating ever engaged).
-    fn simulate_streaming(&mut self, pixels: &[u8], presentation_seed: u64) -> Option<usize> {
-        assert_eq!(
-            pixels.len(),
-            self.inputs,
-            "pixel count {} does not match inputs {}",
-            pixels.len(),
-            self.inputs
-        );
-        let n = self.params.neurons;
-        let seed = self.presentation_rng_seed(presentation_seed);
-        let mut stream = std::mem::take(&mut self.stream);
-        let live = stream.streams.rebuild(
-            self.coding,
-            pixels,
-            &self.params,
-            seed,
-            self.gen_fault.as_ref(),
-        );
-        debug_assert!(live, "callers gate on is_rate_code");
-        if stream.wcols_rev != self.weights_rev {
-            stream.wcols.clear();
-            stream
-                .wcols
-                .extend(self.weights_t.iter().map(|&w| f64::from(w)));
-            stream.wcols_rev = self.weights_rev;
-        }
-
-        // Drain every pixel's whole train, then group spikes by
-        // millisecond with a counting sort. Pixel-major drain order
-        // means the scatter leaves each bucket sorted by stream index
-        // (= ascending input) with same-ms duplicates adjacent — the
-        // eager encoder's `(t, input)` event order, comparison-free.
-        let t_period = usize::try_from(self.params.t_period).unwrap_or(usize::MAX);
-        stream.spike_k.clear();
-        stream.spike_t.clear();
-        {
-            let StreamScratch {
-                streams,
-                spike_k,
-                spike_t,
-                ..
-            } = &mut stream;
-            for k in 0..streams.len() {
-                let packed = u32::try_from(k).unwrap_or(u32::MAX);
-                streams.drain_spikes(k, |t| {
-                    spike_t.push(t);
-                    spike_k.push(packed);
-                });
-            }
-        }
-        stream.starts.clear();
-        stream.starts.resize(t_period + 1, 0);
-        for &t in &stream.spike_t {
-            stream.starts[usize::try_from(t).unwrap_or(usize::MAX) + 1] += 1;
-        }
-        let mut acc = 0u32;
-        for s in &mut stream.starts {
-            acc += *s;
-            *s = acc;
-        }
-        stream.cursor.clear();
-        stream.cursor.extend_from_slice(&stream.starts);
-        stream.slots.clear();
-        stream.slots.resize(stream.spike_k.len(), 0);
-        for (&t, &k) in stream.spike_t.iter().zip(&stream.spike_k) {
-            let slot = stream.cursor[usize::try_from(t).unwrap_or(usize::MAX)];
-            stream.slots[usize::try_from(slot).unwrap_or(usize::MAX)] = k;
-            stream.cursor[usize::try_from(t).unwrap_or(usize::MAX)] += 1;
-        }
-
-        let mut pot = std::mem::take(&mut self.sim.potentials);
-        pot.clear();
-        pot.resize(n, 0.0);
-        let mut pot_next = std::mem::take(&mut stream.pot_next);
-        pot_next.clear();
-        pot_next.resize(n, 0.0);
-        let lut = self.decay_lut.as_slice();
-        let thresholds = &self.thresholds[..n];
-        let mut shared_last = 0u32;
-        let mut winner = None;
-
-        'clock: for tb in 0..t_period {
-            let b0 = usize::try_from(stream.starts[tb]).unwrap_or(usize::MAX);
-            let b1 = usize::try_from(stream.starts[tb + 1]).unwrap_or(usize::MAX);
-            if b0 == b1 {
-                continue;
-            }
-            let t = u32::try_from(tb).unwrap_or(u32::MAX);
-            let dt = u64::from(t - shared_last);
-            if dt > 0 {
-                // In-window gaps satisfy `dt ≤ Tperiod − 1 < lut.len()`,
-                // so [`decay`] reduces to a single table factor —
-                // hoisted out of the neuron sweep, leaving one
-                // autovectorizable multiply per neuron (bit-identical:
-                // `decay` multiplies by exactly `lut[dt]` in this range).
-                let factor = lut[usize::try_from(dt).unwrap_or(lut.len() - 1)];
-                for (next, &v) in pot_next.iter_mut().zip(pot.iter()) {
-                    *next = v * factor;
-                }
-            } else {
-                pot_next.copy_from_slice(&pot);
-            }
-            for &packed in &stream.slots[b0..b1] {
-                let k = usize::try_from(packed).unwrap_or(usize::MAX);
-                let col = stream.streams.input(k) * n;
-                let wcol = &stream.wcols[col..col + n];
-                for (next, &w) in pot_next.iter_mut().zip(wcol) {
-                    *next += w;
-                }
-            }
-            // Branchless fold (rather than a short-circuiting `any`) so
-            // the compare sweep vectorizes with no early-exit branch —
-            // almost every bucket ends without a crossing.
-            let mut crossed = false;
-            for (&v, &th) in pot_next.iter().zip(thresholds) {
-                crossed |= v >= th;
-            }
-            if crossed {
-                let mut first = true;
-                for &packed in &stream.slots[b0..b1] {
-                    let k = usize::try_from(packed).unwrap_or(usize::MAX);
-                    let col = stream.streams.input(k) * n;
-                    let wcol = &stream.wcols[col..col + n];
-                    for j in 0..n {
-                        if first && dt > 0 {
-                            pot[j] = decay(lut, pot[j], dt);
-                        }
-                        pot[j] += wcol[j];
-                        if pot[j] >= thresholds[j] {
-                            winner = Some(j);
-                            break 'clock;
-                        }
-                    }
-                    first = false;
-                }
-                // The replay reproduces the exact values the bucket-end
-                // check saw cross, so it cannot fall through.
-                debug_assert!(false, "bucket replay must find the crossing");
-                break 'clock;
-            }
-            std::mem::swap(&mut pot, &mut pot_next);
-            shared_last = t;
-        }
-
-        // `pot` holds the last committed potentials: the final state
-        // when no neuron fired (what the readout consumes), or the
-        // partially-replayed bucket when one did (never read — the
-        // winner is authoritative).
-        self.sim.potentials = pot;
-        stream.pot_next = pot_next;
-        self.stream = stream;
-        self.presentation_counter += 1;
         winner
     }
 
@@ -969,7 +715,6 @@ impl SnnNetwork {
     /// [`StdpRule`]: crate::stdp_rules::StdpRule
     fn apply_stdp(&mut self, neuron: usize, fire_t: u32, last_input_spike: &[u32]) {
         let n = self.params.neurons;
-        self.weights_rev += 1;
         let row = &mut self.weights[neuron * self.inputs..(neuron + 1) * self.inputs];
         for (i, w) in row.iter_mut().enumerate() {
             let ts = last_input_spike[i];
@@ -981,7 +726,7 @@ impl SnnNetwork {
             }
             // Keep the column-major mirror coherent without a full
             // rebuild: one row changes per output spike.
-            self.weights_t[i * n + neuron] = *w;
+            self.weights_t[i * n + neuron] = f64::from(*w);
         }
     }
 
@@ -1026,10 +771,8 @@ impl SnnNetwork {
             let mut spikes = 0u64;
             for (i, s) in data.iter().enumerate() {
                 let pseed = (epoch as u64) << 32 | i as u64;
-                let outcome = self.present_learn(&s.pixels, pseed);
-                if observing {
-                    spikes += outcome.fires.len() as u64;
-                }
+                self.simulate(&s.pixels, true, false, pseed, None);
+                spikes += self.sim.fires.len() as u64;
             }
             if observing {
                 // Every output spike triggers one STDP pass over the
@@ -1064,7 +807,7 @@ impl SnnNetwork {
         for (i, s) in data.iter().enumerate() {
             let pseed = 0x1ABE_0000 | i as u64;
             let tie_seed = self.presentation_rng_seed(pseed);
-            let winner = self.simulate_winner(&s.pixels, pseed);
+            let winner = self.simulate(&s.pixels, false, true, pseed, None);
             self.class_presented[s.label] += 1;
             let readout = tie_broken_readout(winner, &self.sim.potentials, tie_seed);
             self.label_counts[readout * self.classes + s.label] += 1;
@@ -1093,13 +836,11 @@ impl SnnNetwork {
     ///
     /// Reads the readout straight from the reused simulation scratch, so
     /// repeated predictions (and [`SnnNetwork::evaluate`]) perform no
-    /// heap allocation once the buffers are warm. Rate-coded inference
-    /// on a healthy read port runs the streaming winner-only fast path
-    /// (lazy spike generation, early exit at the first fire) — same
-    /// readout, bit for bit.
+    /// heap allocation once the buffers are warm. The presentation stops
+    /// at the first fire, which decides the readout.
     pub fn predict(&mut self, pixels: &[u8], presentation_seed: u64) -> usize {
         let tie_seed = self.presentation_rng_seed(presentation_seed);
-        let winner = self.simulate_winner(pixels, presentation_seed);
+        let winner = self.simulate(pixels, false, true, presentation_seed, None);
         let readout = tie_broken_readout(winner, &self.sim.potentials, tie_seed);
         self.labels[readout].unwrap_or(0)
     }
@@ -1417,10 +1158,11 @@ mod tests {
     }
 
     #[test]
-    fn fast_and_general_event_loops_are_bit_identical() {
-        // `present` runs the sliced fast loop; `present_traced` runs the
-        // general loop (a trace forces it). Same seed → same outcome,
-        // bit for bit, across a spread of images.
+    fn bucket_kernel_and_scalar_loop_are_bit_identical() {
+        // `present` runs the bucket kernel up to the first crossing;
+        // `present_traced` runs the scalar loop from the first bucket (a
+        // trace forces it). Same seed → same outcome, bit for bit,
+        // across a spread of images.
         let (train, _) = DigitsSpec {
             train: 12,
             test: 1,
@@ -1428,11 +1170,11 @@ mod tests {
             difficulty: Difficulty::default(),
         }
         .generate();
-        let mut fast = SnnNetwork::new(784, 10, SnnParams::tuned(20), 0xFA57);
-        let mut general = fast.clone();
+        let mut kernel = SnnNetwork::new(784, 10, SnnParams::tuned(20), 0xFA57);
+        let mut scalar = kernel.clone();
         for (i, s) in train.iter().enumerate() {
-            let a = fast.present(&s.pixels, i as u64);
-            let trace = general.present_traced(&s.pixels, i as u64);
+            let a = kernel.present(&s.pixels, i as u64);
+            let trace = scalar.present_traced(&s.pixels, i as u64);
             assert_eq!(Some(&a), trace.outcome(), "presentation {i}");
         }
     }
@@ -1459,13 +1201,14 @@ mod tests {
     }
 
     #[test]
-    fn streaming_winner_path_matches_the_event_loop() {
-        // `predict` takes the streaming winner-only path; `present` runs
-        // the full event loop. The readout must agree image for image —
-        // which requires bit-identical winners AND (for no-fire images)
-        // bit-identical final potentials, since exact-tie breaking feeds
-        // off the raw f64 values. Exercised for both rate codes, with
-        // and without a stuck-tap generator fault.
+    fn early_stopping_predict_matches_the_scalar_loop() {
+        // `predict` runs the bucket kernel and stops at the first fire;
+        // `present_traced` runs the scalar loop from the first bucket
+        // over the whole window. The readout must agree image for image
+        // — which requires bit-identical winners AND (for no-fire
+        // images) bit-identical final potentials, since exact-tie
+        // breaking feeds off the raw f64 values. Exercised for both rate
+        // codes, with and without a stuck-tap generator fault.
         let (train, test) = DigitsSpec {
             train: 30,
             test: 25,
@@ -1487,7 +1230,10 @@ mod tests {
                 }
                 for (i, s) in test.iter().enumerate() {
                     let pseed = 0x51AE_0000 | i as u64;
-                    let p = reference.present(&s.pixels, pseed);
+                    let trace = reference.present_traced(&s.pixels, pseed);
+                    let p = trace
+                        .outcome()
+                        .expect("a traced presentation keeps its outcome");
                     let want = reference.labels()[p.readout()].unwrap_or(0);
                     assert_eq!(
                         snn.predict(&s.pixels, pseed),
@@ -1500,10 +1246,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_no_fire_potentials_are_bit_identical() {
+    fn predict_no_fire_potentials_are_bit_identical() {
         // A sky-high threshold forces the no-winner branch on every
-        // image, so the streaming path's committed potentials (the only
-        // readout input left) must equal the event loop's exactly.
+        // image, so the bucket kernel's committed potentials (the only
+        // readout input left) must equal the scalar loop's exactly.
         let (_, test) = DigitsSpec {
             train: 1,
             test: 15,
@@ -1514,17 +1260,17 @@ mod tests {
         let mut params = SnnParams::tuned(12);
         params.initial_threshold = 1e12;
         for coding in [CodingScheme::PoissonRate, CodingScheme::GaussianRate] {
-            let mut streaming = SnnNetwork::with_coding(784, 10, params, coding, 0xCAFE);
-            let mut reference = streaming.clone();
+            let mut kernel = SnnNetwork::with_coding(784, 10, params, coding, 0xCAFE);
+            let mut reference = kernel.clone();
             for (i, s) in test.iter().enumerate() {
                 let pseed = i as u64;
-                let _ = streaming.predict(&s.pixels, pseed);
-                let p = reference.present(&s.pixels, pseed);
+                let _ = kernel.predict(&s.pixels, pseed);
+                let trace = reference.present_traced(&s.pixels, pseed);
+                let p = trace
+                    .outcome()
+                    .expect("a traced presentation keeps its outcome");
                 assert!(p.winner.is_none(), "threshold must be unreachable");
-                assert_eq!(
-                    streaming.sim.potentials, p.potentials,
-                    "{coding:?} image {i}"
-                );
+                assert_eq!(kernel.sim.potentials, p.potentials, "{coding:?} image {i}");
             }
         }
     }
@@ -1539,13 +1285,13 @@ mod tests {
         let _ = snn.predict(&[180u8; 16], 42);
         let potentials_ptr = snn.sim.potentials.as_ptr();
         let last_update_ptr = snn.sim.last_update.as_ptr();
-        let events_cap = snn.sim.events.capacity();
+        let calendar = snn.sim.calendar.buffers();
         for _ in 0..20 {
             let _ = snn.predict(&[180u8; 16], 42);
         }
         assert_eq!(snn.sim.potentials.as_ptr(), potentials_ptr);
         assert_eq!(snn.sim.last_update.as_ptr(), last_update_ptr);
-        assert_eq!(snn.sim.events.capacity(), events_cap);
+        assert_eq!(snn.sim.calendar.buffers(), calendar);
     }
 
     #[test]
@@ -1562,8 +1308,8 @@ mod tests {
         for j in 0..4 {
             for i in 0..8 {
                 assert_eq!(
-                    snn.weights_t[i * 4 + j],
-                    snn.weight(j, i),
+                    snn.weights_t[i * 4 + j].to_bits(),
+                    f64::from(snn.weight(j, i)).to_bits(),
                     "mirror out of sync at neuron {j}, input {i}"
                 );
             }

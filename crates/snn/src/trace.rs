@@ -31,8 +31,8 @@ impl PresentationTrace {
     }
 
     /// Records the full input spike train (the left panel of Figure 3).
-    pub fn record_inputs(&mut self, events: &[SpikeEvent]) {
-        self.input_spikes = events.to_vec();
+    pub fn record_inputs(&mut self, events: impl IntoIterator<Item = SpikeEvent>) {
+        self.input_spikes = events.into_iter().collect();
     }
 
     /// Records one potential sample.
