@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the model-level components: MLP forward/training,
 //! quantized inference, SNN presentation (event-driven LIF), STDP
-//! learning, and spike coding.
+//! learning, spike coding, and the many-core mesh simulator.
 //!
 //! These measure the *simulation* cost of each path — useful when scaling
 //! experiments — and document the event-driven-vs-dense speedup the
@@ -9,7 +9,9 @@
 //! Run with: `cargo bench -p nc-bench --features bench-harness`
 
 use nc_bench::microbench::Group;
+use nc_core::{ExperimentScale, FaultModel, FaultPlan, Workload};
 use nc_dataset::{digits::DigitsSpec, Difficulty};
+use nc_hw::mesh::{Grid, MeshSnn};
 use nc_mlp::{Activation, Mlp, QuantizedMlp, TrainConfig, Trainer};
 use nc_snn::coding::CodingScheme;
 use nc_snn::{SnnNetwork, SnnParams};
@@ -115,8 +117,44 @@ fn bench_coding() {
     }
 }
 
+/// The fig_mesh recipe at tiny scale: 20 tuned LIF neurons trained by
+/// STDP on the digits set, compiled onto a 4×4 mesh healthy and under
+/// fig_mesh's 5% dead-link plan. One iteration presents one test image.
+fn bench_mesh() {
+    let scale = ExperimentScale::Tiny;
+    let (train, test) = Workload::Digits.generate(scale);
+    let mut snn = SnnNetwork::new(
+        train.input_dim(),
+        train.num_classes(),
+        SnnParams::tuned(20),
+        0x3E5A,
+    );
+    snn.set_stdp_delta(scale.stdp_delta());
+    snn.train_stdp(&train, scale.stdp_epochs());
+    snn.self_label(&train);
+    let grid = Grid::new(4, 4);
+    let dead_link = FaultPlan::new(FaultModel::DeadLink, 0.05, 0x0F_AB).unwrap();
+    let mut group = Group::new("mesh");
+    for (name, mut mesh) in [
+        ("present_784_20_4x4_healthy", MeshSnn::compile(&snn, grid)),
+        (
+            "present_784_20_4x4_dead_link",
+            MeshSnn::compile_faulty(&snn, grid, &dead_link),
+        ),
+    ] {
+        let samples = test.samples();
+        let mut item = 0usize;
+        group.bench(name, || {
+            item += 1;
+            let sample = &samples[item % samples.len()];
+            mesh.present(&sample.pixels, item as u64).label
+        });
+    }
+}
+
 fn main() {
     bench_mlp();
     bench_snn();
     bench_coding();
+    bench_mesh();
 }

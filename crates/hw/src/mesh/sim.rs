@@ -7,38 +7,48 @@
 //! last bit, the same tie-broken readout. The per-hop/per-read/per-
 //! update work is tallied into a [`MeshCost`] as a side effect.
 //!
-//! # How bit-exactness survives distribution
+//! # One fabric tick at a time
 //!
-//! The reference loop scans all neurons in ascending id order per input
-//! event; the first neuron to cross threshold fires, and every *later*
-//! neuron in that same scan is already inhibited and therefore skipped
-//! — its membrane never absorbs the event. A mesh core only sees its
-//! own neurons, so each core instead applies the event to its locals
-//! *tentatively* (recording an undo entry per touched neuron), stops at
-//! its first local threshold crossing, and nominates that neuron. The
-//! event's true firing neuron is the minimum nominated global id — the
-//! same neuron the reference scan would have reached first. Commit then
-//! replays the reference semantics exactly:
+//! Each [`SpikeCalendar`] bucket is one 1 ms tick of `k` input events.
+//! Neuron state is flat in global id order, weights column-major so an
+//! event is one contiguous sweep. A neuron's *gate* is the first ms it
+//! integrates again: the later of its refractory and inhibition
+//! deadlines, or never if the input multicast cannot reach its core.
 //!
-//! * neurons with ids **below** the firer were updated by the reference
-//!   scan before the fire — every core keeps those tentative updates;
-//! * neurons with ids **above** the firer were gated by the fresh
-//!   inhibition — every core reverts those tentative updates from its
-//!   undo log (entries are pushed in ascending local order, so the
-//!   revert is a tail pop).
+//! * Every input event is the same multicast from the ingress core, so
+//!   its packets, hops, drops, link loads and reached (listening) cores
+//!   are routed once at compile time; a tick bills `k ×` that.
+//! * An optimistic pass decays each open neuron once and adds the
+//!   tick's `k` weights in event order — the per-event scan's f64
+//!   operation sequence. Weights are `u8`, and adding a non-negative
+//!   value never decreases an f64 sum, so a crossing anywhere in the tick
+//!   shows at its end. If no open neuron ends at or above threshold the
+//!   tick commits, billing `k ×` the SRAM rows of the listening cores
+//!   and `k ×` the open neurons as updates.
+//! * Otherwise the tick replays event by event through the protocol
+//!   below — the only code that resolves fires and fault cascades, and
+//!   the one traced presentations run on every tick.
 //!
-//! Per-core event skipping mirrors the reference's `skip_until` window:
-//! the firing core can respond again at `t + min(Trefrac, Tinhibit)`,
-//! a purely-inhibited core not before `t + Tinhibit`; both bounds are
-//! exact, so skipped scans are provably no-ops. All of this requires at
-//! most one fire per event, which holds whenever `Tinhibit >= 1` (the
-//! compiler asserts it).
+//! A core also skips events until `skip_until`: `t + min(Trefrac,
+//! Tinhibit)` after its own fire, `t + Tinhibit` after an inhibition.
+//! Each fire raises all the core's gates at least that far and gates
+//! never fall, so `skip_until` never exceeds a local's gate: per-neuron
+//! gating gets the potentials right and the core skip only trims the
+//! SRAM bill.
 //!
-//! Under fabric faults the lockstep degrades *deterministically*: a
-//! core that never receives the input packet does not integrate it, a
-//! core that misses an inhibition packet keeps its tentative updates
-//! and may fire in the same event (a cascade resolved in ascending
-//! neuron order), exactly as a real mesh would misbehave.
+//! # The per-event protocol
+//!
+//! The reference scans all neurons in ascending id per event; the first
+//! to cross fires and inhibits every *later* one before it integrates. A
+//! core sees only its locals, so it integrates them tentatively (with an
+//! undo log), stops at its first crossing and nominates it. The lowest
+//! nominee is the reference's firer: neurons below it keep the event,
+//! neurons above it revert (a tail pop of the ascending undo log). This
+//! needs at most one fire per event, i.e. `Tinhibit >= 1` (asserted).
+//! Under fabric faults it degrades *deterministically*: a core the input
+//! packet misses does not integrate, and a core an inhibition packet
+//! misses keeps its updates and may fire too (a cascade resolved in
+//! ascending id), as a real mesh would misbehave.
 
 use std::fmt::Write as _;
 
@@ -109,6 +119,19 @@ impl MeshCost {
         self.sram_rows = self.sram_rows.wrapping_add(other.sram_rows);
         self.neuron_updates = self.neuron_updates.wrapping_add(other.neuron_updates);
     }
+
+    /// The bill of `k` identical events inside one tick: every count
+    /// times `k`, and so is the busiest link's load.
+    fn times(&self, k: u64) -> MeshCost {
+        MeshCost {
+            packets: self.packets.wrapping_mul(k),
+            dropped_packets: self.dropped_packets.wrapping_mul(k),
+            hops: self.hops.wrapping_mul(k),
+            peak_link_load: self.peak_link_load.wrapping_mul(k),
+            sram_rows: self.sram_rows.wrapping_mul(k),
+            neuron_updates: self.neuron_updates.wrapping_mul(k),
+        }
+    }
 }
 
 /// Outcome of presenting one image to the mesh.
@@ -129,111 +152,99 @@ pub struct MeshPresentation {
     pub cost: MeshCost,
 }
 
-/// One neuron's pre-update state, recorded so a core can revert the
-/// tentative updates an inhibition packet retroactively gates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Undo {
-    slot: usize,
-    potential: f64,
-    last_update: u32,
-}
-
-/// One simulated core: its slice of the network plus scratch state.
+/// Every neuron's state, in global id order.
 #[derive(Debug, Clone, PartialEq)]
-struct CoreNode {
-    /// Hosted neurons, ascending global ids; slot `s` is `locals[s]`.
-    locals: Vec<usize>,
-    /// Weight columns, `wcols[input * locals.len() + slot]`.
-    wcols: Vec<u8>,
+struct Neurons {
+    /// Weights column-major, `w[input * n + j]`.
+    w: Vec<u8>,
+    /// The reference decay table (`SnnNetwork::decay_lut`).
+    lut: Vec<f64>,
     thresholds: Vec<f64>,
     potentials: Vec<f64>,
     last_update: Vec<u32>,
-    refractory_until: Vec<u32>,
-    inhibited_until: Vec<u32>,
+    /// First ms at which each neuron integrates again (see module doc).
+    gate: Vec<u32>,
+    /// The whole-tick pass's tentative potentials.
+    staged: Vec<f64>,
+}
+
+impl Neurons {
+    /// The optimistic whole-tick pass: stages one decay plus the tick's
+    /// weight columns, in event order, for every neuron open at `t`. If
+    /// none ends at or above its threshold, commits and returns the
+    /// number of open neurons; otherwise leaves the state untouched.
+    fn try_tick(&mut self, bucket: &[usize], t: u32) -> Option<u64> {
+        let n = self.potentials.len();
+        for (j, s) in self.staged.iter_mut().enumerate() {
+            let dt = u64::from(t.saturating_sub(self.last_update[j]));
+            *s = self.potentials[j];
+            if t >= self.gate[j] && dt > 0 {
+                *s = decay_with_lut(&self.lut, *s, dt);
+            }
+        }
+        for &input in bucket {
+            let col = &self.w[input * n..(input + 1) * n];
+            for (s, &w) in self.staged.iter_mut().zip(col) {
+                *s += f64::from(w);
+            }
+        }
+        if (0..n).any(|j| t >= self.gate[j] && self.staged[j] >= self.thresholds[j]) {
+            return None;
+        }
+        let mut open = 0;
+        for j in (0..n).filter(|&j| t >= self.gate[j]) {
+            self.potentials[j] = self.staged[j];
+            self.last_update[j] = t;
+            open += 1;
+        }
+        Some(open)
+    }
+}
+
+/// One simulated core: its neurons, its SRAM geometry and the state of
+/// the per-event protocol.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct CoreNode {
+    /// Hosted neurons, ascending global ids.
+    locals: Vec<usize>,
+    /// SRAM rows in one weight-column burst.
+    rows: u64,
     /// First ms at which any local can respond again (see module doc).
     skip_until: u32,
-    /// Tentative updates of the current event, ascending slot order.
-    undo: Vec<Undo>,
-    /// Whether the current event's input packet reached this core.
-    delivered_event: bool,
+    /// `(neuron, potential, last_update)` before each tentative update
+    /// of the current event, ascending neuron order.
+    undo: Vec<(usize, f64, u32)>,
     /// Whether an inhibition for the current event reached this core
     /// (kills this core's own nomination).
     inhibited_event: bool,
 }
 
 impl CoreNode {
-    fn empty() -> CoreNode {
-        CoreNode {
-            locals: Vec::new(),
-            wcols: Vec::new(),
-            thresholds: Vec::new(),
-            potentials: Vec::new(),
-            last_update: Vec::new(),
-            refractory_until: Vec::new(),
-            inhibited_until: Vec::new(),
-            skip_until: 0,
-            undo: Vec::new(),
-            delivered_event: false,
-            inhibited_event: false,
+    /// Applies an event of input `i` tentatively to every open local, in
+    /// ascending order, stopping at (and nominating) the first threshold
+    /// crossing — unless the whole core is skipping. The reference
+    /// per-neuron arithmetic, verbatim.
+    fn scan(&mut self, nrn: &mut Neurons, i: usize, t: u32, cost: &mut MeshCost) -> Option<usize> {
+        if t < self.skip_until {
+            return None;
         }
-    }
-
-    fn host(locals: Vec<usize>, wcols: Vec<u8>, thresholds: Vec<f64>) -> CoreNode {
-        let n = locals.len();
-        CoreNode {
-            locals,
-            wcols,
-            thresholds,
-            potentials: vec![0.0; n],
-            last_update: vec![0; n],
-            refractory_until: vec![0; n],
-            inhibited_until: vec![0; n],
-            skip_until: 0,
-            undo: Vec::new(),
-            delivered_event: false,
-            inhibited_event: false,
-        }
-    }
-
-    fn reset(&mut self) {
-        self.potentials.fill(0.0);
-        self.last_update.fill(0);
-        self.refractory_until.fill(0);
-        self.inhibited_until.fill(0);
-        self.skip_until = 0;
-        self.undo.clear();
-        self.delivered_event = false;
-        self.inhibited_event = false;
-    }
-
-    /// Applies one input event tentatively to every un-gated local, in
-    /// ascending slot order, stopping at (and nominating) the first
-    /// threshold crossing. The reference per-neuron arithmetic, verbatim.
-    fn scan(&mut self, input: usize, t: u32, lut: &[f64], cost: &mut MeshCost) -> Option<usize> {
-        let ln = self.locals.len();
         // One burst read of the event's weight column.
-        cost.sram_rows = cost
-            .sram_rows
-            .wrapping_add(count_u64(ln.div_ceil(WEIGHTS_PER_ROW)));
-        let col = input * ln;
-        for slot in 0..ln {
-            if t < self.refractory_until[slot] || t < self.inhibited_until[slot] {
+        cost.sram_rows = cost.sram_rows.wrapping_add(self.rows);
+        let col = i * nrn.potentials.len();
+        for &j in &self.locals {
+            if t < nrn.gate[j] {
                 continue;
             }
-            self.undo.push(Undo {
-                slot,
-                potential: self.potentials[slot],
-                last_update: self.last_update[slot],
-            });
-            let dt = u64::from(t - self.last_update[slot]);
+            self.undo.push((j, nrn.potentials[j], nrn.last_update[j]));
+            let dt = u64::from(t - nrn.last_update[j]);
             if dt > 0 {
-                self.potentials[slot] = decay_with_lut(lut, self.potentials[slot], dt);
+                nrn.potentials[j] = decay_with_lut(&nrn.lut, nrn.potentials[j], dt);
             }
-            self.last_update[slot] = t;
-            self.potentials[slot] += f64::from(self.wcols[col + slot]);
+            nrn.last_update[j] = t;
+            nrn.potentials[j] += f64::from(nrn.w[col + j]);
             cost.neuron_updates = cost.neuron_updates.wrapping_add(1);
-            if self.potentials[slot] >= self.thresholds[slot] {
-                return Some(self.locals[slot]);
+            if nrn.potentials[j] >= nrn.thresholds[j] {
+                return Some(j);
             }
         }
         None
@@ -242,51 +253,28 @@ impl CoreNode {
     /// Commits a fire of local neuron `j` at `t`: locals above `j`
     /// un-integrate the event (they were gated in the reference scan),
     /// the firer resets and turns refractory, everyone else inhibits.
-    fn commit_fire(&mut self, j: usize, t: u32, t_refrac: u32, t_inhibit: u32) {
-        let slot = match self.locals.binary_search(&j) {
-            Ok(s) => s,
-            Err(_) => return, // not hosted here; nothing to commit
-        };
-        self.revert_from(slot + 1);
-        self.potentials[slot] = 0.0;
-        self.refractory_until[slot] = t + t_refrac;
-        for (k, inh) in self.inhibited_until.iter_mut().enumerate() {
-            if k != slot {
-                *inh = (*inh).max(t + t_inhibit);
-            }
-        }
-        self.skip_until = self.skip_until.max(t + t_refrac.min(t_inhibit));
-        self.inhibited_event = true;
+    fn commit_fire(&mut self, nrn: &mut Neurons, j: usize, t: u32, params: &SnnParams) {
+        let (refrac, inhibit) = (params.t_refrac, params.t_inhibit);
+        self.inhibit(nrn, j, t + inhibit, t + refrac.min(inhibit));
+        nrn.potentials[j] = 0.0;
+        // `j` was open at `t`, so its old deadlines have all passed.
+        nrn.gate[j] = t + refrac;
     }
 
-    /// Handles an inhibition packet: global neuron `j` fired at `t`.
-    /// Locals above `j` un-integrate the current event; all locals are
-    /// inhibited. Safe to receive repeatedly (cascades under faults):
-    /// reverts and window extensions are idempotent.
-    fn receive_inhibition(&mut self, j: usize, t: u32, t_inhibit: u32) {
-        // Revert from the first slot whose global id exceeds `j`.
-        let first_above = self.locals.partition_point(|&g| g <= j);
-        self.revert_from(first_above);
-        for inh in self.inhibited_until.iter_mut() {
-            *inh = (*inh).max(t + t_inhibit);
+    /// Handles global neuron `j`'s fire (an inhibition packet, or the
+    /// core's own fire): reverts the current event's updates of locals
+    /// above `j`, gates every local until at least `until` and the core
+    /// until at least `skip`.
+    fn inhibit(&mut self, nrn: &mut Neurons, j: usize, until: u32, skip: u32) {
+        while let Some((k, v, last)) = self.undo.pop_if(|u| u.0 > j) {
+            nrn.potentials[k] = v;
+            nrn.last_update[k] = last;
         }
-        self.skip_until = self.skip_until.max(t + t_inhibit);
+        for &k in &self.locals {
+            nrn.gate[k] = nrn.gate[k].max(until);
+        }
+        self.skip_until = self.skip_until.max(skip);
         self.inhibited_event = true;
-    }
-
-    /// Pops undo entries with `slot >= first_reverted`, restoring their
-    /// state. Entries are pushed in ascending slot order, so this is
-    /// the tail of the log.
-    fn revert_from(&mut self, first_reverted: usize) {
-        while let Some(&u) = self.undo.last() {
-            if u.slot >= first_reverted {
-                self.potentials[u.slot] = u.potential;
-                self.last_update[u.slot] = u.last_update;
-                self.undo.pop();
-            } else {
-                break;
-            }
-        }
     }
 }
 
@@ -299,16 +287,12 @@ fn count_u64(x: usize) -> u64 {
 fn route_packet(
     fabric: &Fabric,
     link_load: &mut [u64],
-    touched_links: &mut Vec<usize>,
     from: usize,
     to: usize,
     cost: &mut MeshCost,
 ) -> bool {
     cost.packets = cost.packets.wrapping_add(1);
     for &link in fabric.links(from, to) {
-        if link_load[link] == 0 {
-            touched_links.push(link);
-        }
         link_load[link] += 1;
         cost.hops = cost.hops.wrapping_add(1);
     }
@@ -321,12 +305,22 @@ fn route_packet(
 
 /// Closes the current 1 ms tick: folds per-link loads into the peak and
 /// clears them for the next tick.
-fn flush_tick(link_load: &mut [u64], touched_links: &mut Vec<usize>, cost: &mut MeshCost) {
-    for &link in touched_links.iter() {
-        cost.peak_link_load = cost.peak_link_load.max(link_load[link]);
-        link_load[link] = 0;
-    }
-    touched_links.clear();
+fn flush_tick(link_load: &mut [u64], cost: &mut MeshCost) {
+    let busiest = link_load.iter().copied().max().unwrap_or(0);
+    cost.peak_link_load = cost.peak_link_load.max(busiest);
+    link_load.fill(0);
+}
+
+/// One input multicast from the ingress core to every used core, routed
+/// once at compile time.
+#[derive(Debug, Clone, PartialEq)]
+struct Multicast {
+    /// Packets, hops, drops and busiest-link load of one multicast.
+    cost: MeshCost,
+    /// Per-link loads of one multicast.
+    link_load: Vec<u64>,
+    /// Used cores the multicast reaches, ascending: the listening cores.
+    reached: Vec<usize>,
 }
 
 /// A trained SNN compiled onto a many-core mesh: partitioned, placed,
@@ -339,22 +333,20 @@ pub struct MeshSnn {
     fabric: Fabric,
     coding: CodingScheme,
     params: SnnParams,
-    decay_lut: Vec<f64>,
     labels: Vec<Option<usize>>,
     /// `presentation_stream_seed(0)`; the mixing is affine in the
     /// presentation seed, so stream `p` is `base.wrapping_add(p)`.
     stream_base: u64,
     inputs: usize,
+    neurons: Neurons,
     cores: Vec<CoreNode>,
     /// Cores hosting at least one neuron, ascending.
     used: Vec<usize>,
-    /// Off-chip ingress: input spikes enter the fabric at core 0.
-    injector: usize,
+    multicast: Multicast,
     // Reused presentation scratch.
     calendar: SpikeCalendar,
     candidates: Vec<(usize, usize)>,
     link_load: Vec<u64>,
-    touched_links: Vec<usize>,
 }
 
 impl MeshSnn {
@@ -419,24 +411,28 @@ impl MeshSnn {
         );
         let grid = fabric.grid();
         let inputs = net.inputs();
-        let weights = net.weights();
-        let thresholds = net.thresholds();
-
-        let mut cores: Vec<CoreNode> = (0..grid.cores()).map(|_| CoreNode::empty()).collect();
+        let n = params.neurons;
+        let w = (0..inputs * n)
+            .map(|i| net.weights()[(i % n) * inputs + i / n])
+            .collect();
+        let mut cores: Vec<CoreNode> = vec![CoreNode::default(); grid.cores()];
         for (cluster, members) in partition.clusters().iter().enumerate() {
-            let ln = members.len();
-            let mut wcols = vec![0u8; inputs * ln];
-            for input in 0..inputs {
-                for (slot, &g) in members.iter().enumerate() {
-                    wcols[input * ln + slot] = weights[g * inputs + input];
-                }
-            }
-            let ths = members.iter().map(|&g| thresholds[g]).collect();
-            cores[placement.core_of(cluster)] = CoreNode::host(members.clone(), wcols, ths);
+            let core = &mut cores[placement.core_of(cluster)];
+            core.locals.clone_from(members);
+            core.rows = count_u64(members.len().div_ceil(WEIGHTS_PER_ROW));
         }
         let used: Vec<usize> = (0..grid.cores())
             .filter(|&c| !cores[c].locals.is_empty())
             .collect();
+        // Off-chip input spikes enter the fabric at core 0.
+        let mut mc_cost = MeshCost::default();
+        let mut mc_load = vec![0u64; grid.cores() * PORTS_PER_ROUTER];
+        let reached = used
+            .iter()
+            .copied()
+            .filter(|&c| route_packet(&fabric, &mut mc_load, 0, c, &mut mc_cost))
+            .collect();
+        mc_cost.peak_link_load = mc_load.iter().copied().max().unwrap_or(0);
 
         /// Presentation seed whose stream is the affine base point.
         const STREAM_ORIGIN: u64 = 0;
@@ -451,7 +447,6 @@ impl MeshSnn {
             "presentation stream mixing is no longer affine"
         );
 
-        let link_load = vec![0u64; grid.cores() * PORTS_PER_ROUTER];
         MeshSnn {
             grid,
             partition,
@@ -459,17 +454,28 @@ impl MeshSnn {
             fabric,
             coding: net.coding(),
             params,
-            decay_lut: net.decay_lut().to_vec(),
             labels: net.labels().to_vec(),
             stream_base,
             inputs,
+            neurons: Neurons {
+                w,
+                lut: net.decay_lut().to_vec(),
+                thresholds: net.thresholds().to_vec(),
+                potentials: vec![0.0; n],
+                last_update: vec![0; n],
+                gate: vec![0; n],
+                staged: vec![0.0; n],
+            },
             cores,
             used,
-            injector: 0,
+            multicast: Multicast {
+                cost: mc_cost,
+                link_load: mc_load,
+                reached,
+            },
             calendar: SpikeCalendar::default(),
             candidates: Vec::new(),
-            link_load,
-            touched_links: Vec::new(),
+            link_load: vec![0u64; grid.cores() * PORTS_PER_ROUTER],
         }
     }
 
@@ -561,68 +567,75 @@ impl MeshSnn {
         presentation_seed: u64,
         mut trace: Option<&mut String>,
     ) -> MeshPresentation {
-        assert_eq!(
-            pixels.len(),
-            self.inputs,
-            "pixel count {} does not match inputs {}",
-            pixels.len(),
-            self.inputs
-        );
+        assert_eq!(pixels.len(), self.inputs, "pixel count mismatch");
         let seed = self.stream_base.wrapping_add(presentation_seed);
-        let t_refrac = self.params.t_refrac;
-        let t_inhibit = self.params.t_inhibit;
-        let n = self.params.neurons;
-        let injector = self.injector;
         let MeshSnn {
             coding,
             params,
+            neurons: nrn,
             cores,
             used,
+            multicast,
             fabric,
             calendar,
             candidates,
             link_load,
-            touched_links,
-            decay_lut,
             labels,
             ..
         } = self;
-        for &c in used.iter() {
-            cores[c].reset();
+        nrn.potentials.fill(0.0);
+        nrn.last_update.fill(0);
+        // Neurons the input multicast never reaches are never open.
+        nrn.gate.fill(u32::MAX);
+        for &j in multicast.reached.iter().flat_map(|&c| &cores[c].locals) {
+            nrn.gate[j] = 0;
         }
-        link_load.fill(0);
-        touched_links.clear();
+        for &c in used.iter() {
+            cores[c].skip_until = 0;
+        }
 
         calendar.fill(*coding, pixels, params, seed, None);
 
         let mut cost = MeshCost::default();
-        let mut winner: Option<usize> = None;
         let mut fires: Vec<(u32, usize)> = Vec::new();
 
         // One calendar bucket is one tick of the fabric.
         for (t, bucket) in calendar.buckets() {
+            let k = count_u64(bucket.len());
+            // Traced runs replay every tick, like `SnnNetwork::present_traced`.
+            let committed = trace.is_none().then(|| nrn.try_tick(bucket, t));
+            if let Some(Some(open)) = committed {
+                // No fire, so no other traffic: the tick bills `k` events
+                // of one multicast, the open neurons and the SRAM rows of
+                // the listening cores that are not skipping.
+                let mut event = multicast.cost;
+                event.neuron_updates = open;
+                for &c in &multicast.reached {
+                    if t >= cores[c].skip_until {
+                        event.sram_rows += cores[c].rows;
+                    }
+                }
+                cost.absorb(&event.times(k));
+                continue;
+            }
+            cost.absorb(&multicast.cost.times(k));
+            for (load, &per_event) in link_load.iter_mut().zip(&multicast.link_load) {
+                *load += k * per_event;
+            }
+            // A crossing (or a traced run): replay the tick event by event.
             for &input in bucket {
                 if let Some(tr) = trace.as_deref_mut() {
                     let _ = writeln!(tr, "E {t} {input}");
                 }
-                // Input multicast: ingress router to every populated core.
                 for &c in used.iter() {
-                    let delivered =
-                        route_packet(fabric, link_load, touched_links, injector, c, &mut cost);
-                    let core = &mut cores[c];
-                    core.delivered_event = delivered;
-                    core.inhibited_event = false;
-                    core.undo.clear();
+                    cores[c].inhibited_event = false;
+                    cores[c].undo.clear();
                 }
-                // Tentative local integration; each core nominates at most
-                // one firing candidate.
+                // Tentative local integration; each listening core
+                // nominates at most one firing candidate.
                 candidates.clear();
-                for &c in used.iter() {
-                    let core = &mut cores[c];
-                    if !core.delivered_event || t < core.skip_until {
-                        continue;
-                    }
-                    if let Some(global) = core.scan(input, t, decay_lut, &mut cost) {
+                for &c in &multicast.reached {
+                    if let Some(global) = cores[c].scan(nrn, input, t, &mut cost) {
                         candidates.push((global, c));
                     }
                 }
@@ -636,43 +649,30 @@ impl MeshSnn {
                         continue;
                     }
                     fires.push((t, j));
-                    if winner.is_none() {
-                        winner = Some(j);
-                    }
                     if let Some(tr) = trace.as_deref_mut() {
                         let _ = writeln!(tr, "F {t} {j}");
                     }
-                    cores[cj].commit_fire(j, t, t_refrac, t_inhibit);
+                    cores[cj].commit_fire(nrn, j, t, params);
                     for &c2 in used.iter() {
-                        if c2 == cj {
-                            continue;
-                        }
-                        let delivered =
-                            route_packet(fabric, link_load, touched_links, cj, c2, &mut cost);
-                        if delivered {
-                            cores[c2].receive_inhibition(j, t, t_inhibit);
+                        if c2 != cj && route_packet(fabric, link_load, cj, c2, &mut cost) {
+                            // Idempotent, so repeats under cascades are safe.
+                            let until = t + params.t_inhibit;
+                            cores[c2].inhibit(nrn, j, until, until);
                         }
                     }
                 }
             }
-            flush_tick(link_load, touched_links, &mut cost);
+            flush_tick(link_load, &mut cost);
         }
 
-        let mut potentials = vec![0.0f64; n];
-        for &c in used.iter() {
-            let core = &cores[c];
-            for (slot, &g) in core.locals.iter().enumerate() {
-                potentials[g] = core.potentials[slot];
-            }
-        }
-        let readout = tie_broken_readout(winner, &potentials, seed);
-        let label = labels[readout].unwrap_or(0);
+        let winner = fires.first().map(|&(_, j)| j);
+        let readout = tie_broken_readout(winner, &nrn.potentials, seed);
         MeshPresentation {
             winner,
             readout,
-            label,
+            label: labels[readout].unwrap_or(0),
             fires,
-            potentials,
+            potentials: nrn.potentials.clone(),
             cost,
         }
     }
@@ -682,45 +682,95 @@ impl MeshSnn {
 mod tests {
     use super::*;
 
+    /// A core hosting `locals` of an `n`-neuron network with weights `w`,
+    /// a flat decay table of `leak` and thresholds out of reach.
+    fn host(locals: Vec<usize>, n: usize, w: Vec<u8>, leak: f64) -> (CoreNode, Neurons) {
+        let core = CoreNode {
+            locals,
+            rows: 1,
+            ..CoreNode::default()
+        };
+        let neurons = Neurons {
+            w,
+            lut: vec![leak; 501],
+            thresholds: vec![1e9; n],
+            potentials: vec![0.0; n],
+            last_update: vec![0; n],
+            gate: vec![0; n],
+            staged: vec![0.0; n],
+        };
+        (core, neurons)
+    }
+
+    fn params(t_refrac: u32, t_inhibit: u32) -> SnnParams {
+        SnnParams {
+            t_refrac,
+            t_inhibit,
+            ..SnnParams::for_neurons(1)
+        }
+    }
+
     #[test]
     fn undo_reverts_only_slots_above_the_keeper() {
-        let mut core = CoreNode::host(
-            vec![3, 7, 9],
-            vec![10, 20, 30], // one input column
-            vec![1e9, 1e9, 1e9],
-        );
-        let lut = vec![1.0; 501];
+        // Global neurons 3, 7 and 9 of a 10-neuron network live here.
+        let mut w = vec![0u8; 10];
+        (w[3], w[7], w[9]) = (10, 20, 30);
+        let (mut core, mut nrn) = host(vec![3, 7, 9], 10, w, 1.0);
         let mut cost = MeshCost::default();
-        assert_eq!(core.scan(0, 5, &lut, &mut cost), None);
-        assert_eq!(core.potentials, vec![10.0, 20.0, 30.0]);
+        let locals = |v: &[f64]| [v[3], v[7], v[9]];
+        assert_eq!(core.scan(&mut nrn, 0, 5, &mut cost), None);
+        assert_eq!(locals(&nrn.potentials), [10.0, 20.0, 30.0]);
         assert_eq!(cost.neuron_updates, 3);
-        // Local neuron 7 (slot 1) fires at t=5.
-        core.commit_fire(7, 5, 20, 5);
-        // Slot 2 reverted, slot 1 reset to 0, slot 0 kept.
-        assert_eq!(core.potentials, vec![10.0, 0.0, 0.0]);
-        assert_eq!(core.last_update, vec![5, 5, 0]);
-        assert_eq!(core.refractory_until, vec![0, 25, 0]);
-        assert_eq!(core.inhibited_until, vec![10, 0, 10]);
+        assert_eq!(cost.sram_rows, 1);
+        // Local neuron 7 fires at t=5 (Trefrac 20, Tinhibit 5).
+        core.commit_fire(&mut nrn, 7, 5, &params(20, 5));
+        // Neuron 9 reverted, neuron 7 reset to 0, neuron 3 kept.
+        assert_eq!(locals(&nrn.potentials), [10.0, 0.0, 0.0]);
+        assert_eq!(
+            [nrn.last_update[3], nrn.last_update[7], nrn.last_update[9]],
+            [5, 5, 0]
+        );
+        // The firer is refractory until 25, the others inhibited until 10.
+        assert_eq!([nrn.gate[3], nrn.gate[7], nrn.gate[9]], [10, 25, 10]);
         assert_eq!(core.skip_until, 10);
         assert!(core.inhibited_event);
     }
 
     #[test]
     fn inhibition_reverts_locals_above_the_firer_and_gates_all() {
-        let mut core = CoreNode::host(vec![2, 8], vec![5, 7], vec![1e9, 1e9]);
-        let lut = vec![1.0; 501];
+        // Global neurons 2 and 8 of a 9-neuron network live here.
+        let mut w = vec![0u8; 9];
+        (w[2], w[8]) = (5, 7);
+        let (mut core, mut nrn) = host(vec![2, 8], 9, w, 1.0);
         let mut cost = MeshCost::default();
-        assert_eq!(core.scan(0, 3, &lut, &mut cost), None);
-        assert_eq!(core.potentials, vec![5.0, 7.0]);
-        // Global neuron 4 fired at t=3: local 8 un-integrates, local 2 keeps.
-        core.receive_inhibition(4, 3, 5);
-        assert_eq!(core.potentials, vec![5.0, 0.0]);
-        assert_eq!(core.last_update, vec![3, 0]);
-        assert_eq!(core.inhibited_until, vec![8, 8]);
+        assert_eq!(core.scan(&mut nrn, 0, 3, &mut cost), None);
+        assert_eq!((nrn.potentials[2], nrn.potentials[8]), (5.0, 7.0));
+        // Global neuron 4 fired at t=3 (Tinhibit 5): local 8
+        // un-integrates, local 2 keeps.
+        core.inhibit(&mut nrn, 4, 8, 8);
+        assert_eq!((nrn.potentials[2], nrn.potentials[8]), (5.0, 0.0));
+        assert_eq!((nrn.last_update[2], nrn.last_update[8]), (3, 0));
+        assert_eq!((nrn.gate[2], nrn.gate[8]), (8, 8));
         assert_eq!(core.skip_until, 8);
         // Receiving the same inhibition again is a no-op.
-        core.receive_inhibition(4, 3, 5);
-        assert_eq!(core.potentials, vec![5.0, 0.0]);
+        core.inhibit(&mut nrn, 4, 8, 8);
+        assert_eq!((nrn.potentials[2], nrn.potentials[8]), (5.0, 0.0));
+    }
+
+    #[test]
+    fn tick_pass_commits_below_threshold_and_declines_a_crossing() {
+        // Two neurons, two inputs: w[input * 2 + j].
+        let (_, mut nrn) = host(vec![0, 1], 2, vec![1, 2, 3, 4], 0.5);
+        nrn.thresholds = vec![100.0, 10.0];
+        nrn.gate[1] = 7;
+        // Neuron 1 is gated at t=3; neuron 0 absorbs both events.
+        assert_eq!(nrn.try_tick(&[0, 1], 3), Some(1));
+        assert_eq!(nrn.potentials, vec![4.0, 0.0]);
+        assert_eq!(nrn.last_update, vec![3, 0]);
+        // At t=8 neuron 1 ends at 2 + 4 + 4 >= 10: nothing commits.
+        assert_eq!(nrn.try_tick(&[0, 1, 1], 8), None);
+        assert_eq!(nrn.potentials, vec![4.0, 0.0]);
+        assert_eq!(nrn.last_update, vec![3, 0]);
     }
 
     #[test]

@@ -1,0 +1,368 @@
+//! Pins the mesh simulator against a serial per-event reference on
+//! random small configurations.
+//!
+//! [`Reference`] is the plain per-event mesh protocol: every input event
+//! is multicast from the ingress core packet by packet, every reached
+//! core scans its locals tentatively with an undo log, nominations are
+//! resolved in ascending global id, and inhibition packets revert and
+//! gate. It is kept here, outside the library, only as the specification
+//! the tick-at-a-time simulator must reproduce bit for bit — winners,
+//! spikes, potentials (by `to_bits`), readouts, labels and every
+//! `MeshCost` counter — over random networks, parameters, coding
+//! schemes, grids and fabric fault plans. `present` must also equal
+//! `present_traced`, and the trace must equal the reference's.
+
+use std::fmt::Write as _;
+
+use nc_dataset::{Dataset, Sample};
+use nc_faults::{FaultModel, FaultPlan};
+use nc_hw::mesh::{
+    partition_snn, place_greedy, Fabric, Grid, MeshCost, MeshPresentation, MeshSnn,
+    PORTS_PER_ROUTER,
+};
+use nc_snn::{
+    decay_with_lut, tie_broken_readout, CodingScheme, SnnNetwork, SnnParams, SpikeCalendar,
+};
+use nc_substrate::check::check_cases;
+use nc_substrate::rng::SplitMix64;
+
+const CODINGS: [CodingScheme; 4] = [
+    CodingScheme::PoissonRate,
+    CodingScheme::GaussianRate,
+    CodingScheme::RankOrder,
+    CodingScheme::TimeToFirstSpike,
+];
+
+/// Input spikes enter the fabric at core 0.
+const INJECTOR: usize = 0;
+
+/// 8-bit weights per 128-bit SRAM row.
+const WEIGHTS_PER_ROW: usize = 16;
+
+#[derive(Clone, Copy)]
+struct Undo {
+    slot: usize,
+    potential: f64,
+    last_update: u32,
+}
+
+#[derive(Default)]
+struct Core {
+    locals: Vec<usize>,
+    /// `wcols[input * locals.len() + slot]`.
+    wcols: Vec<u8>,
+    thresholds: Vec<f64>,
+    potentials: Vec<f64>,
+    last_update: Vec<u32>,
+    refractory_until: Vec<u32>,
+    inhibited_until: Vec<u32>,
+    skip_until: u32,
+    undo: Vec<Undo>,
+    delivered_event: bool,
+    inhibited_event: bool,
+}
+
+impl Core {
+    fn reset(&mut self) {
+        let n = self.locals.len();
+        self.potentials = vec![0.0; n];
+        self.last_update = vec![0; n];
+        self.refractory_until = vec![0; n];
+        self.inhibited_until = vec![0; n];
+        self.skip_until = 0;
+        self.undo.clear();
+    }
+
+    fn scan(&mut self, input: usize, t: u32, lut: &[f64], cost: &mut MeshCost) -> Option<usize> {
+        let ln = self.locals.len();
+        cost.sram_rows += ln.div_ceil(WEIGHTS_PER_ROW) as u64;
+        for slot in 0..ln {
+            if t < self.refractory_until[slot] || t < self.inhibited_until[slot] {
+                continue;
+            }
+            self.undo.push(Undo {
+                slot,
+                potential: self.potentials[slot],
+                last_update: self.last_update[slot],
+            });
+            let dt = u64::from(t - self.last_update[slot]);
+            if dt > 0 {
+                self.potentials[slot] = decay_with_lut(lut, self.potentials[slot], dt);
+            }
+            self.last_update[slot] = t;
+            self.potentials[slot] += f64::from(self.wcols[input * ln + slot]);
+            cost.neuron_updates += 1;
+            if self.potentials[slot] >= self.thresholds[slot] {
+                return Some(self.locals[slot]);
+            }
+        }
+        None
+    }
+
+    fn commit_fire(&mut self, j: usize, t: u32, t_refrac: u32, t_inhibit: u32) {
+        let slot = self.locals.binary_search(&j).unwrap();
+        self.revert_from(slot + 1);
+        self.potentials[slot] = 0.0;
+        self.refractory_until[slot] = t + t_refrac;
+        for (k, inh) in self.inhibited_until.iter_mut().enumerate() {
+            if k != slot {
+                *inh = (*inh).max(t + t_inhibit);
+            }
+        }
+        self.skip_until = self.skip_until.max(t + t_refrac.min(t_inhibit));
+        self.inhibited_event = true;
+    }
+
+    fn receive_inhibition(&mut self, j: usize, t: u32, t_inhibit: u32) {
+        let first_above = self.locals.partition_point(|&g| g <= j);
+        self.revert_from(first_above);
+        for inh in self.inhibited_until.iter_mut() {
+            *inh = (*inh).max(t + t_inhibit);
+        }
+        self.skip_until = self.skip_until.max(t + t_inhibit);
+        self.inhibited_event = true;
+    }
+
+    fn revert_from(&mut self, first_reverted: usize) {
+        while let Some(&u) = self.undo.last() {
+            if u.slot < first_reverted {
+                break;
+            }
+            self.potentials[u.slot] = u.potential;
+            self.last_update[u.slot] = u.last_update;
+            self.undo.pop();
+        }
+    }
+}
+
+/// The serial per-event mesh protocol over the same compiled stages.
+struct Reference {
+    params: SnnParams,
+    coding: CodingScheme,
+    stream_base: u64,
+    lut: Vec<f64>,
+    labels: Vec<Option<usize>>,
+    fabric: Fabric,
+    cores: Vec<Core>,
+    used: Vec<usize>,
+}
+
+impl Reference {
+    fn of(net: &SnnNetwork, mesh: &MeshSnn) -> Self {
+        let inputs = net.inputs();
+        let mut cores: Vec<Core> = (0..mesh.grid().cores()).map(|_| Core::default()).collect();
+        for (cluster, members) in mesh.partition().clusters().iter().enumerate() {
+            let core = &mut cores[mesh.placement().core_of(cluster)];
+            core.locals = members.clone();
+            core.wcols = (0..inputs)
+                .flat_map(|input| members.iter().map(move |&g| (g, input)))
+                .map(|(g, input)| net.weight(g, input))
+                .collect();
+            core.thresholds = members.iter().map(|&g| net.thresholds()[g]).collect();
+        }
+        let used = (0..cores.len())
+            .filter(|&c| !cores[c].locals.is_empty())
+            .collect();
+        Reference {
+            params: *net.params(),
+            coding: net.coding(),
+            stream_base: net.presentation_stream_seed(0),
+            lut: net.decay_lut().to_vec(),
+            labels: net.labels().to_vec(),
+            fabric: mesh.fabric().clone(),
+            cores,
+            used,
+        }
+    }
+
+    fn route(&self, link_load: &mut [u64], from: usize, to: usize, cost: &mut MeshCost) -> bool {
+        cost.packets += 1;
+        for &link in self.fabric.links(from, to) {
+            link_load[link] += 1;
+            cost.hops += 1;
+        }
+        let delivered = self.fabric.delivered(from, to);
+        if !delivered {
+            cost.dropped_packets += 1;
+        }
+        delivered
+    }
+
+    fn present(&mut self, pixels: &[u8], presentation_seed: u64) -> (MeshPresentation, String) {
+        let seed = self.stream_base.wrapping_add(presentation_seed);
+        let (t_refrac, t_inhibit) = (self.params.t_refrac, self.params.t_inhibit);
+        for core in &mut self.cores {
+            core.reset();
+        }
+        let mut calendar = SpikeCalendar::default();
+        calendar.fill(self.coding, pixels, &self.params, seed, None);
+        let mut link_load = vec![0u64; self.fabric.grid().cores() * PORTS_PER_ROUTER];
+        let mut cost = MeshCost::default();
+        let mut winner = None;
+        let mut fires = Vec::new();
+        let mut trace = String::new();
+        let used = self.used.clone();
+        for (t, bucket) in calendar.buckets() {
+            for &input in bucket {
+                writeln!(trace, "E {t} {input}").unwrap();
+                for &c in &used {
+                    let delivered = self.route(&mut link_load, INJECTOR, c, &mut cost);
+                    let core = &mut self.cores[c];
+                    core.delivered_event = delivered;
+                    core.inhibited_event = false;
+                    core.undo.clear();
+                }
+                let mut candidates = Vec::new();
+                for &c in &used {
+                    let core = &mut self.cores[c];
+                    if !core.delivered_event || t < core.skip_until {
+                        continue;
+                    }
+                    if let Some(g) = core.scan(input, t, &self.lut, &mut cost) {
+                        candidates.push((g, c));
+                    }
+                }
+                candidates.sort_unstable();
+                for &(j, cj) in &candidates {
+                    if self.cores[cj].inhibited_event {
+                        continue;
+                    }
+                    fires.push((t, j));
+                    winner.get_or_insert(j);
+                    writeln!(trace, "F {t} {j}").unwrap();
+                    self.cores[cj].commit_fire(j, t, t_refrac, t_inhibit);
+                    for &c2 in &used {
+                        if c2 != cj && self.route(&mut link_load, cj, c2, &mut cost) {
+                            self.cores[c2].receive_inhibition(j, t, t_inhibit);
+                        }
+                    }
+                }
+            }
+            cost.peak_link_load = cost
+                .peak_link_load
+                .max(link_load.iter().copied().max().unwrap_or(0));
+            link_load.fill(0);
+        }
+        let mut potentials = vec![0.0f64; self.params.neurons];
+        for core in &self.cores {
+            for (slot, &g) in core.locals.iter().enumerate() {
+                potentials[g] = core.potentials[slot];
+            }
+        }
+        let readout = tie_broken_readout(winner, &potentials, seed);
+        let label = self.labels[readout].unwrap_or(0);
+        let p = MeshPresentation {
+            winner,
+            readout,
+            label,
+            fires,
+            potentials,
+            cost,
+        };
+        (p, trace)
+    }
+}
+
+fn bits(p: &MeshPresentation) -> Vec<u64> {
+    p.potentials.iter().map(|v| v.to_bits()).collect()
+}
+
+fn assert_same(got: &MeshPresentation, want: &MeshPresentation, ctx: &str) {
+    assert_eq!(got.winner, want.winner, "{ctx}: winner");
+    assert_eq!(got.fires, want.fires, "{ctx}: fires");
+    assert_eq!(bits(got), bits(want), "{ctx}: potentials");
+    assert_eq!(got.readout, want.readout, "{ctx}: readout");
+    assert_eq!(got.label, want.label, "{ctx}: label");
+    assert_eq!(got.cost, want.cost, "{ctx}: cost");
+}
+
+fn random_pixels(rng: &mut SplitMix64, inputs: usize) -> Vec<u8> {
+    // A quarter of the pixels dark, the rest uniform.
+    (0..inputs)
+        .map(|_| {
+            if rng.next_below(4) == 0 {
+                0
+            } else {
+                u8::try_from(rng.next_below(256)).unwrap()
+            }
+        })
+        .collect()
+}
+
+fn random_params(rng: &mut SplitMix64, neurons: usize) -> SnnParams {
+    let mut params = SnnParams::for_neurons(neurons);
+    params.t_period = 20 + u32::try_from(rng.next_below(481)).unwrap();
+    params.t_leak = 5.0 + rng.next_below(1000) as f64;
+    params.t_inhibit = 1 + u32::try_from(rng.next_below(30)).unwrap();
+    params.t_refrac = 1 + u32::try_from(rng.next_below(40)).unwrap();
+    params.max_rate_hz = 20.0 + rng.next_below(180) as f64;
+    // From "fires every few events" to "rarely fires".
+    params.initial_threshold = 100.0 + rng.next_below(6000) as f64;
+    params
+}
+
+fn random_fabric(rng: &mut SplitMix64, grid: Grid) -> Fabric {
+    let rate = rng.next_below(51) as f64 / 100.0;
+    let model = match rng.next_below(3) {
+        0 => return Fabric::healthy(grid),
+        1 => FaultModel::DeadLink,
+        _ => FaultModel::DeadRouter,
+    };
+    Fabric::with_plan(grid, &FaultPlan::new(model, rate, rng.next_u64()).unwrap())
+}
+
+#[test]
+fn tick_simulator_matches_the_per_event_reference() {
+    // Fires, drops and same-tick fire pairs over all cases, so the
+    // harness cannot pass on silent or fault-free presentations.
+    let seen = std::cell::Cell::new((0usize, 0u64, 0usize));
+    check_cases(0x3E5A_D1FF, 400, |case, rng| {
+        let inputs = 1 + rng.next_below(48) as usize;
+        let neurons = 1 + rng.next_below(24) as usize;
+        let coding = CODINGS[rng.next_below(4) as usize];
+        let params = random_params(rng, neurons);
+        let mut net = SnnNetwork::with_coding(inputs, 3, params, coding, rng.next_u64());
+        if rng.next_below(2) == 0 {
+            // Labelled neurons, so the label readout is exercised.
+            let samples = (0..6)
+                .map(|i| Sample {
+                    pixels: random_pixels(rng, inputs),
+                    label: i % 3,
+                })
+                .collect();
+            let data = Dataset::from_samples(inputs, 1, 3, samples).unwrap();
+            net.self_label(&data);
+        }
+        let w = 1 + rng.next_below(4) as usize;
+        let h = 1 + rng.next_below(4) as usize;
+        let grid = Grid::new(w, h);
+        let fabric = random_fabric(rng, grid);
+        let partition = partition_snn(&net, grid.cores());
+        let placement = place_greedy(&partition, grid);
+        let mut mesh = MeshSnn::compiled(&net, partition, placement, fabric);
+        let mut reference = Reference::of(&net, &mesh);
+        for k in 0..3u64 {
+            let pixels = random_pixels(rng, inputs);
+            let pseed = rng.next_u64();
+            let ctx = format!(
+                "case {case} image {k}: {inputs} inputs, {neurons} neurons, {coding:?}, {w}x{h}"
+            );
+            let (want, want_trace) = reference.present(&pixels, pseed);
+            let got = mesh.present(&pixels, pseed);
+            assert_same(&got, &want, &ctx);
+            let (traced, trace) = mesh.present_traced(&pixels, pseed);
+            assert_same(&traced, &got, &format!("{ctx} (traced)"));
+            assert_eq!(trace, want_trace, "{ctx}: trace");
+            let (fires, dropped, pairs) = seen.get();
+            seen.set((
+                fires + got.fires.len(),
+                dropped + got.cost.dropped_packets,
+                pairs + got.fires.windows(2).filter(|f| f[0].0 == f[1].0).count(),
+            ));
+        }
+    });
+    let (fires, dropped, pairs) = seen.get();
+    assert!(fires > 100, "only {fires} fires");
+    assert!(dropped > 0, "no packet was ever dropped");
+    assert!(pairs > 0, "no tick ever fired twice");
+}

@@ -175,9 +175,12 @@ fn rank_order(pixels: &[u8], params: &SnnParams, events: &mut Vec<SpikeEvent>) {
                 input,
             }),
     );
-    // Ranks that share a millisecond are emitted by luminance; the
-    // calendar's buckets list inputs ascending.
-    events.sort_unstable_by_key(|e| (e.t, e.input));
+    // Times never decrease with rank, but ranks that share a millisecond
+    // are emitted by luminance; the calendar's buckets list inputs
+    // ascending, so each run of one millisecond is sorted by input.
+    for run in events.chunk_by_mut(|a, b| a.t == b.t) {
+        run.sort_unstable_by_key(|e| e.input);
+    }
 }
 
 fn time_to_first_spike(pixels: &[u8], params: &SnnParams, events: &mut Vec<SpikeEvent>) {
@@ -204,8 +207,8 @@ fn time_to_first_spike(pixels: &[u8], params: &SnnParams, events: &mut Vec<Spike
 ///
 /// The generators emit pixel-major (inputs ascending, times ascending
 /// within a pixel), so one stable counting sort by millisecond yields
-/// that order without comparisons. Rank order emits by rank and sorts its
-/// own train first.
+/// that order without comparisons. Rank order emits by rank and sorts
+/// each millisecond of its own train by input first.
 #[derive(Debug, Clone, Default)]
 pub struct SpikeCalendar {
     /// Spikes in generation order, before the counting sort.
