@@ -18,9 +18,8 @@
 //!   previously committed record and exits non-zero on a >20% regression.
 //! * `NC_BENCH_SMOKE=1` shrinks sample counts for CI smoke runs.
 
-use nc_bench::microbench::{BenchResult, Group};
-use nc_bench::{baseline_from_args, baseline_per_sec, git_short_sha, json_path_from_args};
-use nc_core::{BenchRecord, SectionRecord};
+use nc_bench::microbench::{write_record_from_args, BenchResult, Group};
+use nc_bench::{baseline_from_args, baseline_per_sec};
 use nc_dataset::model::Model;
 use nc_dataset::{digits::DigitsSpec, Difficulty, PixelSlab};
 use nc_mlp::{Activation, Mlp, QuantizedMlp};
@@ -107,27 +106,6 @@ fn bench_all() -> Vec<BenchResult> {
     results
 }
 
-fn to_record(results: &[BenchResult]) -> BenchRecord {
-    BenchRecord {
-        git_sha: git_short_sha(),
-        bin: "kernels".to_string(),
-        threads: 1,
-        scale: "bench".to_string(),
-        sections: results
-            .iter()
-            .map(|r| {
-                let samples = r.iters * r.samples as u64;
-                SectionRecord {
-                    name: r.name.clone(),
-                    wall_s: r.median.as_secs_f64() * samples as f64,
-                    samples,
-                }
-            })
-            .collect(),
-        snapshot: nc_core::ObsSnapshot::default(),
-    }
-}
-
 /// The sections this harness gates regressions on: the single-image
 /// presentation loop and the batched 50-image evaluation path.
 const GATES: &[&str] = &["e2e/fig3_present_784_50", "e2e/fig3_evaluate_50imgs"];
@@ -135,13 +113,7 @@ const GATES: &[&str] = &["e2e/fig3_present_784_50", "e2e/fig3_evaluate_50imgs"];
 fn main() {
     let results = bench_all();
 
-    if let Some(path) = json_path_from_args() {
-        let record = to_record(&results);
-        match std::fs::write(&path, record.to_json()) {
-            Ok(()) => eprintln!("[wrote {}]", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
-    }
+    write_record_from_args("kernels", &results);
 
     if let Some(path) = baseline_from_args() {
         let json = match std::fs::read_to_string(&path) {

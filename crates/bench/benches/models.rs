@@ -6,15 +6,19 @@
 //! experiments — and document the event-driven-vs-dense speedup the
 //! analytic leak buys (the same trick the hardware uses).
 //!
-//! Run with: `cargo bench -p nc-bench --features bench-harness`
+//! Run with: `cargo bench -p nc-bench --features bench-harness --bench models`
+//!
+//! * `--json <path>` writes the results as a `BenchRecord`, one section
+//!   per benchmark, as the `kernels` bench does.
+//! * `NC_BENCH_SMOKE=1` shrinks sample counts for CI smoke runs.
 
-use nc_bench::microbench::Group;
+use nc_bench::microbench::{write_record_from_args, BenchResult, Group};
 use nc_core::{ExperimentScale, FaultModel, FaultPlan, Workload};
 use nc_dataset::{digits::DigitsSpec, Difficulty};
 use nc_hw::mesh::{Grid, MeshSnn};
 use nc_mlp::{Activation, Mlp, QuantizedMlp, TrainConfig, Trainer};
 use nc_snn::coding::CodingScheme;
-use nc_snn::{SnnNetwork, SnnParams};
+use nc_snn::{SnnNetwork, SnnParams, SpikeCalendar};
 
 fn data() -> (nc_dataset::Dataset, nc_dataset::Dataset) {
     DigitsSpec {
@@ -26,7 +30,7 @@ fn data() -> (nc_dataset::Dataset, nc_dataset::Dataset) {
     .generate()
 }
 
-fn bench_mlp() {
+fn bench_mlp() -> Vec<BenchResult> {
     let (train, test) = data();
     let mut group = Group::new("mlp");
 
@@ -55,9 +59,10 @@ fn bench_mlp() {
         })
         .fit(&mut m, &train)
     });
+    group.results().to_vec()
 }
 
-fn bench_snn() {
+fn bench_snn() -> Vec<BenchResult> {
     let (train, test) = data();
     let mut group = Group::new("snn");
 
@@ -96,13 +101,17 @@ fn bench_snn() {
         s.set_stdp_delta(4);
         s.train_stdp(&train, 1)
     });
+    group.results().to_vec()
 }
 
-fn bench_coding() {
+fn bench_coding() -> Vec<BenchResult> {
     let (_, test) = data();
     let pixels = &test.samples()[0].pixels;
     let params = SnnParams::paper();
     let mut group = Group::new("coding");
+    // One reused calendar, so the sections time the generators and the
+    // counting sort rather than allocation.
+    let mut calendar = SpikeCalendar::default();
     for (name, scheme) in [
         ("poisson_rate", CodingScheme::PoissonRate),
         ("gaussian_rate", CodingScheme::GaussianRate),
@@ -112,15 +121,17 @@ fn bench_coding() {
         let mut seed = 0u64;
         group.bench(name, || {
             seed += 1;
-            scheme.encode(pixels, &params, seed)
+            calendar.fill(scheme, pixels, &params, seed, None);
+            std::hint::black_box(&calendar);
         });
     }
+    group.results().to_vec()
 }
 
 /// The fig_mesh recipe at tiny scale: 20 tuned LIF neurons trained by
 /// STDP on the digits set, compiled onto a 4×4 mesh healthy and under
 /// fig_mesh's 5% dead-link plan. One iteration presents one test image.
-fn bench_mesh() {
+fn bench_mesh() -> Vec<BenchResult> {
     let scale = ExperimentScale::Tiny;
     let (train, test) = Workload::Digits.generate(scale);
     let mut snn = SnnNetwork::new(
@@ -150,11 +161,13 @@ fn bench_mesh() {
             mesh.present(&sample.pixels, item as u64).label
         });
     }
+    group.results().to_vec()
 }
 
 fn main() {
-    bench_mlp();
-    bench_snn();
-    bench_coding();
-    bench_mesh();
+    let mut results = bench_mlp();
+    results.extend(bench_snn());
+    results.extend(bench_coding());
+    results.extend(bench_mesh());
+    write_record_from_args("models", &results);
 }

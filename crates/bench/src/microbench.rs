@@ -9,6 +9,10 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use nc_core::{BenchRecord, SectionRecord};
+
+use crate::{git_short_sha, json_path_from_args};
+
 /// Target wall-clock per measured sample.
 const SAMPLE_TARGET: Duration = Duration::from_millis(40);
 /// Number of measured samples.
@@ -153,6 +157,42 @@ impl Group {
     /// The collected results.
     pub fn results(&self) -> &[BenchResult] {
         &self.results
+    }
+}
+
+/// The results as a `BenchRecord` of bench binary `bin`: one section per
+/// benchmark, `samples` = iterations timed and `wall_s` = that many
+/// iterations at the median time, so `samples_per_sec` is iterations/sec
+/// at the median.
+pub fn bench_record(bin: &str, results: &[BenchResult]) -> BenchRecord {
+    BenchRecord {
+        git_sha: git_short_sha(),
+        bin: bin.to_string(),
+        threads: 1,
+        scale: "bench".to_string(),
+        sections: results
+            .iter()
+            .map(|r| {
+                let samples = r.iters * r.samples as u64;
+                SectionRecord {
+                    name: r.name.clone(),
+                    wall_s: r.median.as_secs_f64() * samples as f64,
+                    samples,
+                }
+            })
+            .collect(),
+        snapshot: nc_core::ObsSnapshot::default(),
+    }
+}
+
+/// Writes [`bench_record`] to the `--json <path>` argument, if one was
+/// given; a failed write warns instead of failing the run.
+pub fn write_record_from_args(bin: &str, results: &[BenchResult]) {
+    if let Some(path) = json_path_from_args() {
+        match std::fs::write(&path, bench_record(bin, results).to_json()) {
+            Ok(()) => eprintln!("[wrote {}]", path.display()),
+            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+        }
     }
 }
 

@@ -10,24 +10,23 @@
 //! # One fabric tick at a time
 //!
 //! Each [`SpikeCalendar`] bucket is one 1 ms tick of `k` input events.
-//! Neuron state is flat in global id order, weights column-major so an
-//! event is one contiguous sweep. A neuron's *gate* is the first ms it
-//! integrates again: the later of its refractory and inhibition
-//! deadlines, or never if the input multicast cannot reach its core.
+//! Neuron state is a [`TickState`] in global id order next to
+//! column-major `f64` weights; a neuron the input multicast cannot reach
+//! is gated for good.
 //!
+//! * Every tick first goes through the gated whole-tick pass
+//!   ([`TickState::try_tick`]) that the reference loop runs too. If no
+//!   open neuron ends at or above threshold, the tick had no fire and
+//!   commits.
+//! * Otherwise it replays event by event through the protocol below —
+//!   the only code that resolves fires and fault cascades, and the one
+//!   traced presentations run on every tick.
 //! * Every input event is the same multicast from the ingress core, so
 //!   its packets, hops, drops, link loads and reached (listening) cores
-//!   are routed once at compile time; a tick bills `k ×` that.
-//! * An optimistic pass decays each open neuron once and adds the
-//!   tick's `k` weights in event order — the per-event scan's f64
-//!   operation sequence. Weights are `u8`, and adding a non-negative
-//!   value never decreases an f64 sum, so a crossing anywhere in the tick
-//!   shows at its end. If no open neuron ends at or above threshold the
-//!   tick commits, billing `k ×` the SRAM rows of the listening cores
-//!   and `k ×` the open neurons as updates.
-//! * Otherwise the tick replays event by event through the protocol
-//!   below — the only code that resolves fires and fault cascades, and
-//!   the one traced presentations run on every tick.
+//!   are routed once at compile time and billed once per presentation:
+//!   times the input events, and its busiest link times the widest tick.
+//!   A committed tick adds `k ×` the SRAM rows of the listening cores
+//!   that are not skipping and `k ×` its open neurons as updates.
 //!
 //! A core also skips events until `skip_until`: `t + min(Trefrac,
 //! Tinhibit)` after its own fire, `t + Tinhibit` after an inhibition.
@@ -61,7 +60,7 @@ use crate::mesh::{
 use crate::sram::{bank_area_um2, bank_read_energy_pj};
 use nc_faults::FaultPlan;
 use nc_snn::network::decay_with_lut;
-use nc_snn::{tie_broken_readout, CodingScheme, SnnNetwork, SnnParams, SpikeCalendar};
+use nc_snn::{tie_broken_readout, CodingScheme, SnnNetwork, SnnParams, SpikeCalendar, TickState};
 
 /// Synaptic SRAM bank depth (rows per bank), the TrueNorth-style core
 /// geometry shared with [`crate::truenorth`].
@@ -119,19 +118,6 @@ impl MeshCost {
         self.sram_rows = self.sram_rows.wrapping_add(other.sram_rows);
         self.neuron_updates = self.neuron_updates.wrapping_add(other.neuron_updates);
     }
-
-    /// The bill of `k` identical events inside one tick: every count
-    /// times `k`, and so is the busiest link's load.
-    fn times(&self, k: u64) -> MeshCost {
-        MeshCost {
-            packets: self.packets.wrapping_mul(k),
-            dropped_packets: self.dropped_packets.wrapping_mul(k),
-            hops: self.hops.wrapping_mul(k),
-            peak_link_load: self.peak_link_load.wrapping_mul(k),
-            sram_rows: self.sram_rows.wrapping_mul(k),
-            neuron_updates: self.neuron_updates.wrapping_mul(k),
-        }
-    }
 }
 
 /// Outcome of presenting one image to the mesh.
@@ -152,53 +138,16 @@ pub struct MeshPresentation {
     pub cost: MeshCost,
 }
 
-/// Every neuron's state, in global id order.
-#[derive(Debug, Clone, PartialEq)]
+/// Every neuron's synapses and state, in global id order.
+#[derive(Debug, Clone)]
 struct Neurons {
-    /// Weights column-major, `w[input * n + j]`.
-    w: Vec<u8>,
+    /// Weights column-major, `w[input * n + j]`; `f64::from` of the
+    /// network's `u8`s, which is exact.
+    w: Vec<f64>,
     /// The reference decay table (`SnnNetwork::decay_lut`).
     lut: Vec<f64>,
     thresholds: Vec<f64>,
-    potentials: Vec<f64>,
-    last_update: Vec<u32>,
-    /// First ms at which each neuron integrates again (see module doc).
-    gate: Vec<u32>,
-    /// The whole-tick pass's tentative potentials.
-    staged: Vec<f64>,
-}
-
-impl Neurons {
-    /// The optimistic whole-tick pass: stages one decay plus the tick's
-    /// weight columns, in event order, for every neuron open at `t`. If
-    /// none ends at or above its threshold, commits and returns the
-    /// number of open neurons; otherwise leaves the state untouched.
-    fn try_tick(&mut self, bucket: &[usize], t: u32) -> Option<u64> {
-        let n = self.potentials.len();
-        for (j, s) in self.staged.iter_mut().enumerate() {
-            let dt = u64::from(t.saturating_sub(self.last_update[j]));
-            *s = self.potentials[j];
-            if t >= self.gate[j] && dt > 0 {
-                *s = decay_with_lut(&self.lut, *s, dt);
-            }
-        }
-        for &input in bucket {
-            let col = &self.w[input * n..(input + 1) * n];
-            for (s, &w) in self.staged.iter_mut().zip(col) {
-                *s += f64::from(w);
-            }
-        }
-        if (0..n).any(|j| t >= self.gate[j] && self.staged[j] >= self.thresholds[j]) {
-            return None;
-        }
-        let mut open = 0;
-        for j in (0..n).filter(|&j| t >= self.gate[j]) {
-            self.potentials[j] = self.staged[j];
-            self.last_update[j] = t;
-            open += 1;
-        }
-        Some(open)
-    }
+    state: TickState,
 }
 
 /// One simulated core: its neurons, its SRAM geometry and the state of
@@ -230,20 +179,21 @@ impl CoreNode {
         }
         // One burst read of the event's weight column.
         cost.sram_rows = cost.sram_rows.wrapping_add(self.rows);
-        let col = i * nrn.potentials.len();
+        let s = &mut nrn.state;
+        let col = i * s.potentials.len();
         for &j in &self.locals {
-            if t < nrn.gate[j] {
+            if t < s.gate()[j] {
                 continue;
             }
-            self.undo.push((j, nrn.potentials[j], nrn.last_update[j]));
-            let dt = u64::from(t - nrn.last_update[j]);
+            self.undo.push((j, s.potentials[j], s.last_update[j]));
+            let dt = u64::from(t - s.last_update[j]);
             if dt > 0 {
-                nrn.potentials[j] = decay_with_lut(&nrn.lut, nrn.potentials[j], dt);
+                s.potentials[j] = decay_with_lut(&nrn.lut, s.potentials[j], dt);
             }
-            nrn.last_update[j] = t;
-            nrn.potentials[j] += f64::from(nrn.w[col + j]);
+            s.last_update[j] = t;
+            s.potentials[j] += nrn.w[col + j];
             cost.neuron_updates = cost.neuron_updates.wrapping_add(1);
-            if nrn.potentials[j] >= nrn.thresholds[j] {
+            if s.potentials[j] >= nrn.thresholds[j] {
                 return Some(j);
             }
         }
@@ -256,22 +206,23 @@ impl CoreNode {
     fn commit_fire(&mut self, nrn: &mut Neurons, j: usize, t: u32, params: &SnnParams) {
         let (refrac, inhibit) = (params.t_refrac, params.t_inhibit);
         self.inhibit(nrn, j, t + inhibit, t + refrac.min(inhibit));
-        nrn.potentials[j] = 0.0;
+        nrn.state.potentials[j] = 0.0;
         // `j` was open at `t`, so its old deadlines have all passed.
-        nrn.gate[j] = t + refrac;
+        nrn.state.raise_gate(j, t + refrac);
     }
 
     /// Handles global neuron `j`'s fire (an inhibition packet, or the
     /// core's own fire): reverts the current event's updates of locals
-    /// above `j`, gates every local until at least `until` and the core
-    /// until at least `skip`.
+    /// above `j`, gates every other local until at least `until` and the
+    /// core until at least `skip`.
     fn inhibit(&mut self, nrn: &mut Neurons, j: usize, until: u32, skip: u32) {
+        let s = &mut nrn.state;
         while let Some((k, v, last)) = self.undo.pop_if(|u| u.0 > j) {
-            nrn.potentials[k] = v;
-            nrn.last_update[k] = last;
+            s.potentials[k] = v;
+            s.last_update[k] = last;
         }
-        for &k in &self.locals {
-            nrn.gate[k] = nrn.gate[k].max(until);
+        for &k in self.locals.iter().filter(|&&k| k != j) {
+            s.raise_gate(k, until);
         }
         self.skip_until = self.skip_until.max(skip);
         self.inhibited_event = true;
@@ -301,14 +252,6 @@ fn route_packet(
         cost.dropped_packets = cost.dropped_packets.wrapping_add(1);
     }
     delivered
-}
-
-/// Closes the current 1 ms tick: folds per-link loads into the peak and
-/// clears them for the next tick.
-fn flush_tick(link_load: &mut [u64], cost: &mut MeshCost) {
-    let busiest = link_load.iter().copied().max().unwrap_or(0);
-    cost.peak_link_load = cost.peak_link_load.max(busiest);
-    link_load.fill(0);
 }
 
 /// One input multicast from the ingress core to every used core, routed
@@ -413,7 +356,7 @@ impl MeshSnn {
         let inputs = net.inputs();
         let n = params.neurons;
         let w = (0..inputs * n)
-            .map(|i| net.weights()[(i % n) * inputs + i / n])
+            .map(|i| f64::from(net.weights()[(i % n) * inputs + i / n]))
             .collect();
         let mut cores: Vec<CoreNode> = vec![CoreNode::default(); grid.cores()];
         for (cluster, members) in partition.clusters().iter().enumerate() {
@@ -461,10 +404,7 @@ impl MeshSnn {
                 w,
                 lut: net.decay_lut().to_vec(),
                 thresholds: net.thresholds().to_vec(),
-                potentials: vec![0.0; n],
-                last_update: vec![0; n],
-                gate: vec![0; n],
-                staged: vec![0.0; n],
+                state: TickState::default(),
             },
             cores,
             used,
@@ -583,42 +523,54 @@ impl MeshSnn {
             labels,
             ..
         } = self;
-        nrn.potentials.fill(0.0);
-        nrn.last_update.fill(0);
-        // Neurons the input multicast never reaches are never open.
-        nrn.gate.fill(u32::MAX);
-        for &j in multicast.reached.iter().flat_map(|&c| &cores[c].locals) {
-            nrn.gate[j] = 0;
-        }
+        let n = nrn.thresholds.len();
+        nrn.state.reset(n);
         for &c in used.iter() {
             cores[c].skip_until = 0;
+            // Neurons the input multicast never reaches are never open.
+            if multicast.reached.binary_search(&c).is_err() {
+                for &j in &cores[c].locals {
+                    nrn.state.raise_gate(j, u32::MAX);
+                }
+            }
         }
 
         calendar.fill(*coding, pixels, params, seed, None);
 
         let mut cost = MeshCost::default();
         let mut fires: Vec<(u32, usize)> = Vec::new();
+        // The multicast's share of the bill, summed over the presentation:
+        // input events, the widest tick, and the committed ticks' SRAM rows
+        // and neuron updates.
+        let (mut events, mut widest, mut rows, mut updates) = (0u64, 0u64, 0u64, 0u64);
 
         // One calendar bucket is one tick of the fabric.
         for (t, bucket) in calendar.buckets() {
             let k = count_u64(bucket.len());
+            events = events.wrapping_add(k);
+            widest = widest.max(k);
             // Traced runs replay every tick, like `SnnNetwork::present_traced`.
-            let committed = trace.is_none().then(|| nrn.try_tick(bucket, t));
-            if let Some(Some(open)) = committed {
-                // No fire, so no other traffic: the tick bills `k` events
-                // of one multicast, the open neurons and the SRAM rows of
-                // the listening cores that are not skipping.
-                let mut event = multicast.cost;
-                event.neuron_updates = open;
-                for &c in &multicast.reached {
-                    if t >= cores[c].skip_until {
-                        event.sram_rows += cores[c].rows;
-                    }
-                }
-                cost.absorb(&event.times(k));
+            let committed = match trace {
+                None => nrn
+                    .state
+                    .try_tick(&nrn.w, &nrn.lut, &nrn.thresholds, bucket, t),
+                Some(_) => None,
+            };
+            if let Some(open) = committed {
+                // No fire, so no other traffic: the tick reads `k` columns
+                // on every listening core that is not skipping and updates
+                // the open neurons `k` times.
+                let listening: u64 = multicast
+                    .reached
+                    .iter()
+                    .map(|&c| &cores[c])
+                    .filter(|core| t >= core.skip_until)
+                    .map(|core| core.rows)
+                    .sum();
+                rows = rows.wrapping_add(k.wrapping_mul(listening));
+                updates = updates.wrapping_add(k.wrapping_mul(count_u64(open)));
                 continue;
             }
-            cost.absorb(&multicast.cost.times(k));
             for (load, &per_event) in link_load.iter_mut().zip(&multicast.link_load) {
                 *load += k * per_event;
             }
@@ -662,17 +614,29 @@ impl MeshSnn {
                     }
                 }
             }
-            flush_tick(link_load, &mut cost);
+            // Close the tick: its busiest link, then clear the loads.
+            let busiest = link_load.iter().copied().max().unwrap_or(0);
+            cost.peak_link_load = cost.peak_link_load.max(busiest);
+            link_load.fill(0);
         }
+        let mc = &multicast.cost;
+        cost.absorb(&MeshCost {
+            packets: mc.packets.wrapping_mul(events),
+            dropped_packets: mc.dropped_packets.wrapping_mul(events),
+            hops: mc.hops.wrapping_mul(events),
+            peak_link_load: mc.peak_link_load.wrapping_mul(widest),
+            sram_rows: rows,
+            neuron_updates: updates,
+        });
 
         let winner = fires.first().map(|&(_, j)| j);
-        let readout = tie_broken_readout(winner, &nrn.potentials, seed);
+        let readout = tie_broken_readout(winner, &nrn.state.potentials, seed);
         MeshPresentation {
             winner,
             readout,
             label: labels[readout].unwrap_or(0),
             fires,
-            potentials: nrn.potentials.clone(),
+            potentials: nrn.state.potentials.clone(),
             cost,
         }
     }
@@ -684,21 +648,19 @@ mod tests {
 
     /// A core hosting `locals` of an `n`-neuron network with weights `w`,
     /// a flat decay table of `leak` and thresholds out of reach.
-    fn host(locals: Vec<usize>, n: usize, w: Vec<u8>, leak: f64) -> (CoreNode, Neurons) {
+    fn host(locals: Vec<usize>, n: usize, w: Vec<f64>, leak: f64) -> (CoreNode, Neurons) {
         let core = CoreNode {
             locals,
             rows: 1,
             ..CoreNode::default()
         };
-        let neurons = Neurons {
+        let mut neurons = Neurons {
             w,
             lut: vec![leak; 501],
             thresholds: vec![1e9; n],
-            potentials: vec![0.0; n],
-            last_update: vec![0; n],
-            gate: vec![0; n],
-            staged: vec![0.0; n],
+            state: TickState::default(),
         };
+        neurons.state.reset(n);
         (core, neurons)
     }
 
@@ -713,25 +675,36 @@ mod tests {
     #[test]
     fn undo_reverts_only_slots_above_the_keeper() {
         // Global neurons 3, 7 and 9 of a 10-neuron network live here.
-        let mut w = vec![0u8; 10];
-        (w[3], w[7], w[9]) = (10, 20, 30);
+        let mut w = vec![0.0; 10];
+        (w[3], w[7], w[9]) = (10.0, 20.0, 30.0);
         let (mut core, mut nrn) = host(vec![3, 7, 9], 10, w, 1.0);
         let mut cost = MeshCost::default();
         let locals = |v: &[f64]| [v[3], v[7], v[9]];
         assert_eq!(core.scan(&mut nrn, 0, 5, &mut cost), None);
-        assert_eq!(locals(&nrn.potentials), [10.0, 20.0, 30.0]);
+        assert_eq!(locals(&nrn.state.potentials), [10.0, 20.0, 30.0]);
         assert_eq!(cost.neuron_updates, 3);
         assert_eq!(cost.sram_rows, 1);
         // Local neuron 7 fires at t=5 (Trefrac 20, Tinhibit 5).
         core.commit_fire(&mut nrn, 7, 5, &params(20, 5));
         // Neuron 9 reverted, neuron 7 reset to 0, neuron 3 kept.
-        assert_eq!(locals(&nrn.potentials), [10.0, 0.0, 0.0]);
+        assert_eq!(locals(&nrn.state.potentials), [10.0, 0.0, 0.0]);
         assert_eq!(
-            [nrn.last_update[3], nrn.last_update[7], nrn.last_update[9]],
+            [
+                nrn.state.last_update[3],
+                nrn.state.last_update[7],
+                nrn.state.last_update[9]
+            ],
             [5, 5, 0]
         );
         // The firer is refractory until 25, the others inhibited until 10.
-        assert_eq!([nrn.gate[3], nrn.gate[7], nrn.gate[9]], [10, 25, 10]);
+        assert_eq!(
+            [
+                nrn.state.gate()[3],
+                nrn.state.gate()[7],
+                nrn.state.gate()[9]
+            ],
+            [10, 25, 10]
+        );
         assert_eq!(core.skip_until, 10);
         assert!(core.inhibited_event);
     }
@@ -739,38 +712,48 @@ mod tests {
     #[test]
     fn inhibition_reverts_locals_above_the_firer_and_gates_all() {
         // Global neurons 2 and 8 of a 9-neuron network live here.
-        let mut w = vec![0u8; 9];
-        (w[2], w[8]) = (5, 7);
+        let mut w = vec![0.0; 9];
+        (w[2], w[8]) = (5.0, 7.0);
         let (mut core, mut nrn) = host(vec![2, 8], 9, w, 1.0);
         let mut cost = MeshCost::default();
         assert_eq!(core.scan(&mut nrn, 0, 3, &mut cost), None);
-        assert_eq!((nrn.potentials[2], nrn.potentials[8]), (5.0, 7.0));
+        assert_eq!(
+            (nrn.state.potentials[2], nrn.state.potentials[8]),
+            (5.0, 7.0)
+        );
         // Global neuron 4 fired at t=3 (Tinhibit 5): local 8
         // un-integrates, local 2 keeps.
         core.inhibit(&mut nrn, 4, 8, 8);
-        assert_eq!((nrn.potentials[2], nrn.potentials[8]), (5.0, 0.0));
-        assert_eq!((nrn.last_update[2], nrn.last_update[8]), (3, 0));
-        assert_eq!((nrn.gate[2], nrn.gate[8]), (8, 8));
+        assert_eq!(
+            (nrn.state.potentials[2], nrn.state.potentials[8]),
+            (5.0, 0.0)
+        );
+        assert_eq!((nrn.state.last_update[2], nrn.state.last_update[8]), (3, 0));
+        assert_eq!((nrn.state.gate()[2], nrn.state.gate()[8]), (8, 8));
         assert_eq!(core.skip_until, 8);
         // Receiving the same inhibition again is a no-op.
         core.inhibit(&mut nrn, 4, 8, 8);
-        assert_eq!((nrn.potentials[2], nrn.potentials[8]), (5.0, 0.0));
+        assert_eq!(
+            (nrn.state.potentials[2], nrn.state.potentials[8]),
+            (5.0, 0.0)
+        );
     }
 
     #[test]
     fn tick_pass_commits_below_threshold_and_declines_a_crossing() {
         // Two neurons, two inputs: w[input * 2 + j].
-        let (_, mut nrn) = host(vec![0, 1], 2, vec![1, 2, 3, 4], 0.5);
+        let (_, mut nrn) = host(vec![0, 1], 2, vec![1.0, 2.0, 3.0, 4.0], 0.5);
         nrn.thresholds = vec![100.0, 10.0];
-        nrn.gate[1] = 7;
+        nrn.state.raise_gate(1, 7);
+        let (w, lut, th) = (&nrn.w, &nrn.lut, &nrn.thresholds);
         // Neuron 1 is gated at t=3; neuron 0 absorbs both events.
-        assert_eq!(nrn.try_tick(&[0, 1], 3), Some(1));
-        assert_eq!(nrn.potentials, vec![4.0, 0.0]);
-        assert_eq!(nrn.last_update, vec![3, 0]);
+        assert_eq!(nrn.state.try_tick(w, lut, th, &[0, 1], 3), Some(1));
+        assert_eq!(nrn.state.potentials, vec![4.0, 0.0]);
+        assert_eq!(nrn.state.last_update, vec![3, 0]);
         // At t=8 neuron 1 ends at 2 + 4 + 4 >= 10: nothing commits.
-        assert_eq!(nrn.try_tick(&[0, 1, 1], 8), None);
-        assert_eq!(nrn.potentials, vec![4.0, 0.0]);
-        assert_eq!(nrn.last_update, vec![3, 0]);
+        assert_eq!(nrn.state.try_tick(w, lut, th, &[0, 1, 1], 8), None);
+        assert_eq!(nrn.state.potentials, vec![4.0, 0.0]);
+        assert_eq!(nrn.state.last_update, vec![3, 0]);
     }
 
     #[test]

@@ -11,6 +11,13 @@
 //! `MeshCost` counter — over random networks, parameters, coding
 //! schemes, grids and fabric fault plans. `present` must also equal
 //! `present_traced`, and the trace must equal the reference's.
+//!
+//! The reference also checks the whole-tick pass ([`TickState`]) on
+//! every tick: from the reference's state at the start of the tick, with
+//! neurons the input multicast cannot reach gated for good, the pass
+//! must decline exactly the ticks in which a neuron fires, and a tick it
+//! commits must leave every potential and last update as the per-event
+//! protocol does and count its neuron updates.
 
 use std::fmt::Write as _;
 
@@ -22,6 +29,7 @@ use nc_hw::mesh::{
 };
 use nc_snn::{
     decay_with_lut, tie_broken_readout, CodingScheme, SnnNetwork, SnnParams, SpikeCalendar,
+    TickState,
 };
 use nc_substrate::check::check_cases;
 use nc_substrate::rng::SplitMix64;
@@ -145,6 +153,9 @@ struct Reference {
     fabric: Fabric,
     cores: Vec<Core>,
     used: Vec<usize>,
+    /// Whether the last presentation committed a pass that updated a
+    /// neuron after a fire, and then fired again.
+    resumed: bool,
 }
 
 impl Reference {
@@ -172,7 +183,54 @@ impl Reference {
             fabric: mesh.fabric().clone(),
             cores,
             used,
+            resumed: false,
         }
+    }
+
+    /// Runs the whole-tick pass over every neuron from the reference
+    /// state at the start of tick `t`; returns its outcome and the
+    /// potentials and last updates it leaves, in global order. The weight
+    /// columns are gathered for the tick's own events only.
+    fn pass(&self, t: u32, bucket: &[usize]) -> (Option<usize>, Vec<f64>, Vec<u32>) {
+        let n = self.params.neurons;
+        let mut state = TickState::default();
+        state.reset(n);
+        let mut thresholds = vec![0.0; n];
+        let mut columns = vec![0.0; bucket.len() * n];
+        for (c, core) in self.cores.iter().enumerate() {
+            let ln = core.locals.len();
+            let reached = ln > 0 && self.fabric.delivered(INJECTOR, c);
+            for (slot, &g) in core.locals.iter().enumerate() {
+                state.potentials[g] = core.potentials[slot];
+                state.last_update[g] = core.last_update[slot];
+                let gate = if reached {
+                    core.refractory_until[slot].max(core.inhibited_until[slot])
+                } else {
+                    u32::MAX
+                };
+                state.raise_gate(g, gate);
+                thresholds[g] = core.thresholds[slot];
+                for (e, &input) in bucket.iter().enumerate() {
+                    columns[e * n + g] = f64::from(core.wcols[input * ln + slot]);
+                }
+            }
+        }
+        let events: Vec<usize> = (0..bucket.len()).collect();
+        let outcome = state.try_tick(&columns, &self.lut, &thresholds, &events, t);
+        (outcome, state.potentials, state.last_update)
+    }
+
+    /// Potentials and last updates of every neuron, in global order.
+    fn flat_state(&self) -> (Vec<f64>, Vec<u32>) {
+        let mut potentials = vec![0.0f64; self.params.neurons];
+        let mut last_update = vec![0u32; self.params.neurons];
+        for core in &self.cores {
+            for (slot, &g) in core.locals.iter().enumerate() {
+                potentials[g] = core.potentials[slot];
+                last_update[g] = core.last_update[slot];
+            }
+        }
+        (potentials, last_update)
     }
 
     fn route(&self, link_load: &mut [u64], from: usize, to: usize, cost: &mut MeshCost) -> bool {
@@ -202,7 +260,11 @@ impl Reference {
         let mut fires = Vec::new();
         let mut trace = String::new();
         let used = self.used.clone();
+        let mut committed_after_fire = false;
+        self.resumed = false;
         for (t, bucket) in calendar.buckets() {
+            let (outcome, pass_potentials, pass_last_update) = self.pass(t, bucket);
+            let (fires_before, updates_before) = (fires.len(), cost.neuron_updates);
             for &input in bucket {
                 writeln!(trace, "E {t} {input}").unwrap();
                 for &c in &used {
@@ -242,13 +304,28 @@ impl Reference {
                 .peak_link_load
                 .max(link_load.iter().copied().max().unwrap_or(0));
             link_load.fill(0);
-        }
-        let mut potentials = vec![0.0f64; self.params.neurons];
-        for core in &self.cores {
-            for (slot, &g) in core.locals.iter().enumerate() {
-                potentials[g] = core.potentials[slot];
+            let fired = fires.len() > fires_before;
+            self.resumed |= fired && committed_after_fire;
+            assert_eq!(
+                outcome.is_none(),
+                fired,
+                "tick {t}: pass declines iff it fires"
+            );
+            if let Some(open) = outcome {
+                let updates = cost.neuron_updates - updates_before;
+                assert_eq!(
+                    u64::try_from(open * bucket.len()).unwrap(),
+                    updates,
+                    "tick {t}"
+                );
+                let (potentials, last_update) = self.flat_state();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&pass_potentials), bits(&potentials), "tick {t}");
+                assert_eq!(pass_last_update, last_update, "tick {t}: last update");
+                committed_after_fire |= open > 0 && fires_before > 0;
             }
         }
+        let (potentials, _) = self.flat_state();
         let readout = tie_broken_readout(winner, &potentials, seed);
         let label = self.labels[readout].unwrap_or(0);
         let p = MeshPresentation {
@@ -313,9 +390,11 @@ fn random_fabric(rng: &mut SplitMix64, grid: Grid) -> Fabric {
 
 #[test]
 fn tick_simulator_matches_the_per_event_reference() {
-    // Fires, drops and same-tick fire pairs over all cases, so the
-    // harness cannot pass on silent or fault-free presentations.
-    let seen = std::cell::Cell::new((0usize, 0u64, 0usize));
+    // Fires, drops, same-tick fire pairs and presentations that resume
+    // the pass after a fire and fire again, over all cases, so the
+    // harness cannot pass on silent, fault-free or first-fire-only
+    // presentations.
+    let seen = std::cell::Cell::new((0usize, 0u64, 0usize, 0usize));
     check_cases(0x3E5A_D1FF, 400, |case, rng| {
         let inputs = 1 + rng.next_below(48) as usize;
         let neurons = 1 + rng.next_below(24) as usize;
@@ -353,16 +432,21 @@ fn tick_simulator_matches_the_per_event_reference() {
             let (traced, trace) = mesh.present_traced(&pixels, pseed);
             assert_same(&traced, &got, &format!("{ctx} (traced)"));
             assert_eq!(trace, want_trace, "{ctx}: trace");
-            let (fires, dropped, pairs) = seen.get();
+            let (fires, dropped, pairs, resumed) = seen.get();
             seen.set((
                 fires + got.fires.len(),
                 dropped + got.cost.dropped_packets,
                 pairs + got.fires.windows(2).filter(|f| f[0].0 == f[1].0).count(),
+                resumed + usize::from(reference.resumed),
             ));
         }
     });
-    let (fires, dropped, pairs) = seen.get();
+    let (fires, dropped, pairs, resumed) = seen.get();
     assert!(fires > 100, "only {fires} fires");
     assert!(dropped > 0, "no packet was ever dropped");
     assert!(pairs > 0, "no tick ever fired twice");
+    assert!(
+        resumed > 100,
+        "only {resumed} presentations resumed the pass after a fire and fired again"
+    );
 }

@@ -59,6 +59,10 @@ impl CodingScheme {
     ///
     /// `seed` individualizes the stochastic generators per presentation;
     /// temporal codes are deterministic and ignore it.
+    ///
+    /// A convenience wrapper: every call allocates a fresh calendar and
+    /// the returned `Vec`. Loops should fill one reused [`SpikeCalendar`]
+    /// with [`SpikeCalendar::fill`] instead.
     pub fn encode(&self, pixels: &[u8], params: &SnnParams, seed: u64) -> Vec<SpikeEvent> {
         let mut calendar = SpikeCalendar::default();
         calendar.fill(*self, pixels, params, seed, None);

@@ -17,6 +17,8 @@
 //! * [`bp_hybrid`] — SNN+BP, the diagnostic hybrid that trains the same
 //!   spiking forward path with back-propagation to isolate how much of
 //!   the accuracy gap is the learning rule (§3.2).
+//! * [`tick`] — the gated whole-tick pass shared by the event loop and
+//!   the `nc-hw` mesh simulator.
 //! * [`trace`] — spike raster / membrane potential recording (Figure 3).
 //! * [`explore`] — the §3.1 "1000 evaluated settings" random search and
 //!   the synaptic weight-precision study.
@@ -51,10 +53,12 @@ pub mod model;
 pub mod network;
 pub mod params;
 pub mod stdp_rules;
+pub mod tick;
 pub mod trace;
 pub mod wot;
 
 pub use coding::{CodingScheme, SpikeCalendar, SpikeEvent};
 pub use network::{decay_with_lut, tie_broken_readout, SnnNetwork};
 pub use params::SnnParams;
+pub use tick::TickState;
 pub use wot::WotSnn;

@@ -24,6 +24,7 @@
 
 use crate::coding::{CodingScheme, SpikeCalendar};
 use crate::params::SnnParams;
+use crate::tick::TickState;
 use crate::trace::PresentationTrace;
 use nc_dataset::model::{ModelError, EVAL_PRESENTATION_SEED_BASE};
 use nc_dataset::Dataset;
@@ -131,17 +132,9 @@ pub fn tie_broken_readout(winner: Option<usize>, potentials: &[f64], tie_seed: u
 struct SimScratch {
     /// The current presentation's input spikes, bucketed by millisecond.
     calendar: SpikeCalendar,
-    /// Membrane potentials after the most recent event.
-    potentials: Vec<f64>,
-    /// The bucket kernel's second potential buffer: a bucket integrates
-    /// into it, and the two swap when the bucket commits.
-    staged: Vec<f64>,
-    /// Per-neuron time of the last potential update.
-    last_update: Vec<u32>,
-    /// Per-neuron end of the refractory window.
-    refractory_until: Vec<u32>,
-    /// Per-neuron end of the WTA inhibition window.
-    inhibited_until: Vec<u32>,
+    /// Potentials, last updates and gates (the later of the refractory
+    /// and inhibition deadlines) of every neuron.
+    state: TickState,
     /// Per-input time of the most recent input spike ([`NEVER`] if none).
     last_input_spike: Vec<u32>,
     /// Output spikes as `(time_ms, neuron)`.
@@ -153,16 +146,7 @@ impl SimScratch {
     /// if the network geometry grew). `clear` + `resize` on an
     /// already-sized `Vec` rewrites in place without touching capacity.
     fn reset(&mut self, neurons: usize, inputs: usize) {
-        self.potentials.clear();
-        self.potentials.resize(neurons, 0.0);
-        self.staged.clear();
-        self.staged.resize(neurons, 0.0);
-        self.last_update.clear();
-        self.last_update.resize(neurons, 0);
-        self.refractory_until.clear();
-        self.refractory_until.resize(neurons, 0);
-        self.inhibited_until.clear();
-        self.inhibited_until.resize(neurons, 0);
+        self.state.reset(neurons);
         self.last_input_spike.clear();
         self.last_input_spike.resize(inputs, NEVER);
         self.fires.clear();
@@ -507,7 +491,7 @@ impl SnnNetwork {
         Presentation {
             winner,
             fires: self.sim.fires.clone(),
-            potentials: self.sim.potentials.clone(),
+            potentials: self.sim.state.potentials.clone(),
             tie_seed,
         }
     }
@@ -520,27 +504,21 @@ impl SnnNetwork {
     /// neuron fires, the final potentials — so the loop stops at the
     /// first fire for them.
     ///
-    /// It runs in two phases over the spike calendar, and the outcome is
-    /// bit-identical to one scan of every neuron per input event:
+    /// Every bucket of the spike calendar first goes through the
+    /// whole-tick pass ([`crate::tick`]); only the buckets it declines,
+    /// the ones with a fire, replay through the scalar loop, event by
+    /// event: gating, the WTA skip window, STDP and the fire itself. The
+    /// outcome is bit-identical to one scan of every neuron per input
+    /// event.
     ///
-    /// * **Bucket kernel**, up to the first bucket that crosses a
-    ///   threshold. Before any fire nothing is gated and every neuron
-    ///   shares one `last_update`, so the per-event scan reduces to one
-    ///   decay per bucket (in-window gaps `dt < Tperiod` hit a single
-    ///   table factor, exactly as [`decay`] applies it) and one f64 add
-    ///   sweep per event — the same operations on each neuron. Weights
-    ///   are unsigned and decay only happens at bucket boundaries, so
-    ///   potentials rise through a bucket and one branchless check at its
-    ///   end finds any crossing inside it.
-    /// * **Scalar loop**, from that bucket on, restarting from the
-    ///   pre-bucket potentials: gating, the WTA skip window, STDP, trace
-    ///   samples and faulty reads, event by event. A trace or armed
-    ///   transient read faults start it at the first bucket: under a
-    ///   transient fault, read order is part of the semantics.
+    /// A trace or an armed transient read fault runs the scalar loop on
+    /// every bucket: the trace samples every update, and under a
+    /// transient fault read order is part of the semantics.
     ///
-    /// When learning, the kernel records `last_input_spike` only for the
-    /// buckets it commits; the scalar loop records the crossing bucket
-    /// event by event, so STDP at a fire sees only the spikes before it.
+    /// When learning, a committed bucket records `last_input_spike` for
+    /// all its inputs, exactly as the scalar loop would; the scalar loop
+    /// records a replayed bucket event by event, so STDP at a fire sees
+    /// only the spikes before it.
     fn simulate(
         &mut self,
         pixels: &[u8],
@@ -577,60 +555,13 @@ impl SnnNetwork {
         // The transient fault stream persists across presentations, so
         // with it armed every read of the presentation must still happen.
         let stop_at_first_fire = winner_only && !faults_active;
+        let use_pass = trace.is_none() && !faults_active;
         let SimScratch {
             calendar,
-            potentials,
-            staged,
-            last_update,
-            refractory_until,
-            inhibited_until,
+            state,
             last_input_spike,
             fires,
         } = &mut sim;
-        let mut buckets = calendar.buckets().peekable();
-
-        if trace.is_none() && !faults_active {
-            let lut = self.decay_lut.as_slice();
-            let thresholds = &self.thresholds[..n];
-            let mut committed = 0u32;
-            while let Some(&(t, bucket)) = buckets.peek() {
-                let dt = t - committed;
-                if dt > 0 {
-                    let factor = lut[usize::try_from(dt).unwrap_or(usize::MAX)];
-                    for (next, &v) in staged.iter_mut().zip(potentials.iter()) {
-                        *next = v * factor;
-                    }
-                } else {
-                    staged.copy_from_slice(potentials);
-                }
-                for &input in bucket {
-                    let col = &self.weights_t[input * n..(input + 1) * n];
-                    for (next, &w) in staged.iter_mut().zip(col) {
-                        *next += w;
-                    }
-                }
-                // A fold rather than a short-circuiting `any`, so the
-                // compare sweep vectorizes: almost every bucket ends
-                // without a crossing.
-                let mut crossed = false;
-                for (&v, &th) in staged.iter().zip(thresholds) {
-                    crossed |= v >= th;
-                }
-                if crossed {
-                    break;
-                }
-                std::mem::swap(potentials, staged);
-                committed = t;
-                if learn {
-                    for &input in bucket {
-                        last_input_spike[input] = t;
-                    }
-                }
-                buckets.next();
-            }
-            last_update.fill(committed);
-        }
-
         // After any fire at `t` the firing neuron is refractory and every
         // other neuron inhibited, so nothing can respond before
         // `t + min(Trefrac, Tinhibit)`: events in that window skip the
@@ -639,11 +570,19 @@ impl SnnNetwork {
         let all_gated = self.params.t_refrac.min(self.params.t_inhibit);
         let mut skip_until = 0u32;
         let mut winner = None;
-        let potentials = &mut potentials[..n];
-        let last_update = &mut last_update[..n];
-        let refractory_until = &mut refractory_until[..n];
-        let inhibited_until = &mut inhibited_until[..n];
-        'presentation: for (t, bucket) in buckets {
+        'presentation: for (t, bucket) in calendar.buckets() {
+            if use_pass {
+                let (w, th) = (&self.weights_t, &self.thresholds);
+                // Inside a skip window every neuron is gated: nothing to do.
+                if t < skip_until || state.try_tick(w, &self.decay_lut, th, bucket, t).is_some() {
+                    if learn {
+                        for &input in bucket {
+                            last_input_spike[input] = t;
+                        }
+                    }
+                    continue;
+                }
+            }
             for &input in bucket {
                 last_input_spike[input] = t;
                 if t < skip_until {
@@ -653,37 +592,37 @@ impl SnnNetwork {
                 for j in 0..n {
                     // Refractory / inhibited neurons ignore input spikes
                     // entirely (§2.2: "incoming spikes have no impact").
-                    if t < refractory_until[j] || t < inhibited_until[j] {
+                    if t < state.gate()[j] {
                         continue;
                     }
                     // Analytic leak since this neuron's last update.
-                    let dt = u64::from(t - last_update[j]);
+                    let dt = u64::from(t - state.last_update[j]);
                     if dt > 0 {
-                        potentials[j] = decay(&self.decay_lut, potentials[j], dt);
+                        state.potentials[j] = decay(&self.decay_lut, state.potentials[j], dt);
                     }
-                    last_update[j] = t;
-                    potentials[j] += if faults_active {
+                    state.last_update[j] = t;
+                    state.potentials[j] += if faults_active {
                         f64::from(self.faults.read_u8(self.weights[j * self.inputs + input]))
                     } else {
                         self.weights_t[col + j]
                     };
                     if let Some(tr) = trace.as_deref_mut() {
-                        tr.record_potential(j, t, potentials[j]);
+                        tr.record_potential(j, t, state.potentials[j]);
                     }
-                    if potentials[j] >= self.thresholds[j] {
+                    if state.potentials[j] >= self.thresholds[j] {
                         // Fire!
                         fires.push((t, j));
                         winner.get_or_insert(j);
                         if stop_at_first_fire {
                             break 'presentation;
                         }
-                        potentials[j] = 0.0;
-                        refractory_until[j] = t + self.params.t_refrac;
-                        for (k, inh) in inhibited_until.iter_mut().enumerate() {
-                            if k != j {
-                                *inh = (*inh).max(t + self.params.t_inhibit);
-                            }
+                        state.potentials[j] = 0.0;
+                        for k in (0..n).filter(|&k| k != j) {
+                            state.raise_gate(k, t + self.params.t_inhibit);
                         }
+                        // `j` was open at `t`, so the refractory window
+                        // alone gates it.
+                        state.raise_gate(j, t + self.params.t_refrac);
                         skip_until = t + all_gated;
                         if let Some(tr) = trace.as_deref_mut() {
                             tr.record_fire(j, t);
@@ -809,7 +748,7 @@ impl SnnNetwork {
             let tie_seed = self.presentation_rng_seed(pseed);
             let winner = self.simulate(&s.pixels, false, true, pseed, None);
             self.class_presented[s.label] += 1;
-            let readout = tie_broken_readout(winner, &self.sim.potentials, tie_seed);
+            let readout = tie_broken_readout(winner, &self.sim.state.potentials, tie_seed);
             self.label_counts[readout * self.classes + s.label] += 1;
         }
         for j in 0..self.params.neurons {
@@ -841,7 +780,7 @@ impl SnnNetwork {
     pub fn predict(&mut self, pixels: &[u8], presentation_seed: u64) -> usize {
         let tie_seed = self.presentation_rng_seed(presentation_seed);
         let winner = self.simulate(pixels, false, true, presentation_seed, None);
-        let readout = tie_broken_readout(winner, &self.sim.potentials, tie_seed);
+        let readout = tie_broken_readout(winner, &self.sim.state.potentials, tie_seed);
         self.labels[readout].unwrap_or(0)
     }
 
@@ -1159,10 +1098,10 @@ mod tests {
 
     #[test]
     fn bucket_kernel_and_scalar_loop_are_bit_identical() {
-        // `present` runs the bucket kernel up to the first crossing;
-        // `present_traced` runs the scalar loop from the first bucket (a
-        // trace forces it). Same seed → same outcome, bit for bit,
-        // across a spread of images.
+        // `present` runs the whole-tick pass and replays only the buckets
+        // with a fire; `present_traced` runs the scalar loop on every
+        // bucket (a trace forces it). Same seed → same outcome, bit for
+        // bit, across a spread of images.
         let (train, _) = DigitsSpec {
             train: 12,
             test: 1,
@@ -1202,7 +1141,7 @@ mod tests {
 
     #[test]
     fn early_stopping_predict_matches_the_scalar_loop() {
-        // `predict` runs the bucket kernel and stops at the first fire;
+        // `predict` runs the whole-tick pass and stops at the first fire;
         // `present_traced` runs the scalar loop from the first bucket
         // over the whole window. The readout must agree image for image
         // — which requires bit-identical winners AND (for no-fire
@@ -1248,7 +1187,7 @@ mod tests {
     #[test]
     fn predict_no_fire_potentials_are_bit_identical() {
         // A sky-high threshold forces the no-winner branch on every
-        // image, so the bucket kernel's committed potentials (the only
+        // image, so the pass's committed potentials (the only
         // readout input left) must equal the scalar loop's exactly.
         let (_, test) = DigitsSpec {
             train: 1,
@@ -1270,7 +1209,10 @@ mod tests {
                     .outcome()
                     .expect("a traced presentation keeps its outcome");
                 assert!(p.winner.is_none(), "threshold must be unreachable");
-                assert_eq!(kernel.sim.potentials, p.potentials, "{coding:?} image {i}");
+                assert_eq!(
+                    kernel.sim.state.potentials, p.potentials,
+                    "{coding:?} image {i}"
+                );
             }
         }
     }
@@ -1283,14 +1225,14 @@ mod tests {
         // addresses and capacities across further predictions.
         let mut snn = SnnNetwork::new(16, 2, tiny_params(4), 9);
         let _ = snn.predict(&[180u8; 16], 42);
-        let potentials_ptr = snn.sim.potentials.as_ptr();
-        let last_update_ptr = snn.sim.last_update.as_ptr();
+        let potentials_ptr = snn.sim.state.potentials.as_ptr();
+        let last_update_ptr = snn.sim.state.last_update.as_ptr();
         let calendar = snn.sim.calendar.buffers();
         for _ in 0..20 {
             let _ = snn.predict(&[180u8; 16], 42);
         }
-        assert_eq!(snn.sim.potentials.as_ptr(), potentials_ptr);
-        assert_eq!(snn.sim.last_update.as_ptr(), last_update_ptr);
+        assert_eq!(snn.sim.state.potentials.as_ptr(), potentials_ptr);
+        assert_eq!(snn.sim.state.last_update.as_ptr(), last_update_ptr);
         assert_eq!(snn.sim.calendar.buffers(), calendar);
     }
 

@@ -10,30 +10,41 @@
 //! readouts, over random sequences of `present`, `present_learn`,
 //! `predict` and `self_label`, for every coding scheme, every STDP rule
 //! and the fault models that act on the presentation loop.
+//!
+//! The reference also checks the whole-tick pass ([`TickState`]) on
+//! every tick it runs without transient read faults: from the
+//! reference's state at the start of the tick, the pass must decline
+//! exactly the ticks in which a neuron fires, and a tick it commits must
+//! leave every potential, last update and gate as the event-by-event
+//! scan does.
 
 use nc_dataset::{Dataset, Sample};
 use nc_faults::{FaultModel, FaultPlan, TransientReads};
 use nc_snn::network::decay_with_lut;
 use nc_snn::network::Presentation;
 use nc_snn::stdp_rules::StdpRule;
-use nc_snn::{CodingScheme, SnnNetwork, SnnParams, SpikeCalendar};
+use nc_snn::{CodingScheme, SnnNetwork, SnnParams, SpikeCalendar, TickState};
 use nc_substrate::check::check_cases;
 use nc_substrate::rng::SplitMix64;
 
 /// "This input has not spiked yet in this presentation".
 const NEVER: u32 = u32::MAX;
 
-/// The encoded `(t, input)` train of one presentation.
+/// The encoded spike train of one presentation, as `(t, inputs)` ticks.
 fn encode(
     coding: CodingScheme,
     pixels: &[u8],
     params: &SnnParams,
     seed: u64,
     gen_fault: Option<&FaultPlan>,
-) -> Vec<(u32, usize)> {
+) -> Vec<(u32, Vec<usize>)> {
     let mut calendar = SpikeCalendar::default();
     calendar.fill(coding, pixels, params, seed, gen_fault);
-    calendar.events().map(|e| (e.t, e.input)).collect()
+    calendar.buckets().map(|(t, b)| (t, b.to_vec())).collect()
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// The serial specification of one network's state and presentation.
@@ -54,6 +65,9 @@ struct Reference {
     reads: TransientReads,
     gen_fault: Option<FaultPlan>,
     labels: Vec<Option<usize>>,
+    /// Whether the last presentation committed a pass that updated a
+    /// neuron after a fire, and then fired again.
+    resumed: bool,
 }
 
 impl Reference {
@@ -77,7 +91,38 @@ impl Reference {
                 .copied()
                 .filter(|_| model == Some(FaultModel::StuckLfsrTap)),
             labels: net.labels().to_vec(),
+            resumed: false,
         }
+    }
+
+    /// Runs the whole-tick pass from the reference state at the start of
+    /// tick `t`; returns its outcome and the state it leaves. The weight
+    /// columns are gathered for the tick's own events only.
+    fn pass(
+        &self,
+        t: u32,
+        bucket: &[usize],
+        potentials: &[f64],
+        last_update: &[u32],
+        refractory_until: &[u32],
+        inhibited_until: &[u32],
+    ) -> (Option<usize>, TickState) {
+        let n = self.params.neurons;
+        let mut state = TickState::default();
+        state.reset(n);
+        state.potentials.copy_from_slice(potentials);
+        state.last_update.copy_from_slice(last_update);
+        for (j, (&r, &i)) in refractory_until.iter().zip(inhibited_until).enumerate() {
+            state.raise_gate(j, r.max(i));
+        }
+        let columns: Vec<f64> = bucket
+            .iter()
+            .flat_map(|&input| (0..n).map(move |j| (input, j)))
+            .map(|(input, j)| f64::from(self.weights[j * self.inputs + input]))
+            .collect();
+        let events: Vec<usize> = (0..bucket.len()).collect();
+        let outcome = state.try_tick(&columns, &self.lut, &self.thresholds, &events, t);
+        (outcome, state)
     }
 
     fn simulate(&mut self, pixels: &[u8], learn: bool, presentation_seed: u64) -> Presentation {
@@ -99,38 +144,76 @@ impl Reference {
         let mut winner = None;
         let all_gated = self.params.t_refrac.min(self.params.t_inhibit);
         let mut skip_until = 0u32;
-        for (t, input) in events {
-            last_input_spike[input] = t;
-            if t < skip_until {
-                continue;
-            }
-            for j in 0..n {
-                if t < refractory_until[j] || t < inhibited_until[j] {
+        let mut committed_after_fire = false;
+        self.resumed = false;
+        for (t, bucket) in events {
+            let pass = (!self.reads.is_active()).then(|| {
+                self.pass(
+                    t,
+                    &bucket,
+                    &potentials,
+                    &last_update,
+                    &refractory_until,
+                    &inhibited_until,
+                )
+            });
+            let fires_before = fires.len();
+            let mut updates = 0;
+            for &input in &bucket {
+                last_input_spike[input] = t;
+                if t < skip_until {
                     continue;
                 }
-                let dt = u64::from(t - last_update[j]);
-                if dt > 0 {
-                    potentials[j] = decay_with_lut(&self.lut, potentials[j], dt);
-                }
-                last_update[j] = t;
-                let w = self.reads.read_u8(self.weights[j * self.inputs + input]);
-                potentials[j] += f64::from(w);
-                if potentials[j] >= self.thresholds[j] {
-                    fires.push((t, j));
-                    winner.get_or_insert(j);
-                    potentials[j] = 0.0;
-                    refractory_until[j] = t + self.params.t_refrac;
-                    for (k, inh) in inhibited_until.iter_mut().enumerate() {
-                        if k != j {
-                            *inh = (*inh).max(t + self.params.t_inhibit);
+                for j in 0..n {
+                    if t < refractory_until[j] || t < inhibited_until[j] {
+                        continue;
+                    }
+                    let dt = u64::from(t - last_update[j]);
+                    if dt > 0 {
+                        potentials[j] = decay_with_lut(&self.lut, potentials[j], dt);
+                    }
+                    last_update[j] = t;
+                    let w = self.reads.read_u8(self.weights[j * self.inputs + input]);
+                    potentials[j] += f64::from(w);
+                    updates += 1;
+                    if potentials[j] >= self.thresholds[j] {
+                        fires.push((t, j));
+                        winner.get_or_insert(j);
+                        potentials[j] = 0.0;
+                        refractory_until[j] = t + self.params.t_refrac;
+                        for (k, inh) in inhibited_until.iter_mut().enumerate() {
+                            if k != j {
+                                *inh = (*inh).max(t + self.params.t_inhibit);
+                            }
+                        }
+                        skip_until = t + all_gated;
+                        if learn {
+                            self.fire_counts[j] += 1;
+                            self.stdp(j, t, &last_input_spike);
                         }
                     }
-                    skip_until = t + all_gated;
-                    if learn {
-                        self.fire_counts[j] += 1;
-                        self.stdp(j, t, &last_input_spike);
-                    }
                 }
+            }
+            let fired = fires.len() > fires_before;
+            if fired && committed_after_fire {
+                self.resumed = true;
+            }
+            let Some((outcome, state)) = pass else {
+                continue;
+            };
+            assert_eq!(
+                outcome.is_none(),
+                fired,
+                "tick {t}: pass declines iff it fires"
+            );
+            if let Some(open) = outcome {
+                assert_eq!(open * bucket.len(), updates, "tick {t}: updates");
+                assert_eq!(bits(&state.potentials), bits(&potentials), "tick {t}");
+                assert_eq!(state.last_update, last_update, "tick {t}: last update");
+                let gates = refractory_until.iter().zip(&inhibited_until);
+                let gates: Vec<u32> = gates.map(|(&r, &i)| r.max(i)).collect();
+                assert_eq!(state.gate(), gates, "tick {t}: gates");
+                committed_after_fire |= open > 0 && fires_before > 0;
             }
         }
         if learn {
@@ -202,10 +285,6 @@ impl Reference {
         let readout = self.simulate(pixels, false, presentation_seed).readout();
         self.labels[readout].unwrap_or(0)
     }
-}
-
-fn bits(v: &[f64]) -> Vec<u64> {
-    v.iter().map(|x| x.to_bits()).collect()
 }
 
 fn assert_same(got: &Presentation, want: &Presentation, what: &str) {
@@ -293,6 +372,9 @@ const CODES: [CodingScheme; 4] = [
 
 #[test]
 fn presentation_loop_matches_the_serial_reference() {
+    // Full presentations that resume the pass after a fire and fire
+    // again, so the harness cannot pass on first-fire-only streams.
+    let resumed = std::cell::Cell::new(0usize);
     check_cases(0x5EED_100F, 256, |case, rng| {
         let inputs = 1 + rng.next_index(48);
         let neurons = 1 + rng.next_index(10);
@@ -307,6 +389,9 @@ fn presentation_loop_matches_the_serial_reference() {
         }
         let mut reference = Reference::of(&net, classes, plan.as_ref());
         let ctx = format!("case {case}: {coding:?} {params:?} {plan:?}");
+        let count = |reference: &Reference| {
+            resumed.set(resumed.get() + usize::from(reference.resumed));
+        };
 
         for op in 0..12u64 {
             let pixels = image(rng, inputs);
@@ -315,6 +400,7 @@ fn presentation_loop_matches_the_serial_reference() {
             match if op == 0 { 4 } else { rng.next_below(5) } {
                 0 => {
                     let want = reference.simulate(&pixels, false, pseed);
+                    count(&reference);
                     assert_same(
                         &net.present(&pixels, pseed),
                         &want,
@@ -323,6 +409,7 @@ fn presentation_loop_matches_the_serial_reference() {
                 }
                 1 | 2 => {
                     let want = reference.simulate(&pixels, true, pseed);
+                    count(&reference);
                     let got = net.present_learn(&pixels, pseed);
                     assert_same(&got, &want, &format!("{ctx} op {op} present_learn"));
                 }
@@ -356,4 +443,9 @@ fn presentation_loop_matches_the_serial_reference() {
             );
         }
     });
+    let resumed = resumed.get();
+    assert!(
+        resumed > 100,
+        "only {resumed} presentations resumed the pass"
+    );
 }
