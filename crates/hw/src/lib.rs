@@ -25,8 +25,6 @@
 //! * [`gpu`] — the CUBLAS-sgemv GPU reference model (Table 8).
 //! * [`ablation`] — design-choice ablations (spike-count width, SRAM
 //!   bank width, max-tree fan-in).
-//! * [`pipeline`] — the staggered-pipeline throughput model of §4.3.1
-//!   (latency vs initiation interval for the folded designs).
 //! * [`power`] — clock/datapath/SRAM power decomposition (the Table 5
 //!   clock-share observation).
 //! * [`scaling`] — the large-scale projection behind the paper's closing
@@ -61,7 +59,6 @@ pub mod folded;
 pub mod gpu;
 pub mod mesh;
 pub mod online;
-pub mod pipeline;
 pub mod power;
 pub mod report;
 pub mod scaling;

@@ -14,13 +14,12 @@
 //! column-major `f64` weights; a neuron the input multicast cannot reach
 //! is gated for good.
 //!
-//! * Every tick first goes through the gated whole-tick pass
-//!   ([`TickState::try_tick`]) that the reference loop runs too. If no
-//!   open neuron ends at or above threshold, the tick had no fire and
+//! * Every tick, traced or not, first goes through the gated whole-tick
+//!   pass ([`TickState::try_tick`]) that the reference loop runs too. If
+//!   no open neuron ends at or above threshold, the tick had no fire and
 //!   commits.
-//! * Otherwise it replays event by event through the protocol below —
-//!   the only code that resolves fires and fault cascades, and the one
-//!   traced presentations run on every tick.
+//! * Otherwise it is scanned event by event as below — the only code
+//!   that resolves fires and fault cascades.
 //! * Every input event is the same multicast from the ingress core, so
 //!   its packets, hops, drops, link loads and reached (listening) cores
 //!   are routed once at compile time and billed once per presentation:
@@ -35,19 +34,25 @@
 //! gating gets the potentials right and the core skip only trims the
 //! SRAM bill.
 //!
-//! # The per-event protocol
+//! # A crossing tick
 //!
-//! The reference scans all neurons in ascending id per event; the first
-//! to cross fires and inhibits every *later* one before it integrates. A
-//! core sees only its locals, so it integrates them tentatively (with an
-//! undo log), stops at its first crossing and nominates it. The lowest
-//! nominee is the reference's firer: neurons below it keep the event,
-//! neurons above it revert (a tail pop of the ascending undo log). This
-//! needs at most one fire per event, i.e. `Tinhibit >= 1` (asserted).
-//! Under fabric faults it degrades *deterministically*: a core the input
-//! packet misses does not integrate, and a core an inhibition packet
-//! misses keeps its updates and may fire too (a cascade resolved in
-//! ascending id), as a real mesh would misbehave.
+//! Each event integrates every open neuron in ascending global id, as
+//! the reference does. A fire of `j` gates its own core's other locals
+//! until `t + Tinhibit` (`j` until `t + Trefrac`, the core's skip until
+//! `t + min`) and sends an inhibition packet to every other used core,
+//! gating each core it reaches until `t + Tinhibit`: on a healthy fabric,
+//! the reference's inhibition of every later neuron. Under fabric faults
+//! it degrades *deterministically*, as a real mesh would misbehave: a
+//! core the input packet misses never integrates, and a core an
+//! inhibition packet misses keeps integrating and may fire in the same
+//! event (a cascade resolved in ascending id).
+//!
+//! The bill is that of cores that speculate and revert: each listening
+//! core past its skip reads its rows and updates its open locals in
+//! order up to and including its own first crossing, even locals a lower
+//! fire then gates. A read-only count from the state before the event
+//! bills that work, which the scan never does. The count assumes at most
+//! one fire per core per event, hence `Tinhibit, Trefrac >= 1`.
 
 use std::fmt::Write as _;
 
@@ -85,8 +90,8 @@ pub struct MeshCost {
     /// Synaptic SRAM row reads (one weight-column burst per delivered,
     /// non-skipped core event).
     pub sram_rows: u64,
-    /// LIF membrane updates, speculative ones included — reverted work
-    /// still burned energy.
+    /// LIF membrane updates, speculative ones included — work a lower
+    /// fire on another core then gates still burned energy.
     pub neuron_updates: u64,
 }
 
@@ -150,8 +155,7 @@ struct Neurons {
     state: TickState,
 }
 
-/// One simulated core: its neurons, its SRAM geometry and the state of
-/// the per-event protocol.
+/// One simulated core: its neurons, its SRAM geometry and its skip.
 #[derive(Debug, Clone, PartialEq, Default)]
 struct CoreNode {
     /// Hosted neurons, ascending global ids.
@@ -160,73 +164,29 @@ struct CoreNode {
     rows: u64,
     /// First ms at which any local can respond again (see module doc).
     skip_until: u32,
-    /// `(neuron, potential, last_update)` before each tentative update
-    /// of the current event, ascending neuron order.
-    undo: Vec<(usize, f64, u32)>,
-    /// Whether an inhibition for the current event reached this core
-    /// (kills this core's own nomination).
-    inhibited_event: bool,
 }
 
 impl CoreNode {
-    /// Applies an event of input `i` tentatively to every open local, in
-    /// ascending order, stopping at (and nominating) the first threshold
-    /// crossing — unless the whole core is skipping. The reference
-    /// per-neuron arithmetic, verbatim.
-    fn scan(&mut self, nrn: &mut Neurons, i: usize, t: u32, cost: &mut MeshCost) -> Option<usize> {
-        if t < self.skip_until {
-            return None;
-        }
-        // One burst read of the event's weight column.
-        cost.sram_rows = cost.sram_rows.wrapping_add(self.rows);
-        let s = &mut nrn.state;
-        let col = i * s.potentials.len();
-        for &j in &self.locals {
-            if t < s.gate()[j] {
-                continue;
-            }
-            self.undo.push((j, s.potentials[j], s.last_update[j]));
-            let dt = u64::from(t - s.last_update[j]);
-            if dt > 0 {
-                s.potentials[j] = decay_with_lut(&nrn.lut, s.potentials[j], dt);
-            }
-            s.last_update[j] = t;
-            s.potentials[j] += nrn.w[col + j];
-            cost.neuron_updates = cost.neuron_updates.wrapping_add(1);
-            if s.potentials[j] >= nrn.thresholds[j] {
-                return Some(j);
-            }
-        }
-        None
-    }
-
-    /// Commits a fire of local neuron `j` at `t`: locals above `j`
-    /// un-integrate the event (they were gated in the reference scan),
-    /// the firer resets and turns refractory, everyone else inhibits.
-    fn commit_fire(&mut self, nrn: &mut Neurons, j: usize, t: u32, params: &SnnParams) {
-        let (refrac, inhibit) = (params.t_refrac, params.t_inhibit);
-        self.inhibit(nrn, j, t + inhibit, t + refrac.min(inhibit));
-        nrn.state.potentials[j] = 0.0;
-        // `j` was open at `t`, so its old deadlines have all passed.
-        nrn.state.raise_gate(j, t + refrac);
-    }
-
     /// Handles global neuron `j`'s fire (an inhibition packet, or the
-    /// core's own fire): reverts the current event's updates of locals
-    /// above `j`, gates every other local until at least `until` and the
-    /// core until at least `skip`.
-    fn inhibit(&mut self, nrn: &mut Neurons, j: usize, until: u32, skip: u32) {
-        let s = &mut nrn.state;
-        while let Some((k, v, last)) = self.undo.pop_if(|u| u.0 > j) {
-            s.potentials[k] = v;
-            s.last_update[k] = last;
-        }
+    /// core's own fire): gates every other local until at least `until`
+    /// and the core until at least `skip`.
+    fn inhibit(&mut self, state: &mut TickState, j: usize, until: u32, skip: u32) {
         for &k in self.locals.iter().filter(|&&k| k != j) {
-            s.raise_gate(k, until);
+            state.raise_gate(k, until);
         }
         self.skip_until = self.skip_until.max(skip);
-        self.inhibited_event = true;
     }
+}
+
+/// Neuron `j`'s potential after an event at `t` that adds `w`: the
+/// reference per-neuron arithmetic, verbatim.
+fn integrated(state: &TickState, lut: &[f64], j: usize, w: f64, t: u32) -> f64 {
+    let dt = u64::from(t - state.last_update[j]);
+    let mut v = state.potentials[j];
+    if dt > 0 {
+        v = decay_with_lut(lut, v, dt);
+    }
+    v + w
 }
 
 fn count_u64(x: usize) -> u64 {
@@ -288,7 +248,6 @@ pub struct MeshSnn {
     multicast: Multicast,
     // Reused presentation scratch.
     calendar: SpikeCalendar,
-    candidates: Vec<(usize, usize)>,
     link_load: Vec<u64>,
 }
 
@@ -324,8 +283,9 @@ impl MeshSnn {
     /// # Panics
     ///
     /// Panics on geometry mismatches between the stages, or if
-    /// `Tinhibit` or `Trefrac` is zero (the one-fire-per-event
-    /// invariant the distributed commit protocol rests on).
+    /// `Tinhibit` or `Trefrac` is zero: the crossing-tick bill is
+    /// specified for at most one fire per core per event (see the module
+    /// doc).
     pub fn compiled(
         net: &SnnNetwork,
         partition: Partition,
@@ -414,7 +374,6 @@ impl MeshSnn {
                 reached,
             },
             calendar: SpikeCalendar::default(),
-            candidates: Vec::new(),
             link_load: vec![0u64; grid.cores() * PORTS_PER_ROUTER],
         }
     }
@@ -510,6 +469,8 @@ impl MeshSnn {
         assert_eq!(pixels.len(), self.inputs, "pixel count mismatch");
         let seed = self.stream_base.wrapping_add(presentation_seed);
         let MeshSnn {
+            partition,
+            placement,
             coding,
             params,
             neurons: nrn,
@@ -518,19 +479,20 @@ impl MeshSnn {
             multicast,
             fabric,
             calendar,
-            candidates,
             link_load,
             labels,
             ..
         } = self;
         let n = nrn.thresholds.len();
-        nrn.state.reset(n);
+        let (refrac, inhibit) = (params.t_refrac, params.t_inhibit);
+        let s = &mut nrn.state;
+        s.reset(n);
         for &c in used.iter() {
             cores[c].skip_until = 0;
             // Neurons the input multicast never reaches are never open.
             if multicast.reached.binary_search(&c).is_err() {
                 for &j in &cores[c].locals {
-                    nrn.state.raise_gate(j, u32::MAX);
+                    s.raise_gate(j, u32::MAX);
                 }
             }
         }
@@ -549,14 +511,12 @@ impl MeshSnn {
             let k = count_u64(bucket.len());
             events = events.wrapping_add(k);
             widest = widest.max(k);
-            // Traced runs replay every tick, like `SnnNetwork::present_traced`.
-            let committed = match trace {
-                None => nrn
-                    .state
-                    .try_tick(&nrn.w, &nrn.lut, &nrn.thresholds, bucket, t),
-                Some(_) => None,
-            };
-            if let Some(open) = committed {
+            if let Some(open) = s.try_tick(&nrn.w, &nrn.lut, &nrn.thresholds, bucket, t) {
+                if let Some(tr) = trace.as_deref_mut() {
+                    for &input in bucket {
+                        let _ = writeln!(tr, "E {t} {input}");
+                    }
+                }
                 // No fire, so no other traffic: the tick reads `k` columns
                 // on every listening core that is not skipping and updates
                 // the open neurons `k` times.
@@ -574,42 +534,48 @@ impl MeshSnn {
             for (load, &per_event) in link_load.iter_mut().zip(&multicast.link_load) {
                 *load += k * per_event;
             }
-            // A crossing (or a traced run): replay the tick event by event.
+            // A crossing: scan the tick event by event.
             for &input in bucket {
                 if let Some(tr) = trace.as_deref_mut() {
                     let _ = writeln!(tr, "E {t} {input}");
                 }
-                for &c in used.iter() {
-                    cores[c].inhibited_event = false;
-                    cores[c].undo.clear();
-                }
-                // Tentative local integration; each listening core
-                // nominates at most one firing candidate.
-                candidates.clear();
-                for &c in &multicast.reached {
-                    if let Some(global) = cores[c].scan(nrn, input, t, &mut cost) {
-                        candidates.push((global, c));
+                let col = &nrn.w[input * n..][..n];
+                // Bill each listening core's column read and its updates up
+                // to its own first crossing, from the state before the event.
+                for core in multicast.reached.iter().map(|&c| &cores[c]) {
+                    if t < core.skip_until {
+                        continue;
+                    }
+                    cost.sram_rows = cost.sram_rows.wrapping_add(core.rows);
+                    for &j in core.locals.iter().filter(|&&j| t >= s.gate()[j]) {
+                        cost.neuron_updates = cost.neuron_updates.wrapping_add(1);
+                        if integrated(s, &nrn.lut, j, col[j], t) >= nrn.thresholds[j] {
+                            break;
+                        }
                     }
                 }
-                // Resolve in ascending global order — the reference scan
-                // order. On a healthy fabric the first fire inhibits every
-                // other candidate; a missed inhibition packet lets the next
-                // candidate cascade, deterministically.
-                candidates.sort_unstable();
-                for &(j, cj) in candidates.iter() {
-                    if cores[cj].inhibited_event {
+                for (j, &w) in col.iter().enumerate() {
+                    if t < s.gate()[j] {
+                        continue;
+                    }
+                    let v = integrated(s, &nrn.lut, j, w, t);
+                    s.last_update[j] = t;
+                    s.potentials[j] = v;
+                    if v < nrn.thresholds[j] {
                         continue;
                     }
                     fires.push((t, j));
                     if let Some(tr) = trace.as_deref_mut() {
                         let _ = writeln!(tr, "F {t} {j}");
                     }
-                    cores[cj].commit_fire(nrn, j, t, params);
-                    for &c2 in used.iter() {
-                        if c2 != cj && route_packet(fabric, link_load, cj, c2, &mut cost) {
-                            // Idempotent, so repeats under cascades are safe.
-                            let until = t + params.t_inhibit;
-                            cores[c2].inhibit(nrn, j, until, until);
+                    s.potentials[j] = 0.0;
+                    let home = placement.core_of(partition.cluster_of(j));
+                    cores[home].inhibit(s, j, t + inhibit, t + refrac.min(inhibit));
+                    // `j` was open at `t`, so its old deadlines have all passed.
+                    s.raise_gate(j, t + refrac);
+                    for &c in used.iter() {
+                        if c != home && route_packet(fabric, link_load, home, c, &mut cost) {
+                            cores[c].inhibit(s, j, t + inhibit, t + inhibit);
                         }
                     }
                 }
@@ -630,13 +596,13 @@ impl MeshSnn {
         });
 
         let winner = fires.first().map(|&(_, j)| j);
-        let readout = tie_broken_readout(winner, &nrn.state.potentials, seed);
+        let readout = tie_broken_readout(winner, &s.potentials, seed);
         MeshPresentation {
             winner,
             readout,
             label: labels[readout].unwrap_or(0),
             fires,
-            potentials: nrn.state.potentials.clone(),
+            potentials: s.potentials.clone(),
             cost,
         }
     }
@@ -646,14 +612,9 @@ impl MeshSnn {
 mod tests {
     use super::*;
 
-    /// A core hosting `locals` of an `n`-neuron network with weights `w`,
-    /// a flat decay table of `leak` and thresholds out of reach.
-    fn host(locals: Vec<usize>, n: usize, w: Vec<f64>, leak: f64) -> (CoreNode, Neurons) {
-        let core = CoreNode {
-            locals,
-            rows: 1,
-            ..CoreNode::default()
-        };
+    /// An `n`-neuron network with weights `w`, a flat decay table of
+    /// `leak` and thresholds out of reach.
+    fn neurons(n: usize, w: Vec<f64>, leak: f64) -> Neurons {
         let mut neurons = Neurons {
             w,
             lut: vec![leak; 501],
@@ -661,88 +622,13 @@ mod tests {
             state: TickState::default(),
         };
         neurons.state.reset(n);
-        (core, neurons)
-    }
-
-    fn params(t_refrac: u32, t_inhibit: u32) -> SnnParams {
-        SnnParams {
-            t_refrac,
-            t_inhibit,
-            ..SnnParams::for_neurons(1)
-        }
-    }
-
-    #[test]
-    fn undo_reverts_only_slots_above_the_keeper() {
-        // Global neurons 3, 7 and 9 of a 10-neuron network live here.
-        let mut w = vec![0.0; 10];
-        (w[3], w[7], w[9]) = (10.0, 20.0, 30.0);
-        let (mut core, mut nrn) = host(vec![3, 7, 9], 10, w, 1.0);
-        let mut cost = MeshCost::default();
-        let locals = |v: &[f64]| [v[3], v[7], v[9]];
-        assert_eq!(core.scan(&mut nrn, 0, 5, &mut cost), None);
-        assert_eq!(locals(&nrn.state.potentials), [10.0, 20.0, 30.0]);
-        assert_eq!(cost.neuron_updates, 3);
-        assert_eq!(cost.sram_rows, 1);
-        // Local neuron 7 fires at t=5 (Trefrac 20, Tinhibit 5).
-        core.commit_fire(&mut nrn, 7, 5, &params(20, 5));
-        // Neuron 9 reverted, neuron 7 reset to 0, neuron 3 kept.
-        assert_eq!(locals(&nrn.state.potentials), [10.0, 0.0, 0.0]);
-        assert_eq!(
-            [
-                nrn.state.last_update[3],
-                nrn.state.last_update[7],
-                nrn.state.last_update[9]
-            ],
-            [5, 5, 0]
-        );
-        // The firer is refractory until 25, the others inhibited until 10.
-        assert_eq!(
-            [
-                nrn.state.gate()[3],
-                nrn.state.gate()[7],
-                nrn.state.gate()[9]
-            ],
-            [10, 25, 10]
-        );
-        assert_eq!(core.skip_until, 10);
-        assert!(core.inhibited_event);
-    }
-
-    #[test]
-    fn inhibition_reverts_locals_above_the_firer_and_gates_all() {
-        // Global neurons 2 and 8 of a 9-neuron network live here.
-        let mut w = vec![0.0; 9];
-        (w[2], w[8]) = (5.0, 7.0);
-        let (mut core, mut nrn) = host(vec![2, 8], 9, w, 1.0);
-        let mut cost = MeshCost::default();
-        assert_eq!(core.scan(&mut nrn, 0, 3, &mut cost), None);
-        assert_eq!(
-            (nrn.state.potentials[2], nrn.state.potentials[8]),
-            (5.0, 7.0)
-        );
-        // Global neuron 4 fired at t=3 (Tinhibit 5): local 8
-        // un-integrates, local 2 keeps.
-        core.inhibit(&mut nrn, 4, 8, 8);
-        assert_eq!(
-            (nrn.state.potentials[2], nrn.state.potentials[8]),
-            (5.0, 0.0)
-        );
-        assert_eq!((nrn.state.last_update[2], nrn.state.last_update[8]), (3, 0));
-        assert_eq!((nrn.state.gate()[2], nrn.state.gate()[8]), (8, 8));
-        assert_eq!(core.skip_until, 8);
-        // Receiving the same inhibition again is a no-op.
-        core.inhibit(&mut nrn, 4, 8, 8);
-        assert_eq!(
-            (nrn.state.potentials[2], nrn.state.potentials[8]),
-            (5.0, 0.0)
-        );
+        neurons
     }
 
     #[test]
     fn tick_pass_commits_below_threshold_and_declines_a_crossing() {
         // Two neurons, two inputs: w[input * 2 + j].
-        let (_, mut nrn) = host(vec![0, 1], 2, vec![1.0, 2.0, 3.0, 4.0], 0.5);
+        let mut nrn = neurons(2, vec![1.0, 2.0, 3.0, 4.0], 0.5);
         nrn.thresholds = vec![100.0, 10.0];
         nrn.state.raise_gate(1, 7);
         let (w, lut, th) = (&nrn.w, &nrn.lut, &nrn.thresholds);

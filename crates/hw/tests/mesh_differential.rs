@@ -121,17 +121,22 @@ impl Core {
         self.inhibited_event = true;
     }
 
-    fn receive_inhibition(&mut self, j: usize, t: u32, t_inhibit: u32) {
+    /// Returns whether the inhibition reverted a speculative update.
+    fn receive_inhibition(&mut self, j: usize, t: u32, t_inhibit: u32) -> bool {
         let first_above = self.locals.partition_point(|&g| g <= j);
-        self.revert_from(first_above);
+        let reverted = self.revert_from(first_above);
         for inh in self.inhibited_until.iter_mut() {
             *inh = (*inh).max(t + t_inhibit);
         }
         self.skip_until = self.skip_until.max(t + t_inhibit);
         self.inhibited_event = true;
+        reverted
     }
 
-    fn revert_from(&mut self, first_reverted: usize) {
+    /// Pops the undo records of slots from `first_reverted` on; returns
+    /// whether there were any.
+    fn revert_from(&mut self, first_reverted: usize) -> bool {
+        let before = self.undo.len();
         while let Some(&u) = self.undo.last() {
             if u.slot < first_reverted {
                 break;
@@ -140,6 +145,7 @@ impl Core {
             self.last_update[u.slot] = u.last_update;
             self.undo.pop();
         }
+        self.undo.len() < before
     }
 }
 
@@ -156,6 +162,9 @@ struct Reference {
     /// Whether the last presentation committed a pass that updated a
     /// neuron after a fire, and then fired again.
     resumed: bool,
+    /// Inhibition packets in the last presentation that reverted a
+    /// receiving core's speculative updates above a firer on another core.
+    reverting_inhibitions: usize,
 }
 
 impl Reference {
@@ -184,6 +193,7 @@ impl Reference {
             cores,
             used,
             resumed: false,
+            reverting_inhibitions: 0,
         }
     }
 
@@ -262,6 +272,7 @@ impl Reference {
         let used = self.used.clone();
         let mut committed_after_fire = false;
         self.resumed = false;
+        self.reverting_inhibitions = 0;
         for (t, bucket) in calendar.buckets() {
             let (outcome, pass_potentials, pass_last_update) = self.pass(t, bucket);
             let (fires_before, updates_before) = (fires.len(), cost.neuron_updates);
@@ -294,8 +305,11 @@ impl Reference {
                     writeln!(trace, "F {t} {j}").unwrap();
                     self.cores[cj].commit_fire(j, t, t_refrac, t_inhibit);
                     for &c2 in &used {
-                        if c2 != cj && self.route(&mut link_load, cj, c2, &mut cost) {
-                            self.cores[c2].receive_inhibition(j, t, t_inhibit);
+                        if c2 != cj
+                            && self.route(&mut link_load, cj, c2, &mut cost)
+                            && self.cores[c2].receive_inhibition(j, t, t_inhibit)
+                        {
+                            self.reverting_inhibitions += 1;
                         }
                     }
                 }
@@ -390,11 +404,12 @@ fn random_fabric(rng: &mut SplitMix64, grid: Grid) -> Fabric {
 
 #[test]
 fn tick_simulator_matches_the_per_event_reference() {
-    // Fires, drops, same-tick fire pairs and presentations that resume
-    // the pass after a fire and fire again, over all cases, so the
-    // harness cannot pass on silent, fault-free or first-fire-only
-    // presentations.
-    let seen = std::cell::Cell::new((0usize, 0u64, 0usize, 0usize));
+    // Fires, drops, same-tick fire pairs, presentations that resume the
+    // pass after a fire and fire again, and inhibitions that revert a
+    // receiving core's speculative work (which the mesh must bill but not
+    // commit), over all cases, so the harness cannot pass on silent,
+    // fault-free, first-fire-only or single-core presentations.
+    let seen = std::cell::Cell::new((0usize, 0u64, 0usize, 0usize, 0usize));
     check_cases(0x3E5A_D1FF, 400, |case, rng| {
         let inputs = 1 + rng.next_below(48) as usize;
         let neurons = 1 + rng.next_below(24) as usize;
@@ -432,21 +447,26 @@ fn tick_simulator_matches_the_per_event_reference() {
             let (traced, trace) = mesh.present_traced(&pixels, pseed);
             assert_same(&traced, &got, &format!("{ctx} (traced)"));
             assert_eq!(trace, want_trace, "{ctx}: trace");
-            let (fires, dropped, pairs, resumed) = seen.get();
+            let (fires, dropped, pairs, resumed, reverting) = seen.get();
             seen.set((
                 fires + got.fires.len(),
                 dropped + got.cost.dropped_packets,
                 pairs + got.fires.windows(2).filter(|f| f[0].0 == f[1].0).count(),
                 resumed + usize::from(reference.resumed),
+                reverting + reference.reverting_inhibitions,
             ));
         }
     });
-    let (fires, dropped, pairs, resumed) = seen.get();
+    let (fires, dropped, pairs, resumed, reverting) = seen.get();
     assert!(fires > 100, "only {fires} fires");
     assert!(dropped > 0, "no packet was ever dropped");
     assert!(pairs > 0, "no tick ever fired twice");
     assert!(
         resumed > 100,
         "only {resumed} presentations resumed the pass after a fire and fired again"
+    );
+    assert!(
+        reverting > 0,
+        "no inhibition ever reverted another core's speculative update"
     );
 }

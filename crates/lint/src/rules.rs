@@ -197,11 +197,7 @@ impl FileContext {
 /// point is bit-faithful narrow arithmetic (paper §4.2). Everything else
 /// may use floats freely — the software reference models are float by
 /// design.
-const R1_DATAPATH_FILES: [&str; 3] = [
-    "crates/hw/src/sim.rs",
-    "crates/hw/src/pipeline.rs",
-    "crates/snn/src/wot.rs",
-];
+const R1_DATAPATH_FILES: [&str; 2] = ["crates/hw/src/sim.rs", "crates/snn/src/wot.rs"];
 
 /// The audited fixed-point module where bare narrowing casts are the
 /// implementation technique rather than a hazard.
