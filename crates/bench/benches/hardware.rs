@@ -1,7 +1,7 @@
 //! Micro-benchmarks for the hardware layer: cost-model report generation
 //! (one bench per paper table family) and the cycle-level datapath
 //! simulators, including the ablation the paper's design rests on —
-//! SNNwot's timing-free datapath vs SNNwt's 500-step emulation.
+//! SNNwot's timing-free datapath vs SNNwt's timed emulation.
 //!
 //! Run with: `cargo bench -p nc-bench --features bench-harness`
 
@@ -12,7 +12,7 @@ use nc_hw::folded::{FoldedMlp, FoldedSnnWot, FoldedSnnWt};
 use nc_hw::online::OnlineSnn;
 use nc_hw::sim::{FoldedMlpSim, SnnWtSim, WotDatapathSim};
 use nc_mlp::{Activation, Mlp, QuantizedMlp};
-use nc_snn::SnnParams;
+use nc_snn::{SnnNetwork, SnnParams, WotSnn};
 use std::hint::black_box;
 
 fn bench_cost_model() {
@@ -49,20 +49,20 @@ fn bench_datapaths() {
 
     let mlp = Mlp::new(&[784, 100, 10], Activation::sigmoid(), 1).unwrap();
     let q = QuantizedMlp::from_mlp(&mlp);
-    let weights = vec![128u8; 784 * 300];
-    let thresholds = vec![150_000.0; 300];
+    let wot = WotSnn::untrained(784, 10, SnnParams::tuned(300), 1);
 
     let mut group = Group::new("datapath_sim");
     for ni in [1usize, 16] {
         let mut sim = FoldedMlpSim::new(&q, ni);
         group.bench(&format!("folded_mlp_ni{ni}"), || sim.run(pixels));
-        let sim = WotDatapathSim::new(&weights, 784, 300, ni);
+        let sim = WotDatapathSim::new(&wot, ni);
         group.bench(&format!("snnwot_ni{ni}"), || sim.run(pixels));
     }
-    // The ablation: SNNwt's 500-step timed emulation vs SNNwot above.
-    let sim = SnnWtSim::new(&weights, &thresholds, 784, 300, 16, SnnParams::tuned(300));
+    // The ablation: SNNwt's timed emulation vs SNNwot above.
+    let net = SnnNetwork::new(784, 10, SnnParams::tuned(300), 1);
+    let mut sim = SnnWtSim::new(&net, 16);
     let mut seed = 0u64;
-    group.bench("snnwt_ni16_500steps", || {
+    group.bench("snnwt_ni16", || {
         seed += 1;
         sim.run(pixels, seed)
     });

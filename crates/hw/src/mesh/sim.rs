@@ -146,8 +146,8 @@ pub struct MeshPresentation {
 /// Every neuron's synapses and state, in global id order.
 #[derive(Debug, Clone)]
 struct Neurons {
-    /// Weights column-major, `w[input * n + j]`; `f64::from` of the
-    /// network's `u8`s, which is exact.
+    /// Weights column-major, `w[input * n + j]`: the network's own
+    /// [`SnnNetwork::weights_t`].
     w: Vec<f64>,
     /// The reference decay table (`SnnNetwork::decay_lut`).
     lut: Vec<f64>,
@@ -313,11 +313,6 @@ impl MeshSnn {
             "placement and fabric grids differ"
         );
         let grid = fabric.grid();
-        let inputs = net.inputs();
-        let n = params.neurons;
-        let w = (0..inputs * n)
-            .map(|i| f64::from(net.weights()[(i % n) * inputs + i / n]))
-            .collect();
         let mut cores: Vec<CoreNode> = vec![CoreNode::default(); grid.cores()];
         for (cluster, members) in partition.clusters().iter().enumerate() {
             let core = &mut cores[placement.core_of(cluster)];
@@ -359,9 +354,9 @@ impl MeshSnn {
             params,
             labels: net.labels().to_vec(),
             stream_base,
-            inputs,
+            inputs: net.inputs(),
             neurons: Neurons {
-                w,
+                w: net.weights_t().to_vec(),
                 lut: net.decay_lut().to_vec(),
                 thresholds: net.thresholds().to_vec(),
                 state: TickState::default(),

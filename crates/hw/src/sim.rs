@@ -4,18 +4,17 @@
 //! ("We validated both simulators against their RTL counterpart",
 //! §4.1). This module plays the same role one level up: it executes the
 //! folded accelerators' *datapaths* — chunked weight fetches, integer
-//! MACs, staged max trees, the 1 ms-per-cycle LIF emulation with the
-//! piecewise-linear leak — and the tests assert the results agree with
-//! the model-level implementations in `nc-mlp`/`nc-snn` while the cycle
-//! counters agree with the Table 7 formulas.
+//! MACs, staged max trees, the 1 ms-per-cycle LIF emulation — and the
+//! tests assert the results are bit-identical to the model-level
+//! implementations in `nc-mlp`/`nc-snn` while the cycle counters agree
+//! with the Table 7 formulas. The SNNwt emulation leaks through the
+//! network's own decay table and runs the network's whole-tick pass, so
+//! its readout is the event-driven model's, bit for bit.
 
 use nc_mlp::quant::QuantizedMlp;
-use nc_obs::Recorder;
 use nc_snn::coding::wot_spike_count;
-use nc_snn::params::SnnParams;
-use nc_substrate::interp::PiecewiseLinear;
+use nc_snn::{tie_broken_readout, SnnNetwork, SpikeCalendar, TickState, WotSnn};
 use nc_substrate::kernel::{gemm_i8xu8, Scratch};
-use nc_substrate::rng::GaussianClt;
 
 use crate::folded::SNNWOT_PIPELINE_LATENCY;
 
@@ -173,27 +172,6 @@ impl<'a> FoldedMlpSim<'a> {
             out.push(SimOutcome { winner, cycles });
         }
     }
-
-    /// Like [`FoldedMlpSim::run`], counting runs and datapath cycles on
-    /// `recorder` under `hw.folded_mlp.*`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pixels.len()` does not match the network input width.
-    pub fn run_observed(&mut self, pixels: &[u8], recorder: &dyn Recorder) -> SimOutcome {
-        let outcome = self.run(pixels);
-        record_sim(recorder, "hw.folded_mlp", &outcome);
-        outcome
-    }
-}
-
-/// Reports one simulated inference: `<prefix>.runs` and
-/// `<prefix>.cycles` counters.
-fn record_sim(recorder: &dyn Recorder, prefix: &str, outcome: &SimOutcome) {
-    if recorder.enabled() {
-        recorder.add(&format!("{prefix}.runs"), 1);
-        recorder.add(&format!("{prefix}.cycles"), outcome.cycles);
-    }
 }
 
 /// Cycle-level simulator of the folded SNNwot datapath (Figure 7):
@@ -201,29 +179,19 @@ fn record_sim(recorder: &dyn Recorder, prefix: &str, outcome: &SimOutcome) {
 /// inputs per cycle, then the two-level max readout.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WotDatapathSim<'a> {
-    /// 8-bit weights, row-major `[neuron][input]`.
-    weights: &'a [u8],
-    inputs: usize,
-    neurons: usize,
+    wot: &'a WotSnn,
     ni: usize,
 }
 
 impl<'a> WotDatapathSim<'a> {
-    /// Creates a simulator over a weight matrix.
+    /// Creates a simulator over a deployed SNNwot.
     ///
     /// # Panics
     ///
-    /// Panics if the weight slice does not cover `neurons × inputs`, or
-    /// `ni == 0`.
-    pub fn new(weights: &'a [u8], inputs: usize, neurons: usize, ni: usize) -> Self {
+    /// Panics if `ni == 0`.
+    pub fn new(wot: &'a WotSnn, ni: usize) -> Self {
         assert!(ni > 0, "ni must be positive");
-        assert_eq!(weights.len(), inputs * neurons, "weight matrix shape");
-        WotDatapathSim {
-            weights,
-            inputs,
-            neurons,
-            ni,
-        }
+        WotDatapathSim { wot, ni }
     }
 
     /// Runs one image; the winner is the neuron with the highest
@@ -232,31 +200,21 @@ impl<'a> WotDatapathSim<'a> {
     /// # Panics
     ///
     /// Panics if `pixels.len()` does not match the input width.
-    // Index-based loops mirror the hardware's chunked address generation.
-    #[allow(clippy::needless_range_loop)]
     pub fn run(&self, pixels: &[u8]) -> SimOutcome {
-        assert_eq!(pixels.len(), self.inputs, "input width mismatch");
+        let inputs = self.wot.inputs();
+        assert_eq!(pixels.len(), inputs, "input width mismatch");
         // Stage 1 (converter): 4-bit spike counts.
         let counts: Vec<u8> = pixels.iter().map(|&p| wot_spike_count(p)).collect();
-        // Stage 2: chunked shifter/adder accumulation.
-        let mut potentials = vec![0u64; self.neurons];
-        let chunks = self.inputs.div_ceil(self.ni);
+        // Stage 2: chunked shifter/adder accumulation, `ni` synapses of
+        // every neuron's SRAM row per cycle.
+        let mut potentials = vec![0u64; self.wot.neurons()];
+        let chunks = inputs.div_ceil(self.ni);
         for chunk in 0..chunks {
             let lo = chunk * self.ni;
-            let hi = ((chunk + 1) * self.ni).min(self.inputs);
-            for (j, potential) in potentials.iter_mut().enumerate() {
-                for i in lo..hi {
-                    // N·W as the hardware computes it: 4 shift-adds over
-                    // the bits of the 4-bit count.
-                    let n = u64::from(counts[i]);
-                    let w = u64::from(self.weights[j * self.inputs + i]);
-                    let mut product = 0u64;
-                    for bit in 0..4 {
-                        if (n >> bit) & 1 == 1 {
-                            product += w << bit;
-                        }
-                    }
-                    *potential += product;
+            let hi = (lo + self.ni).min(inputs);
+            for (potential, row) in potentials.iter_mut().zip(self.wot.weights().chunks(inputs)) {
+                for (&n, &w) in counts[lo..hi].iter().zip(&row[lo..hi]) {
+                    *potential += shift_add_product(n, w);
                 }
             }
         }
@@ -272,163 +230,87 @@ impl<'a> WotDatapathSim<'a> {
             cycles: chunks as u64 + SNNWOT_PIPELINE_LATENCY,
         }
     }
-
-    /// Like [`WotDatapathSim::run`], counting runs and datapath cycles
-    /// on `recorder` under `hw.wot_datapath.*`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pixels.len()` does not match the input width.
-    pub fn run_observed(&self, pixels: &[u8], recorder: &dyn Recorder) -> SimOutcome {
-        let outcome = self.run(pixels);
-        record_sim(recorder, "hw.wot_datapath", &outcome);
-        outcome
-    }
 }
 
-/// Cycle-level simulator of the folded SNNwt datapath (§4.2.2): per-input
-/// Gaussian interval counters decremented every 1 ms cycle, chunked
-/// potential accumulation, piecewise-linear leak, threshold comparison,
-/// first spike wins.
+/// `count · w` as the SNNwot datapath computes it: four shift-adds over
+/// the bits of the 4-bit spike count.
+fn shift_add_product(count: u8, w: u8) -> u64 {
+    (0..4)
+        .filter(|bit| (count >> bit) & 1 == 1)
+        .map(|bit| u64::from(w) << bit)
+        .sum()
+}
+
+/// Cycle-level simulator of the folded SNNwt datapath (§4.2.2). Each
+/// emulated 1 ms cycle integrates that millisecond's input spikes into
+/// every open neuron, leaking through the network's decay table; the
+/// first neuron to cross its threshold wins, and an image that drives
+/// none over reads out the highest remaining potential.
+///
+/// The simulator runs the network's own code for every step: the
+/// [`SpikeCalendar`] fills from the network's coding scheme (for
+/// `GaussianRate`, the hardware's CLT interval generators) and
+/// presentation stream, each cycle is one [`TickState::try_tick`], the
+/// first declined cycle's winner comes from
+/// [`TickState::first_crossing`], and the readout is
+/// [`tie_broken_readout`] on the same stream. So its winner is
+/// [`SnnNetwork::present`]'s readout, bit for bit.
 #[derive(Debug, Clone)]
 pub struct SnnWtSim<'a> {
-    weights: &'a [u8],
-    // nc-lint: allow(R1, reason = "LIF thresholds are float by design (paper SS4.3.2)")
-    thresholds: &'a [f64],
-    inputs: usize,
-    neurons: usize,
+    net: &'a SnnNetwork,
     ni: usize,
-    params: SnnParams,
+    /// Reused across runs: repeated runs are allocation-free once warm.
+    calendar: SpikeCalendar,
+    state: TickState,
 }
 
 impl<'a> SnnWtSim<'a> {
-    /// Creates a simulator.
+    /// Creates a simulator over a network's weights, thresholds, decay
+    /// table and coding scheme. The datapath is healthy: a transient
+    /// read or stuck generator tap injected into the network is not
+    /// simulated (stuck-at and dead-neuron faults live in the weights and
+    /// are).
     ///
     /// # Panics
     ///
-    /// Panics if shapes are inconsistent or `ni == 0`.
-    pub fn new(
-        weights: &'a [u8],
-        // nc-lint: allow(R1, reason = "LIF thresholds are float by design (paper SS4.3.2)")
-        thresholds: &'a [f64],
-        inputs: usize,
-        neurons: usize,
-        ni: usize,
-        params: SnnParams,
-    ) -> Self {
+    /// Panics if `ni == 0`.
+    pub fn new(net: &'a SnnNetwork, ni: usize) -> Self {
         assert!(ni > 0, "ni must be positive");
-        assert_eq!(weights.len(), inputs * neurons, "weight matrix shape");
-        assert_eq!(thresholds.len(), neurons, "threshold count");
         SnnWtSim {
-            weights,
-            thresholds,
-            inputs,
-            neurons,
+            net,
             ni,
-            params,
+            calendar: SpikeCalendar::default(),
+            state: TickState::default(),
         }
     }
 
-    /// Runs one presentation; returns the first neuron to cross its
-    /// threshold (or the highest-potential neuron if none fires) and the
-    /// exact cycle count `⌈inputs/ni⌉·Tperiod` of the folded emulation.
+    /// Runs one presentation; returns the readout neuron and the exact
+    /// cycle count `(⌈inputs/ni⌉ + 7)·Tperiod` of the folded emulation.
     ///
     /// # Panics
     ///
     /// Panics if `pixels.len()` does not match the input width.
-    // Index-based loops mirror the hardware's per-lane wiring.
-    #[allow(clippy::needless_range_loop)]
-    pub fn run(&self, pixels: &[u8], seed: u64) -> SimOutcome {
-        assert_eq!(pixels.len(), self.inputs, "input width mismatch");
-        // Per-input interval counters, reloaded from the CLT generator.
-        let mut gens: Vec<GaussianClt> = (0..self.inputs)
-            .map(|i| GaussianClt::new(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-            .collect();
-        let mut counters: Vec<Option<u32>> = pixels
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| {
-                let rate = self.params.rate_per_ms(p);
-                // nc-lint: allow(R1, reason = "LIF potential/rate emulation is float by design (paper SS4.3.2); weights and spike counts stay integer")
-                if rate <= 0.0 {
-                    None
-                } else {
-                    // nc-lint: allow(R1, reason = "LIF potential/rate emulation is float by design (paper SS4.3.2); weights and spike counts stay integer")
-                    let mean = 1.0 / rate;
-                    // nc-lint: allow(R1, reason = "LIF potential/rate emulation is float by design (paper SS4.3.2); weights and spike counts stay integer")
-                    Some(gens[i].sample_interval_ms(mean, mean / 3.0))
-                }
-            })
-            .collect();
-        // The hardware's interpolated leak factor for a 1 ms step.
-        // nc-lint: allow(R1, reason = "LIF potential/rate emulation is float by design (paper SS4.3.2); weights and spike counts stay integer")
-        let leak_table = PiecewiseLinear::exp_decay(16, self.params.t_leak, 64.0);
-        // nc-lint: allow(R1, reason = "LIF potential/rate emulation is float by design (paper SS4.3.2); weights and spike counts stay integer")
-        let leak_1ms = leak_table.eval(1.0);
-        // nc-lint: allow(R1, reason = "LIF potential/rate emulation is float by design (paper SS4.3.2); weights and spike counts stay integer")
-        let mut potentials = vec![0.0f64; self.neurons];
-        let mut winner: Option<usize> = None;
-        for _t in 0..self.params.t_period {
-            // Decrement counters; collect the inputs spiking this tick.
-            let mut spikes: Vec<usize> = Vec::new();
-            for (i, c) in counters.iter_mut().enumerate() {
-                if let Some(remaining) = c {
-                    if *remaining <= 1 {
-                        spikes.push(i);
-                        let rate = self.params.rate_per_ms(pixels[i]);
-                        // nc-lint: allow(R1, reason = "LIF potential/rate emulation is float by design (paper SS4.3.2); weights and spike counts stay integer")
-                        let mean = 1.0 / rate;
-                        // nc-lint: allow(R1, reason = "LIF potential/rate emulation is float by design (paper SS4.3.2); weights and spike counts stay integer")
-                        *c = Some(gens[i].sample_interval_ms(mean, mean / 3.0));
-                    } else {
-                        *remaining -= 1;
-                    }
-                }
-            }
-            for p in potentials.iter_mut() {
-                *p *= leak_1ms;
-            }
-            for &i in &spikes {
-                for j in 0..self.neurons {
-                    // nc-lint: allow(R1, reason = "LIF potential/rate emulation is float by design (paper SS4.3.2); weights and spike counts stay integer")
-                    potentials[j] += f64::from(self.weights[j * self.inputs + i]);
-                }
-            }
-            if winner.is_none() {
-                for j in 0..self.neurons {
-                    if potentials[j] >= self.thresholds[j] {
-                        winner = Some(j);
-                        break;
-                    }
-                }
+    pub fn run(&mut self, pixels: &[u8], presentation_seed: u64) -> SimOutcome {
+        let net = self.net;
+        let params = net.params();
+        assert_eq!(pixels.len(), net.inputs(), "input width mismatch");
+        let stream = net.presentation_stream_seed(presentation_seed);
+        self.calendar
+            .fill(net.coding(), pixels, params, stream, None);
+        self.state.reset(params.neurons);
+        let (w, lut, th) = (net.weights_t(), net.decay_lut(), net.thresholds());
+        let mut winner = None;
+        for (t, bucket) in self.calendar.buckets() {
+            if self.state.try_tick(w, lut, th, bucket, t).is_none() {
+                winner = self.state.first_crossing(w, lut, th, bucket, t);
+                break;
             }
         }
-        let winner = winner.unwrap_or_else(|| {
-            let mut best = 0;
-            for (j, &v) in potentials.iter().enumerate().skip(1) {
-                if v > potentials[best] {
-                    best = j;
-                }
-            }
-            best
-        });
         SimOutcome {
-            winner,
-            cycles: (self.inputs.div_ceil(self.ni) as u64 + SNNWOT_PIPELINE_LATENCY)
-                * u64::from(self.params.t_period),
+            winner: tie_broken_readout(winner, &self.state.potentials, stream),
+            cycles: (net.inputs().div_ceil(self.ni) as u64 + SNNWOT_PIPELINE_LATENCY)
+                * u64::from(params.t_period),
         }
-    }
-
-    /// Like [`SnnWtSim::run`], counting runs and datapath cycles on
-    /// `recorder` under `hw.snnwt.*`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pixels.len()` does not match the input width.
-    pub fn run_observed(&self, pixels: &[u8], seed: u64, recorder: &dyn Recorder) -> SimOutcome {
-        let outcome = self.run(pixels, seed);
-        record_sim(recorder, "hw.snnwt", &outcome);
-        outcome
     }
 }
 
@@ -437,8 +319,7 @@ mod tests {
     use super::*;
     use nc_dataset::{digits::DigitsSpec, Difficulty};
     use nc_mlp::{Activation, Mlp, TrainConfig, Trainer};
-    use nc_snn::network::SnnNetwork;
-    use nc_snn::wot::WotSnn;
+    use nc_snn::SnnParams;
 
     #[test]
     fn folded_mlp_sim_matches_quantized_model_for_all_ni() {
@@ -521,7 +402,7 @@ mod tests {
         snn.self_label(&train);
         let wot = WotSnn::from_network(&snn);
         for ni in [1usize, 4, 16] {
-            let sim = WotDatapathSim::new(wot.weights(), 784, 12, ni);
+            let sim = WotDatapathSim::new(&wot, ni);
             for s in test.iter() {
                 assert_eq!(sim.run(&s.pixels).winner, wot.winner(&s.pixels), "ni={ni}");
             }
@@ -530,59 +411,53 @@ mod tests {
 
     #[test]
     fn wot_datapath_cycles_match_table_7() {
-        let weights = vec![1u8; 784 * 300];
+        let wot = WotSnn::untrained(784, 10, SnnParams::tuned(300), 1);
         let pixels = vec![1u8; 784];
         for (ni, cycles) in [(1usize, 791u64), (4, 203), (8, 105), (16, 56)] {
-            let sim = WotDatapathSim::new(&weights, 784, 300, ni);
+            let sim = WotDatapathSim::new(&wot, ni);
             assert_eq!(sim.run(&pixels).cycles, cycles, "ni={ni}");
         }
     }
 
     #[test]
     fn shifter_adder_product_equals_multiplication() {
-        // The 4-shift/4-add decomposition must equal N×W exactly.
-        let weights: Vec<u8> = (0..=255u8).collect();
-        let sim = WotDatapathSim::new(&weights, 256, 1, 16);
-        // One pixel per weight; pixel value drives count 0..=10.
-        for pv in [0u8, 25, 128, 200, 255] {
-            let pixels = vec![pv; 256];
-            let expected: u64 = weights
-                .iter()
-                .map(|&w| u64::from(w) * u64::from(wot_spike_count(pv)))
-                .sum();
-            // Reconstruct by running with neurons=1.
-            let outcome = sim.run(&pixels);
-            assert_eq!(outcome.winner, 0);
-            let _ = expected; // winner check is structural; potential
-                              // equality is asserted via the wot model test
+        // The 4-shift/4-add decomposition must equal N×W exactly for
+        // every 4-bit count and every 8-bit weight.
+        for count in 0..=15u8 {
+            for w in 0..=255u8 {
+                assert_eq!(
+                    shift_add_product(count, w),
+                    u64::from(count) * u64::from(w),
+                    "{count} × {w}"
+                );
+            }
         }
+    }
+
+    /// A `neurons`-neuron, `inputs`-input network with a given threshold.
+    fn snn(inputs: usize, neurons: usize, threshold: f64) -> SnnNetwork {
+        let mut params = SnnParams::for_neurons(neurons);
+        params.initial_threshold = threshold;
+        SnnNetwork::new(inputs, 2, params, 3)
     }
 
     #[test]
     fn snnwt_sim_fires_on_bright_input() {
-        let weights = vec![200u8; 16 * 4];
-        let thresholds = vec![2_000.0; 4];
-        let sim = SnnWtSim::new(&weights, &thresholds, 16, 4, 1, SnnParams::for_neurons(4));
-        let outcome = sim.run(&[255u8; 16], 7);
+        let mut net = snn(16, 4, 2_000.0);
+        let pixels = [255u8; 16];
+        let presentation = net.present(&pixels, 7);
+        assert!(presentation.winner.is_some(), "bright input must fire");
+        let outcome = SnnWtSim::new(&net, 1).run(&pixels, 7);
         assert_eq!(outcome.cycles, (16 + 7) * 500);
-        assert!(outcome.winner < 4);
+        assert_eq!(outcome.winner, presentation.readout());
     }
 
     #[test]
     fn snnwt_sim_is_deterministic_per_seed() {
-        let weights = vec![150u8; 32 * 3];
-        let thresholds = vec![5_000.0; 3];
-        let params = SnnParams::for_neurons(3);
-        let sim = SnnWtSim::new(&weights, &thresholds, 32, 3, 4, params);
+        let net = snn(32, 3, 5_000.0);
+        let mut sim = SnnWtSim::new(&net, 4);
         let a = sim.run(&[200u8; 32], 11);
         let b = sim.run(&[200u8; 32], 11);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "weight matrix shape")]
-    fn wot_sim_rejects_bad_shapes() {
-        let weights = vec![0u8; 10];
-        let _ = WotDatapathSim::new(&weights, 4, 3, 1);
     }
 }

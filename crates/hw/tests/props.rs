@@ -11,6 +11,7 @@ use nc_hw::folded::{FoldedMlp, FoldedSnnWot, FoldedSnnWt};
 use nc_hw::sim::{FoldedMlpSim, WotDatapathSim};
 use nc_hw::sram::BankConfig;
 use nc_mlp::{Activation, Mlp, QuantizedMlp};
+use nc_snn::{SnnParams, WotSnn};
 use nc_substrate::rng::SplitMix64;
 
 const CASES: u64 = 48;
@@ -166,12 +167,12 @@ fn folded_mlp_sim_is_ni_invariant() {
 fn wot_sim_is_ni_invariant() {
     let mut rng = SplitMix64::new(0x4108);
     for case in 0..CASES {
-        let weights = random_bytes(&mut rng, 30);
+        let wot = WotSnn::untrained(10, 2, SnnParams::for_neurons(3), rng.next_u64());
         let pixels = random_bytes(&mut rng, 10);
         let ni_a = 1 + rng.next_below(11) as usize;
         let ni_b = 1 + rng.next_below(11) as usize;
-        let a = WotDatapathSim::new(&weights, 10, 3, ni_a).run(&pixels);
-        let b = WotDatapathSim::new(&weights, 10, 3, ni_b).run(&pixels);
+        let a = WotDatapathSim::new(&wot, ni_a).run(&pixels);
+        let b = WotDatapathSim::new(&wot, ni_b).run(&pixels);
         assert_eq!(a.winner, b.winner, "case {case}: ni {ni_a} vs {ni_b}");
     }
 }

@@ -376,6 +376,13 @@ impl SnnNetwork {
         &self.weights
     }
 
+    /// The column-major `f64` mirror of [`SnnNetwork::weights`]
+    /// (`[input][neuron]`): the layout the whole-tick pass
+    /// ([`TickState::try_tick`]) reads.
+    pub fn weights_t(&self) -> &[f64] {
+        &self.weights_t
+    }
+
     /// The weight of a given synapse.
     ///
     /// # Panics
@@ -500,9 +507,6 @@ impl SnnNetwork {
     /// the one place that applies integrate, leak, fire and inhibit.
     /// Returns the winner (first neuron to fire, if any); the full
     /// outcome lives in the reused scratch until the next presentation.
-    /// `winner_only` callers read nothing but the winner — or, when no
-    /// neuron fires, the final potentials — so the loop stops at the
-    /// first fire for them.
     ///
     /// Every bucket of the spike calendar first goes through the
     /// whole-tick pass ([`crate::tick`]); only the buckets it declines,
@@ -510,6 +514,11 @@ impl SnnNetwork {
     /// event: gating, the WTA skip window, STDP and the fire itself. The
     /// outcome is bit-identical to one scan of every neuron per input
     /// event.
+    ///
+    /// `winner_only` callers read nothing but the winner — or, when no
+    /// neuron fires, the final potentials — so for them the first
+    /// declined bucket ends the presentation: its first fire, found by
+    /// [`TickState::first_crossing`], is the winner.
     ///
     /// A trace or an armed transient read fault runs the scalar loop on
     /// every bucket: the trace samples every update, and under a
@@ -554,7 +563,6 @@ impl SnnNetwork {
         let faults_active = self.faults.is_active();
         // The transient fault stream persists across presentations, so
         // with it armed every read of the presentation must still happen.
-        let stop_at_first_fire = winner_only && !faults_active;
         let use_pass = trace.is_none() && !faults_active;
         let SimScratch {
             calendar,
@@ -570,7 +578,7 @@ impl SnnNetwork {
         let all_gated = self.params.t_refrac.min(self.params.t_inhibit);
         let mut skip_until = 0u32;
         let mut winner = None;
-        'presentation: for (t, bucket) in calendar.buckets() {
+        for (t, bucket) in calendar.buckets() {
             if use_pass {
                 let (w, th) = (&self.weights_t, &self.thresholds);
                 // Inside a skip window every neuron is gated: nothing to do.
@@ -581,6 +589,10 @@ impl SnnNetwork {
                         }
                     }
                     continue;
+                }
+                if winner_only {
+                    winner = state.first_crossing(w, &self.decay_lut, th, bucket, t);
+                    break;
                 }
             }
             for &input in bucket {
@@ -613,9 +625,6 @@ impl SnnNetwork {
                         // Fire!
                         fires.push((t, j));
                         winner.get_or_insert(j);
-                        if stop_at_first_fire {
-                            break 'presentation;
-                        }
                         state.potentials[j] = 0.0;
                         for k in (0..n).filter(|&k| k != j) {
                             state.raise_gate(k, t + self.params.t_inhibit);

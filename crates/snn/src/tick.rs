@@ -1,7 +1,9 @@
 //! The gated whole-tick pass: one millisecond of input events applied to
 //! every neuron at once. The reference presentation loop
 //! ([`crate::network`]) and the `nc-hw` mesh simulator both run it on
-//! every tick and replay only the ticks it declines, event by event.
+//! every tick and replay only the ticks it declines, event by event; a
+//! caller that needs only the first fire (winner-only evaluation, the
+//! `nc-hw` SNNwt datapath) asks [`TickState::first_crossing`] instead.
 //!
 //! A neuron's *gate* is the first millisecond at which it integrates
 //! again: the later of its refractory and inhibition deadlines. Within a
@@ -92,11 +94,7 @@ impl TickState {
         let Some((&first, rest)) = bucket.split_first() else {
             return Some(0);
         };
-        let decay = |last: u32| {
-            let dt = usize::try_from(t - last).unwrap_or(usize::MAX);
-            debug_assert!(dt < lut.len(), "decay gap {dt} outside the table");
-            lut[dt]
-        };
+        let decay = |last: u32| decay_factor(lut, t, last);
         // Before the first fire, and again once every gate has lapsed and
         // a tick has committed, all neurons are open and share one last
         // update: one factor then decays them all, which vectorizes where
@@ -165,6 +163,57 @@ impl TickState {
         }
         Some(open)
     }
+
+    /// The neuron that fires first in the tick at `t` that
+    /// [`TickState::try_tick`] declined: re-folds `bucket`'s events in
+    /// order over the open neurons in ascending id, as the per-event scan
+    /// does, and returns the first neuron at or above its threshold, or
+    /// `None` if no open neuron crosses (a tick the pass commits). The
+    /// committed state is only read; the tentative sums reuse the pass's
+    /// buffer.
+    ///
+    /// # Panics
+    ///
+    /// As [`TickState::try_tick`].
+    pub fn first_crossing(
+        &mut self,
+        weights_t: &[f64],
+        lut: &[f64],
+        thresholds: &[f64],
+        bucket: &[usize],
+        t: u32,
+    ) -> Option<usize> {
+        let n = self.potentials.len();
+        let staged = &mut self.staged[..n];
+        for (e, &input) in bucket.iter().enumerate() {
+            for (j, (s, &w)) in staged
+                .iter_mut()
+                .zip(&weights_t[input * n..][..n])
+                .enumerate()
+            {
+                if t < self.gate[j] {
+                    continue;
+                }
+                *s = if e == 0 {
+                    self.potentials[j] * decay_factor(lut, t, self.last_update[j]) + w
+                } else {
+                    *s + w
+                };
+                if *s >= thresholds[j] {
+                    return Some(j);
+                }
+            }
+        }
+        None
+    }
+}
+
+/// The decay table's factor from `last` to `t`.
+#[inline]
+fn decay_factor(lut: &[f64], t: u32, last: u32) -> f64 {
+    let dt = usize::try_from(t - last).unwrap_or(usize::MAX);
+    debug_assert!(dt < lut.len(), "decay gap {dt} outside the table");
+    lut[dt]
 }
 
 #[cfg(test)]
@@ -276,6 +325,84 @@ mod tests {
         assert_eq!(s.try_tick(&w, &lut, &th, &[0], 6), Some(1));
         assert_eq!(bits(&s.potentials), bits(&[3.0, 8.0]));
         assert_eq!(s.last_update, vec![6, 1]);
+    }
+
+    /// The per-event scan's first fire in the tick at `t`: every event in
+    /// order, every open neuron in ascending id, leak then add then
+    /// compare.
+    fn scan_first_fire(
+        s: &TickState,
+        w: &[f64],
+        lut: &[f64],
+        th: &[f64],
+        bucket: &[usize],
+        t: u32,
+    ) -> Option<usize> {
+        let n = s.potentials.len();
+        let mut v = s.potentials.clone();
+        let mut last = s.last_update.clone();
+        for &input in bucket {
+            for j in 0..n {
+                if t < s.gate[j] {
+                    continue;
+                }
+                v[j] = decay_with_lut(lut, v[j], u64::from(t - last[j]));
+                last[j] = t;
+                v[j] += w[input * n + j];
+                if v[j] >= th[j] {
+                    return Some(j);
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn first_crossing_matches_the_per_event_scan() {
+        // Two inputs, three neurons: w[input * 3 + j]; the tick is t = 5.
+        let w = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let lut: Vec<f64> = (0..10).map(|dt| 0.5f64.powi(dt)).collect();
+        let first =
+            |v0: [f64; 3], last: [u32; 3], gate: [u32; 3], th: [f64; 3], bucket: &[usize]| {
+                let mut s = state(&v0, &last, &gate);
+                let before = s.clone();
+                let found = s.first_crossing(&w, &lut, &th, bucket, 5);
+                assert_eq!(found, scan_first_fire(&s, &w, &lut, &th, bucket, 5));
+                // Read-only: the committed state is untouched.
+                assert_eq!(bits(&s.potentials), bits(&before.potentials));
+                assert_eq!(s.last_update, before.last_update);
+                assert_eq!(s.gate, before.gate);
+                // It resolves exactly the ticks the pass declines.
+                assert_eq!(
+                    s.try_tick(&w, &lut, &th, bucket, 5).is_none(),
+                    found.is_some()
+                );
+                found
+            };
+        let (rest, open) = ([0.0; 3], [0; 3]);
+        // Neuron 0 would cross but is gated; neuron 2 fires.
+        assert_eq!(
+            first([40.0, 0.0, 0.0], [5; 3], [9, 0, 0], [20.0, 20.0, 6.0], &[1]),
+            Some(2)
+        );
+        // 8 * 0.5 + 1 lands exactly on neuron 0's threshold; just below
+        // it, nothing fires.
+        let v0 = [8.0, 0.0, 0.0];
+        assert_eq!(first(v0, [4, 5, 5], open, [5.0, 50.0, 50.0], &[0]), Some(0));
+        assert_eq!(first(v0, [4, 5, 5], open, [5.5, 50.0, 50.0], &[0]), None);
+        // Neurons 1 and 2 cross on the same event: the lower id wins.
+        assert_eq!(first(rest, [5; 3], open, [50.0, 4.0, 5.0], &[1]), Some(1));
+        // Neuron 2 crosses on the first event, neuron 0 only on the
+        // third: event order beats neuron order.
+        assert_eq!(
+            first(rest, [5; 3], open, [3.0, 50.0, 3.0], &[0, 0, 0]),
+            Some(2)
+        );
+        // Only the second event takes neuron 1 over.
+        assert_eq!(
+            first([0.0, 4.0, 0.0], [5, 3, 5], open, [50.0, 4.5, 50.0], &[0, 0]),
+            Some(1)
+        );
     }
 
     #[test]

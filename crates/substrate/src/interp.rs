@@ -8,7 +8,9 @@
 //!   requiring only a small SRAM table … an adder and a multiplier"
 //!   (paper §4.2.1);
 //! * the online-learning SNN models the exponential leak
-//!   `v(T2) = v(T1) · e^{-(T2-T1)/Tleak}` the same way (paper §4.4).
+//!   `v(T2) = v(T1) · e^{-(T2-T1)/Tleak}` the same way (paper §4.4); the
+//!   software SNN and its datapath simulator instead share one exact
+//!   per-millisecond decay table (`nc_snn::SnnNetwork::decay_lut`).
 //!
 //! [`PiecewiseLinear`] is that table in software, and it deliberately has
 //! the same approximation error the silicon would have, so model-level
@@ -77,17 +79,6 @@ impl PiecewiseLinear {
     /// parameterized sigmoid `f_a(x) = 1 / (1 + e^{-a·x})` (paper §3.2).
     pub fn sigmoid(segments: usize, a: f64, domain: (f64, f64)) -> Self {
         Self::from_fn(segments, domain, |x| 1.0 / (1.0 + (-a * x).exp()))
-    }
-
-    /// The exponential-decay table used by the online-learning SNN for the
-    /// leak factor `e^{-dt/tleak}` on `dt ∈ [0, max_dt]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tleak` is not strictly positive.
-    pub fn exp_decay(segments: usize, tleak: f64, max_dt: f64) -> Self {
-        assert!(tleak > 0.0, "tleak must be positive");
-        Self::from_fn(segments, (0.0, max_dt), |dt| (-dt / tleak).exp())
     }
 
     /// Evaluates the approximation, clamping `x` into the domain first.
@@ -170,18 +161,6 @@ mod tests {
             let x = -1.0 + 4.0 * i as f64 / 99.0;
             assert!((t.eval(x) - (2.5 * x - 1.0)).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn exp_decay_is_monotone_decreasing() {
-        let t = PiecewiseLinear::exp_decay(16, 500.0, 500.0);
-        let mut prev = f64::INFINITY;
-        for i in 0..=100 {
-            let v = t.eval(5.0 * i as f64);
-            assert!(v <= prev + 1e-12);
-            prev = v;
-        }
-        assert!((t.eval(0.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]

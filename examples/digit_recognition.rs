@@ -8,7 +8,7 @@
 
 use neurocmp::core::FitBudget;
 use neurocmp::dataset::{digits::DigitsSpec, Difficulty, GreyImage, Model};
-use neurocmp::hw::sim::{FoldedMlpSim, WotDatapathSim};
+use neurocmp::hw::sim::{FoldedMlpSim, SnnWtSim, WotDatapathSim};
 use neurocmp::mlp::{metrics, Activation, Mlp, QuantizedMlp};
 use neurocmp::snn::bp_hybrid::BpSnn;
 use neurocmp::snn::{SnnNetwork, SnnParams, WotSnn};
@@ -99,24 +99,38 @@ fn main() {
             mlp_winners.push(mlp_sim.run(&s.pixels).winner);
         }
     }
-    let wot_sim = WotDatapathSim::new(wot.weights(), 784, 100, 16);
+    let wot_sim = WotDatapathSim::new(&wot, 16);
+    let mut snnwt_winners = Vec::new();
+    {
+        let mut snnwt_sim = SnnWtSim::new(&snn, 16);
+        for (i, s) in test.iter().enumerate() {
+            snnwt_winners.push(snnwt_sim.run(&s.pixels, i as u64).winner);
+        }
+    }
     let mut mlp_agree = 0;
     let mut wot_agree = 0;
-    for (s, mlp_winner) in test.iter().zip(mlp_winners) {
+    let mut snnwt_agree = 0;
+    for (i, (s, (mlp_winner, snnwt_winner))) in test
+        .iter()
+        .zip(mlp_winners.into_iter().zip(snnwt_winners))
+        .enumerate()
+    {
         if mlp_winner == quant.predict_u8(&s.pixels) {
             mlp_agree += 1;
         }
         if wot_sim.run(&s.pixels).winner == wot.winner(&s.pixels) {
             wot_agree += 1;
         }
+        if snnwt_winner == snn.present(&s.pixels, i as u64).readout() {
+            snnwt_agree += 1;
+        }
     }
+    let n = test.len();
     println!(
-        "datapath simulators vs models: MLP {}/{} identical, SNNwot {}/{} identical",
-        mlp_agree,
-        test.len(),
-        wot_agree,
-        test.len()
+        "datapath simulators vs models: MLP {mlp_agree}/{n} identical, \
+         SNNwot {wot_agree}/{n} identical, SNNwt {snnwt_agree}/{n} identical"
     );
     assert_eq!(mlp_agree, test.len(), "folded MLP datapath must match");
     assert_eq!(wot_agree, test.len(), "SNNwot datapath must match");
+    assert_eq!(snnwt_agree, test.len(), "SNNwt datapath must match");
 }
