@@ -11,8 +11,16 @@
 //!
 //! Each [`SpikeCalendar`] bucket is one 1 ms tick of `k` input events.
 //! Neuron state is a [`TickState`] in global id order next to
-//! column-major `f64` weights; a neuron the input multicast cannot reach
-//! is gated for good.
+//! column-major `f64` weights.
+//!
+//! A neuron on a core the input multicast cannot reach is *parked* at
+//! compile time: the mesh's own weight copy zeroes its column entries
+//! and its threshold is `+inf`. It stays open, so it rides the pass's
+//! shared decay factor with everyone else, and its potential stays
+//! exactly `+0.0`, as a neuron that never integrates. Gating it instead
+//! would pin the latest gate for the whole presentation and force the
+//! per-neuron path on every tick. An unreached core is never billed, so
+//! an inhibition packet that reaches one changes nothing there.
 //!
 //! * Every tick, traced or not, first goes through the gated whole-tick
 //!   pass ([`TickState::try_tick`]) that the reference loop runs too. If
@@ -25,7 +33,10 @@
 //!   are routed once at compile time and billed once per presentation:
 //!   times the input events, and its busiest link times the widest tick.
 //!   A committed tick adds `k ×` the SRAM rows of the listening cores
-//!   that are not skipping and `k ×` its open neurons as updates.
+//!   that are not skipping and `k ×` its open neurons, parked ones
+//!   excepted, as updates. The listening rows are cached: recomputed
+//!   only after a crossing tick or once a skipping core's `skip_until`
+//!   lapses.
 //!
 //! A core also skips events until `skip_until`: `t + min(Trefrac,
 //! Tinhibit)` after its own fire, `t + Tinhibit` after an inhibition.
@@ -64,7 +75,6 @@ use crate::mesh::{
 };
 use crate::sram::{bank_area_um2, bank_read_energy_pj};
 use nc_faults::FaultPlan;
-use nc_snn::network::decay_with_lut;
 use nc_snn::{tie_broken_readout, CodingScheme, SnnNetwork, SnnParams, SpikeCalendar, TickState};
 
 /// Synaptic SRAM bank depth (rows per bank), the TrueNorth-style core
@@ -147,11 +157,14 @@ pub struct MeshPresentation {
 #[derive(Debug, Clone)]
 struct Neurons {
     /// Weights column-major, `w[input * n + j]`: the network's own
-    /// [`SnnNetwork::weights_t`].
+    /// [`SnnNetwork::weights_t`], with parked neurons' entries zeroed.
     w: Vec<f64>,
     /// The reference decay table (`SnnNetwork::decay_lut`).
     lut: Vec<f64>,
+    /// The network's thresholds; `+inf` for parked neurons.
     thresholds: Vec<f64>,
+    /// Neurons on cores the input multicast never reaches.
+    parked: usize,
     state: TickState,
 }
 
@@ -178,19 +191,23 @@ impl CoreNode {
     }
 }
 
-/// Neuron `j`'s potential after an event at `t` that adds `w`: the
-/// reference per-neuron arithmetic, verbatim.
-fn integrated(state: &TickState, lut: &[f64], j: usize, w: f64, t: u32) -> f64 {
-    let dt = u64::from(t - state.last_update[j]);
-    let mut v = state.potentials[j];
-    if dt > 0 {
-        v = decay_with_lut(lut, v, dt);
-    }
-    v + w
-}
-
 fn count_u64(x: usize) -> u64 {
     u64::try_from(x).unwrap_or(u64::MAX)
+}
+
+/// The SRAM rows one input event reads at `t` on the reached cores that
+/// are not skipping, and the first later ms at which a skipping one
+/// listens again (`u32::MAX` if none).
+fn listening_rows(reached: &[usize], cores: &[CoreNode], t: u32) -> (u64, u32) {
+    let (mut rows, mut lapse) = (0u64, u32::MAX);
+    for core in reached.iter().map(|&c| &cores[c]) {
+        if t >= core.skip_until {
+            rows = rows.wrapping_add(core.rows);
+        } else {
+            lapse = lapse.min(core.skip_until);
+        }
+    }
+    (rows, lapse)
 }
 
 /// Sends one packet, billing hops and per-tick link occupancy along the
@@ -325,12 +342,30 @@ impl MeshSnn {
         // Off-chip input spikes enter the fabric at core 0.
         let mut mc_cost = MeshCost::default();
         let mut mc_load = vec![0u64; grid.cores() * PORTS_PER_ROUTER];
-        let reached = used
+        let reached: Vec<usize> = used
             .iter()
             .copied()
             .filter(|&c| route_packet(&fabric, &mut mc_load, 0, c, &mut mc_cost))
             .collect();
         mc_cost.peak_link_load = mc_load.iter().copied().max().unwrap_or(0);
+
+        // Park the neurons the input multicast never reaches.
+        let n = params.neurons;
+        let mut w = net.weights_t().to_vec();
+        let mut thresholds = net.thresholds().to_vec();
+        let mut parked = 0;
+        for (c, core) in cores.iter().enumerate() {
+            if reached.binary_search(&c).is_ok() {
+                continue;
+            }
+            for &j in &core.locals {
+                thresholds[j] = f64::INFINITY;
+                for column in w.chunks_exact_mut(n) {
+                    column[j] = 0.0;
+                }
+                parked += 1;
+            }
+        }
 
         /// Presentation seed whose stream is the affine base point.
         const STREAM_ORIGIN: u64 = 0;
@@ -356,9 +391,10 @@ impl MeshSnn {
             stream_base,
             inputs: net.inputs(),
             neurons: Neurons {
-                w: net.weights_t().to_vec(),
+                w,
                 lut: net.decay_lut().to_vec(),
-                thresholds: net.thresholds().to_vec(),
+                thresholds,
+                parked,
                 state: TickState::default(),
             },
             cores,
@@ -484,13 +520,8 @@ impl MeshSnn {
         s.reset(n);
         for &c in used.iter() {
             cores[c].skip_until = 0;
-            // Neurons the input multicast never reaches are never open.
-            if multicast.reached.binary_search(&c).is_err() {
-                for &j in &cores[c].locals {
-                    s.raise_gate(j, u32::MAX);
-                }
-            }
         }
+        let parked = count_u64(nrn.parked);
 
         calendar.fill(*coding, pixels, params, seed, None);
 
@@ -500,6 +531,8 @@ impl MeshSnn {
         // input events, the widest tick, and the committed ticks' SRAM rows
         // and neuron updates.
         let (mut events, mut widest, mut rows, mut updates) = (0u64, 0u64, 0u64, 0u64);
+        // The listening rows, valid until `lapse` or the next crossing.
+        let (mut listening, mut lapse) = (0u64, 0u32);
 
         // One calendar bucket is one tick of the fabric.
         for (t, bucket) in calendar.buckets() {
@@ -514,18 +547,16 @@ impl MeshSnn {
                 }
                 // No fire, so no other traffic: the tick reads `k` columns
                 // on every listening core that is not skipping and updates
-                // the open neurons `k` times.
-                let listening: u64 = multicast
-                    .reached
-                    .iter()
-                    .map(|&c| &cores[c])
-                    .filter(|core| t >= core.skip_until)
-                    .map(|core| core.rows)
-                    .sum();
+                // the open neurons but the parked ones `k` times.
+                if t >= lapse {
+                    (listening, lapse) = listening_rows(&multicast.reached, cores, t);
+                }
                 rows = rows.wrapping_add(k.wrapping_mul(listening));
-                updates = updates.wrapping_add(k.wrapping_mul(count_u64(open)));
+                let billed = count_u64(open).wrapping_sub(parked);
+                updates = updates.wrapping_add(k.wrapping_mul(billed));
                 continue;
             }
+            lapse = 0;
             for (load, &per_event) in link_load.iter_mut().zip(&multicast.link_load) {
                 *load += k * per_event;
             }
@@ -544,7 +575,7 @@ impl MeshSnn {
                     cost.sram_rows = cost.sram_rows.wrapping_add(core.rows);
                     for &j in core.locals.iter().filter(|&&j| t >= s.gate()[j]) {
                         cost.neuron_updates = cost.neuron_updates.wrapping_add(1);
-                        if integrated(s, &nrn.lut, j, col[j], t) >= nrn.thresholds[j] {
+                        if s.integrated(j, &nrn.lut, col[j], t) >= nrn.thresholds[j] {
                             break;
                         }
                     }
@@ -553,10 +584,7 @@ impl MeshSnn {
                     if t < s.gate()[j] {
                         continue;
                     }
-                    let v = integrated(s, &nrn.lut, j, w, t);
-                    s.last_update[j] = t;
-                    s.potentials[j] = v;
-                    if v < nrn.thresholds[j] {
+                    if s.integrate(j, &nrn.lut, w, t) < nrn.thresholds[j] {
                         continue;
                     }
                     fires.push((t, j));
@@ -569,7 +597,10 @@ impl MeshSnn {
                     // `j` was open at `t`, so its old deadlines have all passed.
                     s.raise_gate(j, t + refrac);
                     for &c in used.iter() {
-                        if c != home && route_packet(fabric, link_load, home, c, &mut cost) {
+                        if c != home
+                            && route_packet(fabric, link_load, home, c, &mut cost)
+                            && multicast.reached.binary_search(&c).is_ok()
+                        {
                             cores[c].inhibit(s, j, t + inhibit, t + inhibit);
                         }
                     }
@@ -614,6 +645,7 @@ mod tests {
             w,
             lut: vec![leak; 501],
             thresholds: vec![1e9; n],
+            parked: 0,
             state: TickState::default(),
         };
         neurons.state.reset(n);
@@ -630,11 +662,11 @@ mod tests {
         // Neuron 1 is gated at t=3; neuron 0 absorbs both events.
         assert_eq!(nrn.state.try_tick(w, lut, th, &[0, 1], 3), Some(1));
         assert_eq!(nrn.state.potentials, vec![4.0, 0.0]);
-        assert_eq!(nrn.state.last_update, vec![3, 0]);
+        assert_eq!(nrn.state.last_update_mut(), [3, 0]);
         // At t=8 neuron 1 ends at 2 + 4 + 4 >= 10: nothing commits.
         assert_eq!(nrn.state.try_tick(w, lut, th, &[0, 1, 1], 8), None);
         assert_eq!(nrn.state.potentials, vec![4.0, 0.0]);
-        assert_eq!(nrn.state.last_update, vec![3, 0]);
+        assert_eq!(nrn.state.last_update_mut(), [3, 0]);
     }
 
     #[test]

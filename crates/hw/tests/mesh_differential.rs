@@ -212,7 +212,7 @@ impl Reference {
             let reached = ln > 0 && self.fabric.delivered(INJECTOR, c);
             for (slot, &g) in core.locals.iter().enumerate() {
                 state.potentials[g] = core.potentials[slot];
-                state.last_update[g] = core.last_update[slot];
+                state.last_update_mut()[g] = core.last_update[slot];
                 let gate = if reached {
                     core.refractory_until[slot].max(core.inhibited_until[slot])
                 } else {
@@ -227,7 +227,8 @@ impl Reference {
         }
         let events: Vec<usize> = (0..bucket.len()).collect();
         let outcome = state.try_tick(&columns, &self.lut, &thresholds, &events, t);
-        (outcome, state.potentials, state.last_update)
+        let last_update = state.last_update_mut().to_vec();
+        (outcome, state.potentials, last_update)
     }
 
     /// Potentials and last updates of every neuron, in global order.
@@ -405,11 +406,13 @@ fn random_fabric(rng: &mut SplitMix64, grid: Grid) -> Fabric {
 #[test]
 fn tick_simulator_matches_the_per_event_reference() {
     // Fires, drops, same-tick fire pairs, presentations that resume the
-    // pass after a fire and fire again, and inhibitions that revert a
+    // pass after a fire and fire again, inhibitions that revert a
     // receiving core's speculative work (which the mesh must bill but not
-    // commit), over all cases, so the harness cannot pass on silent,
-    // fault-free, first-fire-only or single-core presentations.
+    // commit), and used cores the input multicast never reaches (whose
+    // neurons the mesh parks), over all cases, so the harness cannot pass
+    // on silent, fault-free, first-fire-only or single-core presentations.
     let seen = std::cell::Cell::new((0usize, 0u64, 0usize, 0usize, 0usize));
+    let unreached = std::cell::Cell::new(0usize);
     check_cases(0x3E5A_D1FF, 400, |case, rng| {
         let inputs = 1 + rng.next_below(48) as usize;
         let neurons = 1 + rng.next_below(24) as usize;
@@ -435,6 +438,11 @@ fn tick_simulator_matches_the_per_event_reference() {
         let placement = place_greedy(&partition, grid);
         let mut mesh = MeshSnn::compiled(&net, partition, placement, fabric);
         let mut reference = Reference::of(&net, &mesh);
+        let parked = reference
+            .used
+            .iter()
+            .filter(|&&c| !reference.fabric.delivered(INJECTOR, c));
+        unreached.set(unreached.get() + parked.count());
         for k in 0..3u64 {
             let pixels = random_pixels(rng, inputs);
             let pseed = rng.next_u64();
@@ -468,5 +476,9 @@ fn tick_simulator_matches_the_per_event_reference() {
     assert!(
         reverting > 0,
         "no inhibition ever reverted another core's speculative update"
+    );
+    assert!(
+        unreached.get() > 0,
+        "no fabric ever left a used core unreached by the input multicast"
     );
 }

@@ -71,12 +71,14 @@ impl CodingScheme {
 
     /// A reasonable initial firing threshold for this scheme: temporal
     /// codes deliver ~10× fewer spikes than rate codes, so the Table 1
-    /// threshold is scaled accordingly (homeostasis then fine-tunes).
+    /// threshold is scaled accordingly (homeostasis then fine-tunes). A
+    /// window shorter than one spike interval at the maximum rate
+    /// (`max_spikes_per_pixel() == 0`) scales by one, not to infinity.
     pub fn initial_threshold(&self, params: &SnnParams) -> f64 {
         if self.is_rate_code() {
             params.initial_threshold
         } else {
-            params.initial_threshold / f64::from(params.max_spikes_per_pixel())
+            params.initial_threshold / f64::from(params.max_spikes_per_pixel().max(1))
         }
     }
 }
@@ -446,6 +448,21 @@ mod tests {
             assert!(c >= prev && c <= 10);
             prev = c;
         }
+    }
+
+    #[test]
+    fn a_window_shorter_than_one_spike_interval_keeps_thresholds_finite() {
+        // 30 ms at 20 Hz: not one full spike interval per pixel.
+        let mut params = SnnParams::for_neurons(3);
+        params.t_period = 30;
+        assert_eq!(params.max_spikes_per_pixel(), 0);
+        let mut net = crate::SnnNetwork::with_coding(784, 10, params, CodingScheme::RankOrder, 7);
+        assert!(
+            net.thresholds().iter().all(|th| th.is_finite()),
+            "{:?}",
+            net.thresholds()
+        );
+        assert!(net.present(&[255; 784], 0).winner.is_some());
     }
 
     #[test]

@@ -607,21 +607,18 @@ impl SnnNetwork {
                     if t < state.gate()[j] {
                         continue;
                     }
-                    // Analytic leak since this neuron's last update.
-                    let dt = u64::from(t - state.last_update[j]);
-                    if dt > 0 {
-                        state.potentials[j] = decay(&self.decay_lut, state.potentials[j], dt);
-                    }
-                    state.last_update[j] = t;
-                    state.potentials[j] += if faults_active {
+                    let w = if faults_active {
                         f64::from(self.faults.read_u8(self.weights[j * self.inputs + input]))
                     } else {
                         self.weights_t[col + j]
                     };
+                    // Analytic leak since this neuron's last update, then
+                    // the weight.
+                    let v = state.integrate(j, &self.decay_lut, w, t);
                     if let Some(tr) = trace.as_deref_mut() {
-                        tr.record_potential(j, t, state.potentials[j]);
+                        tr.record_potential(j, t, v);
                     }
-                    if state.potentials[j] >= self.thresholds[j] {
+                    if v >= self.thresholds[j] {
                         // Fire!
                         fires.push((t, j));
                         winner.get_or_insert(j);
@@ -1235,13 +1232,13 @@ mod tests {
         let mut snn = SnnNetwork::new(16, 2, tiny_params(4), 9);
         let _ = snn.predict(&[180u8; 16], 42);
         let potentials_ptr = snn.sim.state.potentials.as_ptr();
-        let last_update_ptr = snn.sim.state.last_update.as_ptr();
+        let last_update_ptr = snn.sim.state.last_update_mut().as_ptr();
         let calendar = snn.sim.calendar.buffers();
         for _ in 0..20 {
             let _ = snn.predict(&[180u8; 16], 42);
         }
         assert_eq!(snn.sim.state.potentials.as_ptr(), potentials_ptr);
-        assert_eq!(snn.sim.state.last_update.as_ptr(), last_update_ptr);
+        assert_eq!(snn.sim.state.last_update_mut().as_ptr(), last_update_ptr);
         assert_eq!(snn.sim.calendar.buffers(), calendar);
     }
 

@@ -15,22 +15,52 @@
 //! fired and the pass commits, bit-identical to the scan. Otherwise it
 //! leaves the state untouched and returns `None`.
 //!
+//! # One sweep per tick
+//!
+//! The pass is one sweep over the neurons in chunks of sixteen (the tail
+//! in narrower chunks of 8, 4, 2 and 1). A chunk's sums live in
+//! registers for the whole tick: `v * factor` plus the first event's
+//! weight, `+= w` for each further event, then the `>= threshold` fold,
+//! and one store of the tentative potentials. Each neuron's f64
+//! operations keep the scan's order, so the sums are bit-identical to
+//! it. The sweep stops at the first chunk with a crossing. On a tick
+//! that needs per-neuron factors (below) each lane takes its neuron's own
+//! table factor, NaN for a gated neuron, so that a gated neuron's sum
+//! never crosses, and the commit keeps its old potential and last update.
+//!
 //! The decay is one table factor, `v * lut[t - last_update]`, for every
 //! neuron: `lut[0] == 1.0`, and every tick lies inside the presentation
 //! window, so the gap is always inside the table and the product is
-//! exactly what [`crate::network::decay_with_lut`] computes. While every
-//! neuron is open and shares one last update (before the first fire, and
-//! between fires once the gates have lapsed and a tick has committed) the
-//! pass reads that factor once instead of gathering it per neuron, and
-//! drops the gate masks.
+//! exactly what [`crate::network::decay_with_lut`] computes.
+//!
+//! # The shared last update
+//!
+//! While every neuron is open and shares one last update (before the
+//! first fire, and between fires once the gates have lapsed and a tick
+//! has committed with every neuron open) the state keeps that time as
+//! one value, the chunks read one factor, and a commit is a buffer swap
+//! plus one store: nothing per neuron beyond the sweep. The per-neuron
+//! vector is written out only when a tick finds a gate still shut, or
+//! when a caller reads or writes it through [`TickState::last_update_mut`]
+//! or [`TickState::integrate`], the per-event scan's entry points; the
+//! next tick that commits with every neuron open makes it shared again.
+
+use crate::network::decay_with_lut;
+
+/// Neurons per chunk of the sweep: sixteen `f64` sums stay in registers
+/// across a tick's events.
+const LANES: usize = 16;
 
 /// Per-neuron LIF state of one presentation, flat in neuron id order.
 #[derive(Debug, Clone, Default)]
 pub struct TickState {
     /// Membrane potentials after the last committed update.
     pub potentials: Vec<f64>,
-    /// Time of each neuron's last potential update.
-    pub last_update: Vec<u32>,
+    /// Time of each neuron's last potential update; stale while
+    /// `shared_last` holds.
+    last_update: Vec<u32>,
+    /// The last update every neuron shares, when it is kept as one value.
+    shared_last: Option<u32>,
     /// First millisecond at which each neuron integrates again.
     gate: Vec<u32>,
     /// The latest gate: from it on every neuron is open.
@@ -40,18 +70,17 @@ pub struct TickState {
 }
 
 impl TickState {
-    /// `neurons` neurons at rest and open from `t = 0`, reusing the
-    /// buffers.
+    /// `neurons` neurons at rest, last updated at `t = 0` and open from
+    /// it, reusing the buffers.
     pub fn reset(&mut self, neurons: usize) {
         for v in [&mut self.potentials, &mut self.staged] {
             v.clear();
             v.resize(neurons, 0.0);
         }
-        for v in [&mut self.last_update, &mut self.gate] {
-            v.clear();
-            v.resize(neurons, 0);
-        }
+        self.gate.clear();
+        self.gate.resize(neurons, 0);
         self.last_gate = 0;
+        self.shared_last = Some(0);
     }
 
     /// Every neuron's gate, in neuron id order.
@@ -67,6 +96,59 @@ impl TickState {
     pub fn raise_gate(&mut self, j: usize, until: u32) {
         self.gate[j] = self.gate[j].max(until);
         self.last_gate = self.last_gate.max(until);
+    }
+
+    /// Time of neuron `j`'s last potential update.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is out of range.
+    pub fn last_update(&self, j: usize) -> u32 {
+        match self.shared_last {
+            Some(last) => last,
+            None => self.last_update[j],
+        }
+    }
+
+    /// Every neuron's last update time, writable, in neuron id order. A
+    /// shared last update is written out first.
+    pub fn last_update_mut(&mut self) -> &mut [u32] {
+        if let Some(last) = self.shared_last.take() {
+            self.last_update.clear();
+            self.last_update.resize(self.potentials.len(), last);
+        }
+        &mut self.last_update
+    }
+
+    /// Neuron `j`'s potential after one input event at `t` that adds `w`,
+    /// as the per-event scan computes it: the decay from its last update
+    /// (composing table factors past the table's end), then the add. The
+    /// state is only read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is out of range or `t` precedes the neuron's last
+    /// update.
+    pub fn integrated(&self, j: usize, lut: &[f64], w: f64, t: u32) -> f64 {
+        let dt = u64::from(t - self.last_update(j));
+        let mut v = self.potentials[j];
+        if dt > 0 {
+            v = decay_with_lut(lut, v, dt);
+        }
+        v + w
+    }
+
+    /// Applies one input event at `t` adding `w` to neuron `j`
+    /// ([`TickState::integrated`]) and returns the new potential.
+    ///
+    /// # Panics
+    ///
+    /// As [`TickState::integrated`].
+    pub fn integrate(&mut self, j: usize, lut: &[f64], w: f64, t: u32) -> f64 {
+        let v = self.integrated(j, lut, w, t);
+        self.last_update_mut()[j] = t;
+        self.potentials[j] = v;
+        v
     }
 
     /// The gated pass over the tick at `t` whose events are `bucket`'s
@@ -90,76 +172,66 @@ impl TickState {
         bucket: &[usize],
         t: u32,
     ) -> Option<usize> {
-        let n = self.potentials.len();
         let Some((&first, rest)) = bucket.split_first() else {
             return Some(0);
         };
-        let decay = |last: u32| decay_factor(lut, t, last);
-        // Before the first fire, and again once every gate has lapsed and
-        // a tick has committed, all neurons are open and share one last
-        // update: one factor then decays them all, which vectorizes where
-        // the per-neuron table gather does not, and nothing needs a mask.
-        let shared_last = self.last_update.first().copied().unwrap_or(t);
-        let uniform = t >= self.last_gate && {
-            let mut spread = 0;
-            for &last in &self.last_update {
-                spread |= last ^ shared_last;
-            }
-            spread == 0
+        let n = self.potentials.len();
+        let events = Events {
+            weights_t,
+            n,
+            first,
+            rest,
         };
-        let staged = &mut self.staged[..n];
-        let col = &weights_t[first * n..][..n];
-        if uniform {
-            let factor = decay(shared_last);
-            for ((s, &v), &w) in staged.iter_mut().zip(&self.potentials).zip(col) {
-                *s = v * factor + w;
+        if let Some(last) = self.shared_last.filter(|_| t >= self.last_gate) {
+            // Every neuron is open and shares one last update: one factor
+            // decays them all, and nothing needs a mask.
+            let mut sweep = Sweep {
+                events,
+                factors: Shared(decay_factor(lut, t, last)),
+                potentials: &self.potentials,
+                thresholds,
+                staged: &mut self.staged,
+            };
+            if sweep.crosses() {
+                return None;
             }
-        } else {
-            for (((s, &v), &last), &w) in staged
-                .iter_mut()
-                .zip(&self.potentials)
-                .zip(&self.last_update)
-                .zip(col)
-            {
-                *s = v * decay(last) + w;
-            }
-        }
-        for &input in rest {
-            for (s, &w) in staged.iter_mut().zip(&weights_t[input * n..][..n]) {
-                *s += w;
-            }
-        }
-        // One branch-free fold: almost every tick ends without a crossing.
-        let mut crossed = false;
-        if uniform {
-            for (&s, &th) in staged.iter().zip(&thresholds[..n]) {
-                crossed |= s >= th;
-            }
-        } else {
-            for ((&s, &th), &g) in staged.iter().zip(&thresholds[..n]).zip(&self.gate) {
-                crossed |= (t >= g) & (s >= th);
-            }
-        }
-        if crossed {
-            return None;
-        }
-        if uniform {
             std::mem::swap(&mut self.potentials, &mut self.staged);
-            self.last_update.fill(t);
+            self.shared_last = Some(t);
             return Some(n);
         }
+        // Per-neuron factors read the per-neuron last updates.
+        self.last_update_mut();
+        let mut sweep = Sweep {
+            events,
+            factors: PerNeuron {
+                lut,
+                t,
+                last_update: &self.last_update,
+                gate: &self.gate,
+            },
+            potentials: &self.potentials,
+            thresholds,
+            staged: &mut self.staged,
+        };
+        if sweep.crosses() {
+            return None;
+        }
+        // Only the open neurons take their staged sums.
         let mut open = 0;
         for (((v, last), &g), &s) in self
             .potentials
             .iter_mut()
             .zip(&mut self.last_update)
             .zip(&self.gate)
-            .zip(staged.iter())
+            .zip(&self.staged)
         {
             let is_open = t >= g;
             *v = if is_open { s } else { *v };
             *last = if is_open { t } else { *last };
             open += usize::from(is_open);
+        }
+        if open == n {
+            self.shared_last = Some(t);
         }
         Some(open)
     }
@@ -184,22 +256,19 @@ impl TickState {
         t: u32,
     ) -> Option<usize> {
         let n = self.potentials.len();
-        let staged = &mut self.staged[..n];
         for (e, &input) in bucket.iter().enumerate() {
-            for (j, (s, &w)) in staged
-                .iter_mut()
-                .zip(&weights_t[input * n..][..n])
-                .enumerate()
-            {
+            for j in 0..n {
                 if t < self.gate[j] {
                     continue;
                 }
-                *s = if e == 0 {
-                    self.potentials[j] * decay_factor(lut, t, self.last_update[j]) + w
+                let w = weights_t[input * n + j];
+                let s = if e == 0 {
+                    self.potentials[j] * decay_factor(lut, t, self.last_update(j)) + w
                 } else {
-                    *s + w
+                    self.staged[j] + w
                 };
-                if *s >= thresholds[j] {
+                self.staged[j] = s;
+                if s >= thresholds[j] {
                     return Some(j);
                 }
             }
@@ -216,12 +285,137 @@ fn decay_factor(lut: &[f64], t: u32, last: u32) -> f64 {
     lut[dt]
 }
 
+/// A tick's events over column-major weights.
+#[derive(Clone, Copy)]
+struct Events<'a> {
+    weights_t: &'a [f64],
+    n: usize,
+    first: usize,
+    rest: &'a [usize],
+}
+
+impl Events<'_> {
+    /// `input`'s weights onto the `L` neurons from `base`.
+    #[inline(always)]
+    fn column<const L: usize>(&self, input: usize, base: usize) -> &[f64] {
+        &self.weights_t[input * self.n + base..][..L]
+    }
+}
+
+/// Where a chunk's decay factors come from.
+trait Factors {
+    /// The decay factors of the `L` neurons from `base`.
+    fn lanes<const L: usize>(&self, base: usize) -> [f64; L];
+}
+
+/// One factor for every neuron.
+struct Shared(f64);
+
+impl Factors for Shared {
+    #[inline(always)]
+    fn lanes<const L: usize>(&self, _: usize) -> [f64; L] {
+        [self.0; L]
+    }
+}
+
+/// Each neuron's own table factor. A gated neuron's is NaN: its sums are
+/// then NaN, never reach a threshold, and the commit leaves it alone.
+struct PerNeuron<'a> {
+    lut: &'a [f64],
+    t: u32,
+    last_update: &'a [u32],
+    gate: &'a [u32],
+}
+
+impl Factors for PerNeuron<'_> {
+    #[inline(always)]
+    fn lanes<const L: usize>(&self, base: usize) -> [f64; L] {
+        let mut factors = [0.0; L];
+        let last = &self.last_update[base..][..L];
+        let gate = &self.gate[base..][..L];
+        for ((f, &last), &g) in factors.iter_mut().zip(last).zip(gate) {
+            *f = if self.t >= g {
+                decay_factor(self.lut, self.t, last)
+            } else {
+                f64::NAN
+            };
+        }
+        factors
+    }
+}
+
+/// The sweep of one tick over every neuron.
+struct Sweep<'a, F> {
+    events: Events<'a>,
+    factors: F,
+    potentials: &'a [f64],
+    thresholds: &'a [f64],
+    staged: &'a mut [f64],
+}
+
+impl<F: Factors> Sweep<'_, F> {
+    /// Sweeps every neuron, full chunks first and then the tail in
+    /// halving widths; stops at the first chunk with a crossing.
+    #[inline(always)]
+    fn crosses(&mut self) -> bool {
+        let n = self.events.n;
+        let mut base = 0;
+        while n - base >= LANES {
+            if self.chunk::<LANES>(base) {
+                return true;
+            }
+            base += LANES;
+        }
+        macro_rules! tail {
+            ($($width:literal),*) => {$(
+                if n - base >= $width {
+                    if self.chunk::<$width>(base) {
+                        return true;
+                    }
+                    base += $width;
+                }
+            )*};
+        }
+        tail!(8, 4, 2, 1);
+        false
+    }
+
+    /// Sweeps the `L` neurons from `base`: stages their sums and returns
+    /// whether one ends at or above its threshold.
+    #[inline(always)]
+    fn chunk<const L: usize>(&mut self, base: usize) -> bool {
+        let v = &self.potentials[base..][..L];
+        let thresholds = &self.thresholds[base..][..L];
+        let staged = &mut self.staged[base..][..L];
+        let events = &self.events;
+        let factors = self.factors.lanes::<L>(base);
+        let mut sums = [0.0; L];
+        let first = events.column::<L>(events.first, base);
+        for (((s, &v), &f), &w) in sums.iter_mut().zip(v).zip(&factors).zip(first) {
+            *s = v * f + w;
+        }
+        for &input in events.rest {
+            for (s, &w) in sums.iter_mut().zip(events.column::<L>(input, base)) {
+                *s += w;
+            }
+        }
+        let mut crossed = false;
+        for (&s, &th) in sums.iter().zip(thresholds) {
+            crossed |= s >= th;
+        }
+        staged.copy_from_slice(&sums);
+        crossed
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::decay_with_lut;
     use crate::{SnnNetwork, SnnParams};
+    use nc_substrate::check::check_cases;
     use nc_substrate::rng::SplitMix64;
+    use std::cell::Cell;
 
     /// A state of `n` neurons with the given potentials, last updates
     /// and gates.
@@ -229,7 +423,7 @@ mod tests {
         let mut s = TickState::default();
         s.reset(potentials.len());
         s.potentials.copy_from_slice(potentials);
-        s.last_update.copy_from_slice(last_update);
+        s.last_update_mut().copy_from_slice(last_update);
         for (j, &g) in gate.iter().enumerate() {
             s.raise_gate(j, g);
         }
@@ -238,6 +432,10 @@ mod tests {
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn last_updates(s: &TickState) -> Vec<u32> {
+        (0..s.potentials.len()).map(|j| s.last_update(j)).collect()
     }
 
     #[test]
@@ -281,7 +479,7 @@ mod tests {
                     at = 7;
                 }
                 assert_eq!(s.potentials[j].to_bits(), v.to_bits(), "{last:?} {j}");
-                assert_eq!(s.last_update[j], at, "{last:?} {j}");
+                assert_eq!(s.last_update(j), at, "{last:?} {j}");
             }
         }
     }
@@ -298,7 +496,7 @@ mod tests {
             Some(2)
         );
         assert_eq!(s.potentials[1].to_bits(), 99.0f64.to_bits());
-        assert_eq!(s.last_update, vec![4, 2, 4]);
+        assert_eq!(last_updates(&s), [4, 2, 4]);
         assert_eq!(s.gate, before.gate);
         // Neuron 2 now crosses: nothing commits, gated or open.
         let committed = s.clone();
@@ -307,7 +505,7 @@ mod tests {
             None
         );
         assert_eq!(bits(&s.potentials), bits(&committed.potentials));
-        assert_eq!(s.last_update, committed.last_update);
+        assert_eq!(last_updates(&s), last_updates(&committed));
         assert_eq!(s.gate, committed.gate);
     }
 
@@ -320,27 +518,28 @@ mod tests {
         assert_eq!(s.try_tick(&w, &lut, &th, &[0], 3), Some(0));
         assert_eq!(s.try_tick(&w, &lut, &th, &[0, 0], 5), Some(0));
         assert_eq!(bits(&s.potentials), bits(&[4.0, 8.0]));
-        assert_eq!(s.last_update, vec![1, 1]);
+        assert_eq!(last_updates(&s), [1, 1]);
         // Neuron 0 opens at 6: 4 * 0.5 + 1 stays below 5.
         assert_eq!(s.try_tick(&w, &lut, &th, &[0], 6), Some(1));
         assert_eq!(bits(&s.potentials), bits(&[3.0, 8.0]));
-        assert_eq!(s.last_update, vec![6, 1]);
+        assert_eq!(last_updates(&s), [6, 1]);
     }
 
-    /// The per-event scan's first fire in the tick at `t`: every event in
-    /// order, every open neuron in ascending id, leak then add then
-    /// compare.
-    fn scan_first_fire(
+    /// The per-event scan of the tick at `t`: every event in order, every
+    /// open neuron in ascending id, leak then add then compare. Returns
+    /// the potentials, last updates and open count it leaves when no open
+    /// neuron crosses, else the first neuron to cross.
+    fn scan(
         s: &TickState,
         w: &[f64],
         lut: &[f64],
         th: &[f64],
         bucket: &[usize],
         t: u32,
-    ) -> Option<usize> {
+    ) -> Result<(Vec<f64>, Vec<u32>, usize), usize> {
         let n = s.potentials.len();
         let mut v = s.potentials.clone();
-        let mut last = s.last_update.clone();
+        let mut last = last_updates(s);
         for &input in bucket {
             for j in 0..n {
                 if t < s.gate[j] {
@@ -350,11 +549,12 @@ mod tests {
                 last[j] = t;
                 v[j] += w[input * n + j];
                 if v[j] >= th[j] {
-                    return Some(j);
+                    return Err(j);
                 }
             }
         }
-        None
+        let open = s.gate.iter().filter(|&&g| t >= g).count();
+        Ok((v, last, if bucket.is_empty() { 0 } else { open }))
     }
 
     #[test]
@@ -367,10 +567,10 @@ mod tests {
                 let mut s = state(&v0, &last, &gate);
                 let before = s.clone();
                 let found = s.first_crossing(&w, &lut, &th, bucket, 5);
-                assert_eq!(found, scan_first_fire(&s, &w, &lut, &th, bucket, 5));
+                assert_eq!(found, scan(&s, &w, &lut, &th, bucket, 5).err());
                 // Read-only: the committed state is untouched.
                 assert_eq!(bits(&s.potentials), bits(&before.potentials));
-                assert_eq!(s.last_update, before.last_update);
+                assert_eq!(last_updates(&s), last_updates(&before));
                 assert_eq!(s.gate, before.gate);
                 // It resolves exactly the ticks the pass declines.
                 assert_eq!(
@@ -403,6 +603,132 @@ mod tests {
             first([0.0, 4.0, 0.0], [5, 3, 5], open, [50.0, 4.5, 50.0], &[0, 0]),
             Some(1)
         );
+    }
+
+    #[test]
+    fn the_sweep_matches_the_per_event_scan_on_random_ticks() {
+        // Every tail width, shared-factor and gated ticks, parked neurons
+        // (threshold +inf, zero column), and thresholds set exactly on,
+        // just above or below a neuron's end-of-tick sum, so that some
+        // ticks cross only at their last event.
+        let tails = Cell::new(0u32);
+        // [shared, gated] x [commit, decline]
+        let seen = Cell::new([[0usize; 2]; 2]);
+        check_cases(0x5EE9_71C4, 800, |case, rng| {
+            let n = 1 + rng.next_index(70);
+            let inputs = 1 + rng.next_index(6);
+            let t0 = rng.next_below_u32(40);
+            let lut: Vec<f64> = (0..50)
+                .map(|dt| {
+                    if dt == 0 {
+                        1.0
+                    } else {
+                        rng.next_range(0.05, 1.0)
+                    }
+                })
+                .collect();
+            let parked: Vec<bool> = (0..n).map(|_| rng.next_below(8) == 0).collect();
+            let mut w: Vec<f64> = (0..inputs * n)
+                .map(|_| rng.next_below(256) as f64)
+                .collect();
+            for (i, weight) in w.iter_mut().enumerate() {
+                if parked[i % n] {
+                    *weight = 0.0;
+                }
+            }
+            let mut s = TickState::default();
+            s.reset(n);
+            for (v, &p) in s.potentials.iter_mut().zip(&parked) {
+                *v = if p { 0.0 } else { rng.next_range(0.0, 500.0) };
+            }
+            let shared = rng.next_below(2) == 0;
+            if shared {
+                // A committed all-open tick leaves one shared last update;
+                // lapsed gates keep it.
+                let all_open = s.try_tick(&w, &lut, &[f64::INFINITY; 70][..n], &[0], t0);
+                assert_eq!(all_open, Some(n));
+                for j in 0..n {
+                    if rng.next_below(3) == 0 {
+                        s.raise_gate(j, rng.next_below_u32(t0 + 1));
+                    }
+                }
+            } else {
+                for last in s.last_update_mut() {
+                    *last = rng.next_below_u32(t0 + 1);
+                }
+                for j in 0..n {
+                    match rng.next_below(3) {
+                        0 => s.raise_gate(j, t0 + 1 + rng.next_below_u32(8)),
+                        1 => s.raise_gate(j, rng.next_below_u32(t0 + 1)),
+                        _ => {}
+                    }
+                }
+            }
+            let mut t = t0;
+            // Two ticks: the second starts from whatever the first left.
+            for _ in 0..2 {
+                t += 1 + rng.next_below_u32(3);
+                let bucket: Vec<usize> = (0..1 + rng.next_index(5))
+                    .map(|_| rng.next_index(inputs))
+                    .collect();
+                let mode = usize::from(!(s.shared_last.is_some() && t >= s.last_gate));
+                let (end, _, _) = scan(&s, &w, &lut, &[f64::INFINITY; 70][..n], &bucket, t)
+                    .expect("nothing crosses an infinite threshold");
+                // Gated neurons may sit above their thresholds; open ones
+                // end just below or well below theirs, unless one is
+                // picked to cross.
+                let mut th: Vec<f64> = (0..n)
+                    .map(|j| match rng.next_below(4) {
+                        _ if parked[j] => f64::INFINITY,
+                        _ if t < s.gate[j] => rng.next_range(0.0, 600.0),
+                        0 => f64::INFINITY,
+                        1 => end[j].next_up(),
+                        _ => end[j] + rng.next_range(1.0, 300.0),
+                    })
+                    .collect();
+                let open: Vec<usize> = (0..n).filter(|&j| !parked[j] && t >= s.gate[j]).collect();
+                if !open.is_empty() && rng.next_below(2) == 0 {
+                    let j = open[rng.next_index(open.len())];
+                    th[j] = match rng.next_below(3) {
+                        0 => end[j],
+                        1 => end[j].next_down(),
+                        _ => rng.next_range(0.0, end[j]),
+                    };
+                }
+                let want = scan(&s, &w, &lut, &th, &bucket, t);
+                let before = s.clone();
+                let got = s.try_tick(&w, &lut, &th, &bucket, t);
+                let ctx = format!("case {case}, n {n}, t {t}, mode {mode}");
+                let committed = match want {
+                    Ok((v, last, open)) => {
+                        assert_eq!(got, Some(open), "{ctx}: open count");
+                        assert_eq!(bits(&s.potentials), bits(&v), "{ctx}: potentials");
+                        assert_eq!(last_updates(&s), last, "{ctx}: last updates");
+                        0
+                    }
+                    Err(_) => {
+                        assert_eq!(got, None, "{ctx}: declines");
+                        assert_eq!(bits(&s.potentials), bits(&before.potentials), "{ctx}");
+                        assert_eq!(last_updates(&s), last_updates(&before), "{ctx}");
+                        1
+                    }
+                };
+                assert_eq!(s.gate, before.gate, "{ctx}: gates");
+                let mut counts = seen.get();
+                counts[mode][committed] += 1;
+                seen.set(counts);
+                tails.set(tails.get() | 1 << (n % LANES));
+                if got.is_none() {
+                    break;
+                }
+            }
+        });
+        assert_eq!(tails.get(), (1 << LANES) - 1, "a tail width never appeared");
+        for (mode, counts) in ["shared", "gated"].iter().zip(seen.get()) {
+            for (outcome, count) in ["commit", "decline"].iter().zip(counts) {
+                assert!(count > 100, "only {count} {mode} ticks {outcome}");
+            }
+        }
     }
 
     #[test]

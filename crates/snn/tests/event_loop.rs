@@ -111,7 +111,7 @@ impl Reference {
         let mut state = TickState::default();
         state.reset(n);
         state.potentials.copy_from_slice(potentials);
-        state.last_update.copy_from_slice(last_update);
+        state.last_update_mut().copy_from_slice(last_update);
         for (j, (&r, &i)) in refractory_until.iter().zip(inhibited_until).enumerate() {
             state.raise_gate(j, r.max(i));
         }
@@ -198,7 +198,7 @@ impl Reference {
             if fired && committed_after_fire {
                 self.resumed = true;
             }
-            let Some((outcome, state)) = pass else {
+            let Some((outcome, mut state)) = pass else {
                 continue;
             };
             assert_eq!(
@@ -209,7 +209,11 @@ impl Reference {
             if let Some(open) = outcome {
                 assert_eq!(open * bucket.len(), updates, "tick {t}: updates");
                 assert_eq!(bits(&state.potentials), bits(&potentials), "tick {t}");
-                assert_eq!(state.last_update, last_update, "tick {t}: last update");
+                assert_eq!(
+                    state.last_update_mut(),
+                    last_update,
+                    "tick {t}: last update"
+                );
                 let gates = refractory_until.iter().zip(&inhibited_until);
                 let gates: Vec<u32> = gates.map(|(&r, &i)| r.max(i)).collect();
                 assert_eq!(state.gate(), gates, "tick {t}: gates");
