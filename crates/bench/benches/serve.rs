@@ -293,6 +293,7 @@ fn main() {
         bin: "serve".to_string(),
         threads: 4,
         scale: if smoke() { "smoke" } else { "bench" }.to_string(),
+        isa: nc_core::BUILD_ISA,
         sections,
         snapshot,
     };

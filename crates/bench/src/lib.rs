@@ -184,6 +184,7 @@ impl BenchContext {
             bin: self.bin.clone(),
             threads: self.engine.threads(),
             scale: self.engine.scale().name().to_string(),
+            isa: nc_core::BUILD_ISA,
             sections,
             snapshot: self
                 .recorder
@@ -281,6 +282,22 @@ mod tests {
     }
 
     #[test]
+    fn committed_baselines_without_an_isa_field_still_load() {
+        // Records written before `isa` existed are the CI gates'
+        // baselines; the gates must still find their sections.
+        let batch = include_str!("../../../BENCH_PR6_batch.json");
+        let serve = include_str!("../../../BENCH_PR7_serve.json");
+        assert!(!batch.contains("\"isa\"") && !serve.contains("\"isa\""));
+        for gate in ["e2e/fig3_present_784_50", "e2e/fig3_evaluate_50imgs"] {
+            assert!(
+                baseline_per_sec(batch, gate).is_some_and(|v| v > 0.0),
+                "{gate}"
+            );
+        }
+        assert!(baseline_per_sec(serve, "serve/loadgen_w64").is_some_and(|v| v > 0.0));
+    }
+
+    #[test]
     fn git_sha_is_short_hex_or_unknown() {
         let sha = git_short_sha();
         assert!(
@@ -304,6 +321,7 @@ mod tests {
         assert_eq!(record.sections[0].samples, 10);
         let json = record.to_json();
         assert!(json.contains("\"schema_version\":3"), "{json}");
+        assert_eq!(record.isa, nc_core::BUILD_ISA);
         assert!(json.contains("\"counters\":"), "{json}");
         assert!(json.contains("\"bin\":\"selftest\""), "{json}");
     }

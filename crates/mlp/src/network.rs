@@ -250,40 +250,70 @@ impl Mlp {
 /// independent add chains to cover the latency of a float add.
 const ROW_BLOCK: usize = 8;
 
+/// Inputs [`row_tile`] takes per step: each row's weights for this many
+/// consecutive inputs load as one contiguous run.
+const COL_STEP: usize = 4;
+
 /// One layer's pre-activation sums, `out[j] = w[j][n] + Σ_i w[j][i]·input[i]`
 /// over a row-major bias-last weight matrix (`n = input.len()`).
 ///
 /// Each sum starts from the bias and adds the products `w·x` in `i`
 /// ascending order, one rounded multiply and one rounded add per term,
 /// so every output is bit-identical to the plain serial loop. Speed
-/// comes from running [`ROW_BLOCK`] rows at once: their chains are
-/// independent, so the adds overlap instead of waiting on each other.
+/// comes from running [`ROW_BLOCK`] rows at once (then 4, then 1 for
+/// the rows left over): their chains are independent, so the adds
+/// overlap instead of waiting on each other.
 fn layer_sums(weights: &[f64], input: &[f64], out: &mut [f64]) {
-    let n = input.len();
-    let row_w = n + 1;
+    let row_w = input.len() + 1;
     let mut blocks = weights.chunks_exact(ROW_BLOCK * row_w);
     let mut outs = out.chunks_exact_mut(ROW_BLOCK);
     for (block, sums) in (&mut blocks).zip(&mut outs) {
-        let rows: [&[f64]; ROW_BLOCK] = std::array::from_fn(|k| &block[k * row_w..][..n]);
-        let mut acc: [f64; ROW_BLOCK] = std::array::from_fn(|k| block[k * row_w + n]);
-        for (i, &x) in input.iter().enumerate() {
-            for (a, row) in acc.iter_mut().zip(&rows) {
-                *a += row[i] * x;
+        row_tile::<ROW_BLOCK>(block, input, sums);
+    }
+    let mut quads = blocks.remainder().chunks_exact(4 * row_w);
+    let mut outs = outs.into_remainder().chunks_exact_mut(4);
+    for (block, sums) in (&mut quads).zip(&mut outs) {
+        row_tile::<4>(block, input, sums);
+    }
+    let rows = quads.remainder().chunks_exact(row_w);
+    for (row, sum) in rows.zip(outs.into_remainder().chunks_exact_mut(1)) {
+        row_tile::<1>(row, input, sum);
+    }
+}
+
+/// The sums of `R` consecutive rows of [`layer_sums`]' matrix. The
+/// input advances [`COL_STEP`] at a time, and each row's weights for
+/// that step load as one contiguous run. The compiler can then
+/// transpose the `R × COL_STEP` tile in registers into one vector of
+/// `R` weights per input. Walking the rows one input at a time instead
+/// leaves it a strided gather per input, which it assembles
+/// element by element. The adds keep each row's order: bias first,
+/// then `i` ascending.
+fn row_tile<const R: usize>(block: &[f64], input: &[f64], sums: &mut [f64]) {
+    let n = input.len();
+    let row_w = n + 1;
+    let rows: [&[f64]; R] = std::array::from_fn(|k| &block[k * row_w..][..n]);
+    let mut acc: [f64; R] = std::array::from_fn(|k| block[k * row_w + n]);
+    let mut steps = input.chunks_exact(COL_STEP);
+    let mut i = 0;
+    for xs in &mut steps {
+        let tile: [[f64; COL_STEP]; R] = std::array::from_fn(|k| {
+            let w = &rows[k][i..i + COL_STEP];
+            std::array::from_fn(|t| w[t])
+        });
+        for (t, &x) in xs.iter().enumerate() {
+            for (a, w) in acc.iter_mut().zip(&tile) {
+                *a += w[t] * x;
             }
         }
-        sums.copy_from_slice(&acc);
+        i += COL_STEP;
     }
-    for (row, sum) in blocks
-        .remainder()
-        .chunks_exact(row_w)
-        .zip(outs.into_remainder())
-    {
-        let mut s = row[n];
-        for (&w, &x) in row[..n].iter().zip(input) {
-            s += w * x;
+    for (&x, i) in steps.remainder().iter().zip(i..) {
+        for (a, row) in acc.iter_mut().zip(&rows) {
+            *a += row[i] * x;
         }
-        *sum = s;
     }
+    sums.copy_from_slice(&acc);
 }
 
 /// Reusable buffers for the float forward pass: the input rescaled to

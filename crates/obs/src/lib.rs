@@ -59,5 +59,5 @@ mod recorder;
 
 pub use hist::{LatencyHistogram, Stopwatch};
 pub use memory::{EpochRecord, MemoryRecorder, ObsSnapshot, SpanStats};
-pub use record::{BenchRecord, SectionRecord};
+pub use record::{BenchRecord, SectionRecord, BUILD_ISA};
 pub use recorder::{null, EpochMetrics, NullRecorder, Recorder, Span};

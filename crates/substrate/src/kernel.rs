@@ -42,9 +42,11 @@ use crate::fixed::sat_i64_round;
 use crate::interp::PiecewiseLinear;
 
 /// Rows per i32 partial-sum block in [`gemv_i8xu8`]. The worst-case
-/// partial is `BLOCK · 127 · 255 < 2^23`, far inside the i32 range, so
-/// blocking never overflows and — integer addition being associative —
-/// the blocked sum is bit-identical to the naive i64 accumulation.
+/// partial is a block of `i8::MIN` weights against saturated inputs,
+/// `|BLOCK · -128 · 255| = 8,355,840 < 2^23`, far inside the i32
+/// range, so blocking never overflows and — integer addition being
+/// associative — the blocked sum is bit-identical to the naive i64
+/// accumulation.
 const BLOCK: usize = 256;
 
 /// Presentation columns per cache tile in [`gemm_i8xu8`]: every weight
@@ -483,14 +485,45 @@ mod tests {
 
     #[test]
     fn gemv_handles_extreme_weights_and_saturated_input() {
-        let n = 784;
-        let weights: Vec<i8> = (0..2 * (n + 1))
-            .map(|i| if i % 2 == 0 { i8::MIN } else { i8::MAX })
-            .collect();
-        let input = vec![255u8; n];
-        let mut out = vec![0i64; 2];
-        gemv_i8xu8(&weights, &input, &mut out);
-        assert_eq!(out, gemv_reference(&weights, &input, 2));
+        // Against saturated inputs: rows alternating i8::MIN and
+        // i8::MAX, and rows of all i8::MIN and all i8::MAX (bias word
+        // included). The uniform rows make every BLOCK partial the
+        // extreme 256·(-128)·255 or 256·127·255, the worst case a
+        // vector lane must carry without overflow.
+        for n in [BLOCK, 784, 4 * BLOCK] {
+            let alternating: Vec<i8> = (0..2 * (n + 1))
+                .map(|i| if i % 2 == 0 { i8::MIN } else { i8::MAX })
+                .collect();
+            let uniform: Vec<i8> = [i8::MIN, i8::MAX]
+                .iter()
+                .flat_map(|&w| std::iter::repeat_n(w, n + 1))
+                .collect();
+            let input = vec![255u8; n];
+            let n_i64 = i64::try_from(n).unwrap_or(0);
+            assert_eq!(
+                gemv_reference(&uniform, &input, 2),
+                vec![-128 * 255 * (n_i64 + 1), 127 * 255 * (n_i64 + 1)],
+                "n={n}"
+            );
+            for weights in [alternating, uniform] {
+                let expected = gemv_reference(&weights, &input, 2);
+                let mut out = vec![0i64; 2];
+                gemv_i8xu8(&weights, &input, &mut out);
+                assert_eq!(out, expected, "gemv n={n}");
+                // One whole COL_TILE plus a one-column tail.
+                let cols = COL_TILE + 1;
+                let inputs = vec![255u8; n * cols];
+                let mut batched = vec![0i64; 2 * cols];
+                gemm_i8xu8(&weights, 2, &inputs, cols, &mut batched);
+                for c in 0..cols {
+                    assert_eq!(
+                        &batched[2 * c..2 * c + 2],
+                        &expected[..],
+                        "gemm n={n} col {c}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
