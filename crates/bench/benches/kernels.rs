@@ -19,7 +19,7 @@
 //! * `NC_BENCH_SMOKE=1` shrinks sample counts for CI smoke runs.
 
 use nc_bench::microbench::{write_record_from_args, BenchResult, Group};
-use nc_bench::{baseline_from_args, baseline_per_sec};
+use nc_bench::{baseline_from_args, baseline_per_sec, load_baseline};
 use nc_dataset::model::Model;
 use nc_dataset::{digits::DigitsSpec, Difficulty, PixelSlab};
 use nc_mlp::{Activation, Mlp, QuantizedMlp};
@@ -116,10 +116,10 @@ fn main() {
     write_record_from_args("kernels", &results);
 
     if let Some(path) = baseline_from_args() {
-        let json = match std::fs::read_to_string(&path) {
+        let json = match load_baseline(&path) {
             Ok(s) => s,
             Err(e) => {
-                eprintln!("error: could not read baseline {}: {e}", path.display());
+                eprintln!("error: {e}");
                 std::process::exit(1);
             }
         };

@@ -26,7 +26,9 @@
 //!   1 and 4 threads.
 //! * `NC_BENCH_SMOKE=1` shrinks the workload for CI smoke runs.
 
-use nc_bench::{baseline_from_args, baseline_per_sec, git_short_sha, json_path_from_args};
+use nc_bench::{
+    baseline_from_args, baseline_per_sec, git_short_sha, json_path_from_args, load_baseline,
+};
 use nc_core::{
     BenchRecord, ChaosPlan, Engine, ExperimentScale, FaultModel, FaultPlan, FitBudget,
     MemoryRecorder, ModelSpec, ObsSnapshot, Recorder, SectionRecord, Supervision,
@@ -293,7 +295,6 @@ fn main() {
         bin: "serve".to_string(),
         threads: 4,
         scale: if smoke() { "smoke" } else { "bench" }.to_string(),
-        isa: nc_core::BUILD_ISA,
         sections,
         snapshot,
     };
@@ -306,10 +307,10 @@ fn main() {
     }
 
     if let Some(path) = baseline_from_args() {
-        let json = match std::fs::read_to_string(&path) {
+        let json = match load_baseline(&path) {
             Ok(s) => s,
             Err(e) => {
-                eprintln!("error: could not read baseline {}: {e}", path.display());
+                eprintln!("error: {e}");
                 std::process::exit(1);
             }
         };

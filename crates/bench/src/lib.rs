@@ -27,7 +27,7 @@ pub mod microbench;
 
 use nc_core::experiment::ExperimentScale;
 use nc_core::{BenchRecord, Engine, MemoryRecorder, Recorder, SectionRecord};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Parses the common `--scale` flag from `std::env::args`.
@@ -99,6 +99,31 @@ pub fn baseline_from_args() -> Option<PathBuf> {
         }
     }
     None
+}
+
+/// Reads the baseline record at `path` for a `--baseline` gate and
+/// refuses it unless it was built for this binary's instruction set
+/// ([`nc_obs::BUILD_ISA`]): serve alone runs about a third faster at
+/// x86-64-v3 than at x86-64, so a cross-ISA ratio would hide a
+/// regression of that size. A record without an `isa` field predates
+/// it and came from a portable `"x86-64"` build.
+pub fn load_baseline(path: &Path) -> Result<String, String> {
+    let json = std::fs::read_to_string(path)
+        .map_err(|e| format!("could not read baseline {}: {e}", path.display()))?;
+    let key = "\"isa\":\"";
+    let isa = match json.find(key) {
+        Some(at) => json[at + key.len()..].split('"').next().unwrap_or(""),
+        None => "x86-64",
+    };
+    if isa != nc_obs::BUILD_ISA {
+        return Err(format!(
+            "baseline {} is an {isa} build and this is an {} build; rebuild \
+             with RUSTFLAGS=\"-C target-cpu={isa}\" or record a new baseline",
+            path.display(),
+            nc_obs::BUILD_ISA
+        ));
+    }
+    Ok(json)
 }
 
 /// Extracts `samples_per_sec` for `section` from a `BenchRecord` JSON
@@ -184,7 +209,6 @@ impl BenchContext {
             bin: self.bin.clone(),
             threads: self.engine.threads(),
             scale: self.engine.scale().name().to_string(),
-            isa: nc_core::BUILD_ISA,
             sections,
             snapshot: self
                 .recorder
@@ -282,19 +306,36 @@ mod tests {
     }
 
     #[test]
-    fn committed_baselines_without_an_isa_field_still_load() {
-        // Records written before `isa` existed are the CI gates'
-        // baselines; the gates must still find their sections.
-        let batch = include_str!("../../../BENCH_PR6_batch.json");
-        let serve = include_str!("../../../BENCH_PR7_serve.json");
-        assert!(!batch.contains("\"isa\"") && !serve.contains("\"isa\""));
-        for gate in ["e2e/fig3_present_784_50", "e2e/fig3_evaluate_50imgs"] {
-            assert!(
-                baseline_per_sec(batch, gate).is_some_and(|v| v > 0.0),
-                "{gate}"
-            );
+    fn baselines_load_only_at_their_own_isa() {
+        let dir = std::env::temp_dir().join(format!("nc-bench-isa-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let own = BenchContext::from_args("selftest").record().to_json();
+        let cases = [
+            ("own", own.as_str(), true),
+            (
+                "portable",
+                r#"{"scale":"bench","isa":"x86-64","sections":[]}"#,
+                nc_obs::BUILD_ISA == "x86-64",
+            ),
+            (
+                "v3",
+                r#"{"scale":"bench","isa":"x86-64-v3","sections":[]}"#,
+                nc_obs::BUILD_ISA == "x86-64-v3",
+            ),
+            (
+                "unlabelled",
+                r#"{"scale":"bench","sections":[]}"#,
+                nc_obs::BUILD_ISA == "x86-64",
+            ),
+        ];
+        for (name, json, loads) in cases {
+            let path = dir.join(name);
+            std::fs::write(&path, json).unwrap();
+            let got = load_baseline(&path);
+            assert_eq!(got.is_ok(), loads, "{name}: {got:?}");
         }
-        assert!(baseline_per_sec(serve, "serve/loadgen_w64").is_some_and(|v| v > 0.0));
+        assert!(load_baseline(&dir.join("missing")).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -321,7 +362,6 @@ mod tests {
         assert_eq!(record.sections[0].samples, 10);
         let json = record.to_json();
         assert!(json.contains("\"schema_version\":3"), "{json}");
-        assert_eq!(record.isa, nc_core::BUILD_ISA);
         assert!(json.contains("\"counters\":"), "{json}");
         assert!(json.contains("\"bin\":\"selftest\""), "{json}");
     }

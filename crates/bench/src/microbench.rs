@@ -170,7 +170,6 @@ pub fn bench_record(bin: &str, results: &[BenchResult]) -> BenchRecord {
         bin: bin.to_string(),
         threads: 1,
         scale: "bench".to_string(),
-        isa: nc_core::BUILD_ISA,
         sections: results
             .iter()
             .map(|r| {

@@ -59,7 +59,7 @@ pub use nc_dataset::{FitBudget, Model, ModelError};
 pub use nc_faults::{ChaosPlan, FaultModel, FaultPlan};
 pub use nc_obs::{
     BenchRecord, EpochMetrics, MemoryRecorder, NullRecorder, ObsSnapshot, Recorder, SectionRecord,
-    Span, BUILD_ISA,
+    Span,
 };
 pub use robustness::{RobustnessPoint, RobustnessSweep};
 pub use sweeps::{

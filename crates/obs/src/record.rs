@@ -16,8 +16,8 @@ pub const SCHEMA_VERSION: u64 = 3;
 /// The instruction set this build targets: `"x86-64-v3"` when AVX2,
 /// FMA and BMI2 are all enabled at compile time (the workspace's
 /// `.cargo/config.toml` sets them on x86-64), `"x86-64"` for the
-/// portable baseline, and the architecture's name elsewhere. A record
-/// carries it so runs of different builds are never compared as one.
+/// portable baseline, and the architecture's name elsewhere.
+/// [`BenchRecord::to_json`] writes it as the record's `isa`.
 pub const BUILD_ISA: &str = if cfg!(all(
     target_feature = "avx2",
     target_feature = "fma",
@@ -76,9 +76,6 @@ pub struct BenchRecord {
     pub threads: usize,
     /// Experiment scale name (`tiny`/`quick`/`standard`/`full`).
     pub scale: String,
-    /// The instruction set of the build that ran, normally
-    /// [`BUILD_ISA`].
-    pub isa: &'static str,
     /// Per-section wall-clock and throughput.
     pub sections: Vec<SectionRecord>,
     /// Everything the run's recorder aggregated.
@@ -184,7 +181,7 @@ impl BenchRecord {
             ("bin".into(), Json::str(self.bin.clone())),
             ("threads".into(), Json::int(self.threads as u64)),
             ("scale".into(), Json::str(self.scale.clone())),
-            ("isa".into(), Json::str(self.isa)),
+            ("isa".into(), Json::str(BUILD_ISA)),
             ("total_wall_s".into(), Json::Num(self.total_wall_s())),
             ("sections".into(), sections),
             ("counters".into(), counters),
@@ -243,7 +240,6 @@ mod tests {
             bin: "all".into(),
             threads: 4,
             scale: "tiny".into(),
-            isa: BUILD_ISA,
             sections: vec![SectionRecord {
                 name: "all/table3".into(),
                 wall_s: 1.5,
