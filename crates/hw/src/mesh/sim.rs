@@ -26,8 +26,9 @@
 //!   pass ([`TickState::try_tick`]) that the reference loop runs too. If
 //!   no open neuron ends at or above threshold, the tick had no fire and
 //!   commits.
-//! * Otherwise it is scanned event by event as below — the only code
-//!   that resolves fires and fault cascades.
+//! * Otherwise it is scanned event by event as below, through the
+//!   reference's own per-event scan ([`TickState::scan_event`]): the only
+//!   code that resolves fires and fault cascades.
 //! * Every input event is the same multicast from the ingress core, so
 //!   its packets, hops, drops, link loads and reached (listening) cores
 //!   are routed once at compile time and billed once per presentation:
@@ -47,16 +48,18 @@
 //!
 //! # A crossing tick
 //!
-//! Each event integrates every open neuron in ascending global id, as
-//! the reference does. A fire of `j` gates its own core's other locals
-//! until `t + Tinhibit` (`j` until `t + Trefrac`, the core's skip until
+//! Each event runs [`TickState::scan_event`], which integrates the open
+//! neurons in ascending global id, as the reference does, and stops at
+//! each fire. A fire of `j` gates its own core's other locals until
+//! `t + Tinhibit` (`j` until `t + Trefrac`, the core's skip until
 //! `t + min`) and sends an inhibition packet to every other used core,
 //! gating each core it reaches until `t + Tinhibit`: on a healthy fabric,
-//! the reference's inhibition of every later neuron. Under fabric faults
-//! it degrades *deterministically*, as a real mesh would misbehave: a
-//! core the input packet misses never integrates, and a core an
-//! inhibition packet misses keeps integrating and may fire in the same
-//! event (a cascade resolved in ascending id).
+//! the reference's inhibition of every later neuron. The scan then
+//! resumes the event at `j + 1`. Under fabric faults it degrades
+//! *deterministically*, as a real mesh would misbehave: a core the input
+//! packet misses never integrates, and a core an inhibition packet
+//! misses keeps integrating and may fire in the same event (a cascade
+//! resolved in ascending id).
 //!
 //! The bill is that of cores that speculate and revert: each listening
 //! core past its skip reads its rows and updates its open locals in
@@ -580,13 +583,8 @@ impl MeshSnn {
                         }
                     }
                 }
-                for (j, &w) in col.iter().enumerate() {
-                    if t < s.gate()[j] {
-                        continue;
-                    }
-                    if s.integrate(j, &nrn.lut, w, t) < nrn.thresholds[j] {
-                        continue;
-                    }
+                let mut from = 0;
+                while let Some(j) = s.scan_event(&nrn.lut, &nrn.thresholds, t, from, |j| col[j]) {
                     fires.push((t, j));
                     if let Some(tr) = trace.as_deref_mut() {
                         let _ = writeln!(tr, "F {t} {j}");
@@ -604,6 +602,7 @@ impl MeshSnn {
                             cores[c].inhibit(s, j, t + inhibit, t + inhibit);
                         }
                     }
+                    from = j + 1;
                 }
             }
             // Close the tick: its busiest link, then clear the loads.

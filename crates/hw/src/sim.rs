@@ -8,13 +8,14 @@
 //! tests assert the results are bit-identical to the model-level
 //! implementations in `nc-mlp`/`nc-snn` while the cycle counters agree
 //! with the Table 7 formulas. The SNNwt emulation leaks through the
-//! network's own decay table and runs the network's whole-tick pass, so
-//! its readout is the event-driven model's, bit for bit.
+//! network's own decay table and runs the network's whole-tick pass and
+//! per-event scan, so its readout is the event-driven model's, bit for
+//! bit.
 
 use nc_mlp::quant::QuantizedMlp;
 use nc_snn::coding::wot_spike_count;
 use nc_snn::{tie_broken_readout, SnnNetwork, SpikeCalendar, TickState, WotSnn};
-use nc_substrate::kernel::{gemm_i8xu8, Scratch};
+use nc_substrate::kernel::Scratch;
 
 use crate::folded::SNNWOT_PIPELINE_LATENCY;
 
@@ -115,63 +116,6 @@ impl<'a> FoldedMlpSim<'a> {
             .unwrap_or(0);
         SimOutcome { winner, cycles }
     }
-
-    /// Runs a contiguous batch of `cols` images (back to back in
-    /// `inputs`) through the folded datapath in one [`gemm_i8xu8`] pass
-    /// per layer, appending one [`SimOutcome`] per image to `out`.
-    ///
-    /// Bit-identical to calling [`FoldedMlpSim::run`] image by image:
-    /// integer accumulation is associative so the GEMM equals the
-    /// chunked per-cycle accumulator exactly, the activation unit is
-    /// elementwise, and the cycle count is data-independent — every
-    /// image costs `Σ_l (⌈fan_in/ni⌉ + 1)` cycles regardless of its
-    /// pixels (the folded hardware has no early exit).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cols == 0` or `inputs.len() != cols ·` input width.
-    pub fn run_batch(&mut self, inputs: &[u8], cols: usize, out: &mut Vec<SimOutcome>) {
-        let mlp = self.mlp;
-        let ni = self.ni;
-        let sizes = mlp.sizes();
-        assert!(cols > 0, "batch must hold at least one image");
-        assert_eq!(inputs.len(), cols * sizes[0], "input slab width mismatch");
-        let max_width = sizes.iter().copied().max().unwrap_or(0);
-        self.scratch.ensure(max_width * cols);
-        self.scratch.front[..inputs.len()].copy_from_slice(inputs);
-        let mut cycles = 0u64;
-        for l in 0..sizes.len() - 1 {
-            let fan_in = sizes[l];
-            let fan_out = sizes[l + 1];
-            let weights = &mlp.layer_weights(l)[..fan_out * (fan_in + 1)];
-            let lut = mlp.act_lut(l);
-            let scratch = &mut self.scratch;
-            gemm_i8xu8(
-                weights,
-                fan_out,
-                &scratch.front[..fan_in * cols],
-                cols,
-                &mut scratch.acc[..fan_out * cols],
-            );
-            for (o, &acc) in scratch.back[..fan_out * cols].iter_mut().zip(&scratch.acc) {
-                *o = lut.eval(acc);
-            }
-            std::mem::swap(&mut scratch.front, &mut scratch.back);
-            cycles += fan_in.div_ceil(ni) as u64 + 1;
-        }
-        let out_width = sizes[sizes.len() - 1];
-        out.reserve(cols);
-        for c in 0..cols {
-            let registers = &self.scratch.front[c * out_width..(c + 1) * out_width];
-            let winner = registers
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            out.push(SimOutcome { winner, cycles });
-        }
-    }
 }
 
 /// Cycle-level simulator of the folded SNNwot datapath (Figure 7):
@@ -251,8 +195,8 @@ fn shift_add_product(count: u8, w: u8) -> u64 {
 /// [`SpikeCalendar`] fills from the network's coding scheme (for
 /// `GaussianRate`, the hardware's CLT interval generators) and
 /// presentation stream, each cycle is one [`TickState::try_tick`], the
-/// first declined cycle's winner comes from
-/// [`TickState::first_crossing`], and the readout is
+/// first declined cycle's winner is the first fire of its per-event scan
+/// ([`TickState::scan_event`]), and the readout is
 /// [`tie_broken_readout`] on the same stream. So its winner is
 /// [`SnnNetwork::present`]'s readout, bit for bit.
 #[derive(Debug, Clone)]
@@ -299,10 +243,13 @@ impl<'a> SnnWtSim<'a> {
             .fill(net.coding(), pixels, params, stream, None);
         self.state.reset(params.neurons);
         let (w, lut, th) = (net.weights_t(), net.decay_lut(), net.thresholds());
+        let n = params.neurons;
         let mut winner = None;
         for (t, bucket) in self.calendar.buckets() {
             if self.state.try_tick(w, lut, th, bucket, t).is_none() {
-                winner = self.state.first_crossing(w, lut, th, bucket, t);
+                winner = bucket
+                    .iter()
+                    .find_map(|&input| self.state.scan_event(lut, th, t, 0, |j| w[input * n + j]));
                 break;
             }
         }
@@ -348,32 +295,6 @@ mod tests {
             for (s, winner) in test.iter().zip(winners) {
                 assert_eq!(winner, q.predict_u8(&s.pixels), "ni={ni}");
             }
-        }
-    }
-
-    #[test]
-    fn folded_mlp_sim_batch_is_bit_identical_to_serial() {
-        let (train, test) = DigitsSpec {
-            train: 100,
-            test: 27, // not a multiple of the GEMM column tile
-            seed: 21,
-            difficulty: Difficulty::default(),
-        }
-        .generate();
-        let mut mlp = Mlp::new(&[784, 12, 10], Activation::sigmoid(), 6).unwrap();
-        Trainer::new(TrainConfig {
-            epochs: 2,
-            ..TrainConfig::default()
-        })
-        .fit(&mut mlp, &train);
-        let q = QuantizedMlp::from_mlp(&mlp);
-        let slab: Vec<u8> = test.iter().flat_map(|s| s.pixels.iter().copied()).collect();
-        for ni in [1usize, 8, 16] {
-            let mut sim = FoldedMlpSim::new(&q, ni);
-            let mut batched = Vec::new();
-            sim.run_batch(&slab, test.len(), &mut batched);
-            let serial: Vec<SimOutcome> = test.iter().map(|s| sim.run(&s.pixels)).collect();
-            assert_eq!(batched, serial, "ni={ni}");
         }
     }
 

@@ -55,8 +55,8 @@ fn mesh_is_bit_exact_vs_reference_for_all_codings_and_grids() {
                     routed.fires, reference.fires,
                     "{coding:?} {grid:?} p{pseed}"
                 );
-                // Potentials to the last bit: the distributed decay and
-                // undo path must replay the reference arithmetic exactly.
+                // Potentials to the last bit: the mesh's pass and scan
+                // must reproduce the reference arithmetic exactly.
                 assert_eq!(
                     routed.potentials, reference.potentials,
                     "{coding:?} {grid:?} p{pseed}"

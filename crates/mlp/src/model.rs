@@ -140,7 +140,7 @@ impl Model for QuantizedMlp {
 
     /// Batched inference through the GEMM kernel: the slab is consumed
     /// in kernel-sized tiles, bit-identical to the serial default (the
-    /// GEMM is bit-identical to the column-wise GEMV). With a
+    /// serial path is the one-column GEMM). With a
     /// transient-read fault armed the serial path is kept — its
     /// per-read RNG stream makes read order part of the semantics.
     fn predict_batch(&mut self, batch: &EvalBatch<'_>, out: &mut Vec<usize>) {

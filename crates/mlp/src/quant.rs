@@ -17,7 +17,7 @@ use nc_dataset::ModelError;
 use nc_faults::{dead_unit_mask, stuck_bits_i8, FaultModel, FaultPlan, TransientReads};
 use nc_substrate::fixed::{sat_i32_trunc, sat_i8_round};
 use nc_substrate::interp::PiecewiseLinear;
-use nc_substrate::kernel::{gemm_i8xu8, gemv_i8xu8, FixedActLut, Scratch};
+use nc_substrate::kernel::{gemm_i8xu8, FixedActLut, Scratch};
 
 /// Bit width of weights and activations in the hardware datapath.
 pub const DATA_BITS: u32 = 8;
@@ -198,14 +198,18 @@ impl QuantizedMlp {
     /// buffers and is valid until the next presentation.
     ///
     /// The whole pass is integer: blocked i8×u8 MACs into the i64
-    /// adder tree ([`gemv_i8xu8`]), then the activation evaluated in
-    /// fixed point straight off the accumulator ([`FixedActLut`]). After
-    /// the first call, no heap allocation occurs (scratch reuse).
+    /// adder tree, then the activation evaluated in fixed point straight
+    /// off the accumulator ([`FixedActLut`]). Without faults this is the
+    /// one-image batch ([`QuantizedMlp::forward_batch_u8`]). After the
+    /// first call, no heap allocation occurs (scratch reuse).
     ///
     /// # Panics
     ///
     /// Panics if `input.len()` does not match the input layer width.
     pub fn forward_u8(&mut self, input: &[u8]) -> &[u8] {
+        if !self.faults.is_active() {
+            return self.forward_batch_u8(input, 1);
+        }
         assert_eq!(
             input.len(),
             self.sizes[0],
@@ -220,25 +224,17 @@ impl QuantizedMlp {
             let weights = &self.layers[l][..fan_out * (fan_in + 1)];
             let lut = &self.act_luts[l];
             let scratch = &mut self.scratch;
-            if self.faults.is_active() {
-                // Every weight word passes through the faulty SRAM read
-                // port, bias included — the per-read RNG stream makes
-                // the read order part of the semantics, so this path
-                // keeps the bias-first row order of the fault-free GEMV.
-                for (j, acc) in scratch.acc[..fan_out].iter_mut().enumerate() {
-                    let row = &weights[j * (fan_in + 1)..(j + 1) * (fan_in + 1)];
-                    let mut a = i64::from(self.faults.read_i8(row[fan_in])) * 255;
-                    for (&w, &x) in row[..fan_in].iter().zip(&scratch.front[..fan_in]) {
-                        a += i64::from(self.faults.read_i8(w)) * i64::from(x);
-                    }
-                    *acc = a;
+            // Every weight word passes through the faulty SRAM read port,
+            // bias included — the per-read RNG stream makes the read
+            // order part of the semantics, so this path keeps the
+            // bias-first row order of the fault-free GEMM.
+            for (j, acc) in scratch.acc[..fan_out].iter_mut().enumerate() {
+                let row = &weights[j * (fan_in + 1)..(j + 1) * (fan_in + 1)];
+                let mut a = i64::from(self.faults.read_i8(row[fan_in])) * 255;
+                for (&w, &x) in row[..fan_in].iter().zip(&scratch.front[..fan_in]) {
+                    a += i64::from(self.faults.read_i8(w)) * i64::from(x);
                 }
-            } else {
-                gemv_i8xu8(
-                    weights,
-                    &scratch.front[..fan_in],
-                    &mut scratch.acc[..fan_out],
-                );
+                *acc = a;
             }
             for (out, &acc) in scratch.back[..fan_out].iter_mut().zip(&scratch.acc) {
                 *out = lut.eval(acc);
@@ -266,8 +262,8 @@ impl QuantizedMlp {
     /// the whole slab, so the weight matrix streams through cache once
     /// per tile instead of once per image; the per-image results are
     /// bit-identical to calling [`QuantizedMlp::forward_u8`] image by
-    /// image (the GEMM is bit-identical to the column-wise GEMV and the
-    /// activation LUT is evaluated elementwise either way).
+    /// image (integer accumulation is exact, so the GEMM's cells do not
+    /// depend on the batch, and the activation LUT is elementwise).
     ///
     /// This path bypasses the transient-read fault port — callers with
     /// an armed fault stream must keep the serial path, whose read

@@ -36,16 +36,17 @@ use nc_substrate::stats::Confusion;
 /// Sentinel meaning "this input has not spiked yet in this presentation".
 const NEVER: u32 = u32::MAX;
 
-/// Applies the analytic leak `v · e^{-dt/Tleak}` via the precomputed
-/// per-millisecond decay table. Gaps longer than the table compose
-/// factors (`e^{-(a+b)} = e^{-a}·e^{-b}`), so an arbitrarily long
-/// inter-spike silence decays to the analytic value. The previous code
-/// clamped `dt` to the last table entry, silently under-decaying any gap
-/// beyond `Tperiod` — latent with the shipped coding schemes (all emit
-/// `t < Tperiod`, so `dt ≤ Tperiod − 1`), but wrong for any longer
-/// window; in-table gaps take the single-lookup path bit-for-bit.
+/// Applies the analytic leak `v · e^{-dt/Tleak}` through a precomputed
+/// per-millisecond decay table ([`SnnNetwork::decay_lut`]). Gaps longer
+/// than the table compose factors (`e^{-(a+b)} = e^{-a}·e^{-b}`), so an
+/// arbitrarily long silence decays to the analytic value; an in-table
+/// gap is the single lookup `v * lut[dt]` that [`TickState`] applies.
+/// The library's own loops never leave the table; this is the serial
+/// form the tests re-derive potentials with, and factor composition is
+/// *not* associative in f64, so re-deriving the decay any other way
+/// diverges.
 #[inline]
-fn decay(lut: &[f64], mut v: f64, mut dt: u64) -> f64 {
+pub fn decay_with_lut(lut: &[f64], mut v: f64, mut dt: u64) -> f64 {
     let last = lut.len() - 1;
     let max = u64::try_from(last).unwrap_or(u64::MAX);
     while dt > max {
@@ -53,17 +54,6 @@ fn decay(lut: &[f64], mut v: f64, mut dt: u64) -> f64 {
         dt -= max;
     }
     v * lut[usize::try_from(dt).unwrap_or(last)]
-}
-
-/// The analytic leak through a precomputed decay table — the exact
-/// operation sequence the reference event loop applies between input
-/// spikes. Public for external substrates (the `nc-hw` mesh) that must
-/// reproduce potentials bit-for-bit: factor composition is *not*
-/// associative in f64, so re-deriving the decay any other way diverges.
-/// Pair with [`SnnNetwork::decay_lut`].
-#[inline]
-pub fn decay_with_lut(lut: &[f64], v: f64, dt: u64) -> f64 {
-    decay(lut, v, dt)
 }
 
 /// Outcome of presenting one image to the network.
@@ -405,9 +395,9 @@ impl SnnNetwork {
 
     /// The precomputed per-millisecond leak table `e^{-dt/Tleak}` for
     /// `dt ∈ 0..=Tperiod`. External substrates that re-simulate this
-    /// network (the `nc-hw` mesh) must decay through this exact table —
-    /// composing factors for out-of-table gaps as [`decay_with_lut`]
-    /// does — to stay bit-identical to the reference event loop.
+    /// network (the `nc-hw` mesh) must decay through this exact table,
+    /// as [`TickState`] does, to stay bit-identical to the reference
+    /// event loop.
     pub fn decay_lut(&self) -> &[f64] {
         &self.decay_lut
     }
@@ -503,31 +493,30 @@ impl SnnNetwork {
         }
     }
 
-    /// The presentation loop, shared by learning, inference and tracing:
-    /// the one place that applies integrate, leak, fire and inhibit.
+    /// The presentation loop, shared by learning, inference and tracing.
     /// Returns the winner (first neuron to fire, if any); the full
     /// outcome lives in the reused scratch until the next presentation.
     ///
     /// Every bucket of the spike calendar first goes through the
     /// whole-tick pass ([`crate::tick`]); only the buckets it declines,
-    /// the ones with a fire, replay through the scalar loop, event by
-    /// event: gating, the WTA skip window, STDP and the fire itself. The
-    /// outcome is bit-identical to one scan of every neuron per input
-    /// event.
+    /// the ones with a fire, are scanned event by event. Each event runs
+    /// [`TickState::scan_event`] up to its next fire; this loop fires,
+    /// inhibits and learns, then resumes the event past the firing
+    /// neuron. The outcome is bit-identical to one scan of every neuron
+    /// per input event.
     ///
     /// `winner_only` callers read nothing but the winner — or, when no
     /// neuron fires, the final potentials — so for them the first
-    /// declined bucket ends the presentation: its first fire, found by
-    /// [`TickState::first_crossing`], is the winner.
+    /// declined bucket ends the presentation at its first fire.
     ///
-    /// A trace or an armed transient read fault runs the scalar loop on
-    /// every bucket: the trace samples every update, and under a
+    /// A trace or an armed transient read fault scans every bucket: the
+    /// trace samples the open neurons of each scanned range, and under a
     /// transient fault read order is part of the semantics.
     ///
     /// When learning, a committed bucket records `last_input_spike` for
-    /// all its inputs, exactly as the scalar loop would; the scalar loop
-    /// records a replayed bucket event by event, so STDP at a fire sees
-    /// only the spikes before it.
+    /// all its inputs, exactly as the scan would; a scanned bucket records
+    /// them event by event, so STDP at a fire sees only the spikes before
+    /// it.
     fn simulate(
         &mut self,
         pixels: &[u8],
@@ -580,9 +569,9 @@ impl SnnNetwork {
         let mut winner = None;
         for (t, bucket) in calendar.buckets() {
             if use_pass {
-                let (w, th) = (&self.weights_t, &self.thresholds);
+                let (w, lut, th) = (&self.weights_t, &self.decay_lut, &self.thresholds);
                 // Inside a skip window every neuron is gated: nothing to do.
-                if t < skip_until || state.try_tick(w, &self.decay_lut, th, bucket, t).is_some() {
+                if t < skip_until || state.try_tick(w, lut, th, bucket, t).is_some() {
                     if learn {
                         for &input in bucket {
                             last_input_spike[input] = t;
@@ -591,7 +580,9 @@ impl SnnNetwork {
                     continue;
                 }
                 if winner_only {
-                    winner = state.first_crossing(w, &self.decay_lut, th, bucket, t);
+                    winner = bucket
+                        .iter()
+                        .find_map(|&input| state.scan_event(lut, th, t, 0, |j| w[input * n + j]));
                     break;
                 }
             }
@@ -600,44 +591,43 @@ impl SnnNetwork {
                 if t < skip_until {
                     continue;
                 }
-                let col = input * n;
-                for j in 0..n {
+                let mut from = 0;
+                loop {
                     // Refractory / inhibited neurons ignore input spikes
                     // entirely (§2.2: "incoming spikes have no impact").
-                    if t < state.gate()[j] {
-                        continue;
-                    }
-                    let w = if faults_active {
-                        f64::from(self.faults.read_u8(self.weights[j * self.inputs + input]))
-                    } else {
-                        self.weights_t[col + j]
-                    };
-                    // Analytic leak since this neuron's last update, then
-                    // the weight.
-                    let v = state.integrate(j, &self.decay_lut, w, t);
+                    let fired = state.scan_event(&self.decay_lut, &self.thresholds, t, from, |j| {
+                        if faults_active {
+                            f64::from(self.faults.read_u8(self.weights[j * self.inputs + input]))
+                        } else {
+                            self.weights_t[input * n + j]
+                        }
+                    });
                     if let Some(tr) = trace.as_deref_mut() {
-                        tr.record_potential(j, t, v);
-                    }
-                    if v >= self.thresholds[j] {
-                        // Fire!
-                        fires.push((t, j));
-                        winner.get_or_insert(j);
-                        state.potentials[j] = 0.0;
-                        for k in (0..n).filter(|&k| k != j) {
-                            state.raise_gate(k, t + self.params.t_inhibit);
-                        }
-                        // `j` was open at `t`, so the refractory window
-                        // alone gates it.
-                        state.raise_gate(j, t + self.params.t_refrac);
-                        skip_until = t + all_gated;
-                        if let Some(tr) = trace.as_deref_mut() {
-                            tr.record_fire(j, t);
-                        }
-                        if learn {
-                            self.fire_counts[j] += 1;
-                            self.apply_stdp(j, t, last_input_spike);
+                        let scanned = from..fired.map_or(n, |j| j + 1);
+                        for j in scanned.filter(|&j| t >= state.gate()[j]) {
+                            tr.record_potential(j, t, state.potentials[j]);
                         }
                     }
+                    let Some(j) = fired else { break };
+                    // Fire!
+                    fires.push((t, j));
+                    winner.get_or_insert(j);
+                    state.potentials[j] = 0.0;
+                    for k in (0..n).filter(|&k| k != j) {
+                        state.raise_gate(k, t + self.params.t_inhibit);
+                    }
+                    // `j` was open at `t`, so the refractory window alone
+                    // gates it.
+                    state.raise_gate(j, t + self.params.t_refrac);
+                    skip_until = t + all_gated;
+                    if let Some(tr) = trace.as_deref_mut() {
+                        tr.record_fire(j, t);
+                    }
+                    if learn {
+                        self.fire_counts[j] += 1;
+                        self.apply_stdp(j, t, last_input_spike);
+                    }
+                    from = j + 1;
                 }
             }
         }
@@ -1079,7 +1069,7 @@ mod tests {
         let snn = SnnNetwork::new(2, 2, tiny_params(1), 3);
         let v = 1234.5;
         let gap = 10_000u64; // e^{-20} ≈ 2.06e-9 with Tleak = 500 ms
-        let after = decay(&snn.decay_lut, v, gap);
+        let after = decay_with_lut(&snn.decay_lut, v, gap);
         assert!(after > 0.0);
         assert!(
             after < v * 1e-6,
@@ -1098,15 +1088,15 @@ mod tests {
         let v = 987.125;
         for dt in [1u64, 37, 250, 499] {
             let direct = v * snn.decay_lut[usize::try_from(dt).unwrap()];
-            assert_eq!(decay(&snn.decay_lut, v, dt), direct, "dt {dt}");
+            assert_eq!(decay_with_lut(&snn.decay_lut, v, dt), direct, "dt {dt}");
         }
     }
 
     #[test]
     fn bucket_kernel_and_scalar_loop_are_bit_identical() {
-        // `present` runs the whole-tick pass and replays only the buckets
-        // with a fire; `present_traced` runs the scalar loop on every
-        // bucket (a trace forces it). Same seed → same outcome, bit for
+        // `present` runs the whole-tick pass and scans only the buckets
+        // with a fire; `present_traced` scans every bucket event by event
+        // (a trace forces it). Same seed → same outcome, bit for
         // bit, across a spread of images.
         let (train, _) = DigitsSpec {
             train: 12,
@@ -1148,8 +1138,8 @@ mod tests {
     #[test]
     fn early_stopping_predict_matches_the_scalar_loop() {
         // `predict` runs the whole-tick pass and stops at the first fire;
-        // `present_traced` runs the scalar loop from the first bucket
-        // over the whole window. The readout must agree image for image
+        // `present_traced` scans every bucket event by event over the
+        // whole window. The readout must agree image for image
         // — which requires bit-identical winners AND (for no-fire
         // images) bit-identical final potentials, since exact-tie
         // breaking feeds off the raw f64 values. Exercised for both rate
@@ -1194,7 +1184,7 @@ mod tests {
     fn predict_no_fire_potentials_are_bit_identical() {
         // A sky-high threshold forces the no-winner branch on every
         // image, so the pass's committed potentials (the only
-        // readout input left) must equal the scalar loop's exactly.
+        // readout input left) must equal the per-event scan's exactly.
         let (_, test) = DigitsSpec {
             train: 1,
             test: 15,

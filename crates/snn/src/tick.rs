@@ -1,9 +1,10 @@
 //! The gated whole-tick pass: one millisecond of input events applied to
-//! every neuron at once. The reference presentation loop
-//! ([`crate::network`]) and the `nc-hw` mesh simulator both run it on
-//! every tick and replay only the ticks it declines, event by event; a
-//! caller that needs only the first fire (winner-only evaluation, the
-//! `nc-hw` SNNwt datapath) asks [`TickState::first_crossing`] instead.
+//! every neuron at once, and the per-event scan that resolves the ticks
+//! it declines. The reference presentation loop ([`crate::network`]), the
+//! `nc-hw` mesh simulator and the `nc-hw` SNNwt datapath all run the pass
+//! on every tick and resolve a declined tick through
+//! [`TickState::scan_event`], the one place an input event integrates
+//! into a neuron.
 //!
 //! A neuron's *gate* is the first millisecond at which it integrates
 //! again: the later of its refractory and inhibition deadlines. Within a
@@ -29,9 +30,10 @@
 //! never crosses, and the commit keeps its old potential and last update.
 //!
 //! The decay is one table factor, `v * lut[t - last_update]`, for every
-//! neuron: `lut[0] == 1.0`, and every tick lies inside the presentation
-//! window, so the gap is always inside the table and the product is
-//! exactly what [`crate::network::decay_with_lut`] computes.
+//! neuron, in the pass and the scan alike: `lut[0] == 1.0`, and every
+//! tick lies inside the presentation window, so the gap is always inside
+//! the table and the product is exactly what
+//! [`crate::network::decay_with_lut`] computes.
 //!
 //! # The shared last update
 //!
@@ -42,10 +44,8 @@
 //! plus one store: nothing per neuron beyond the sweep. The per-neuron
 //! vector is written out only when a tick finds a gate still shut, or
 //! when a caller reads or writes it through [`TickState::last_update_mut`]
-//! or [`TickState::integrate`], the per-event scan's entry points; the
-//! next tick that commits with every neuron open makes it shared again.
-
-use crate::network::decay_with_lut;
+//! or [`TickState::scan_event`]; the next tick that commits with every
+//! neuron open makes it shared again.
 
 /// Neurons per chunk of the sweep: sixteen `f64` sums stay in registers
 /// across a tick's events.
@@ -121,34 +121,48 @@ impl TickState {
     }
 
     /// Neuron `j`'s potential after one input event at `t` that adds `w`,
-    /// as the per-event scan computes it: the decay from its last update
-    /// (composing table factors past the table's end), then the add. The
-    /// state is only read.
+    /// as the per-event scan computes it: the table's decay from its last
+    /// update, then the add. The state is only read.
     ///
     /// # Panics
     ///
     /// Panics if `j` is out of range or `t` precedes the neuron's last
-    /// update.
+    /// update, and (by a debug assertion) if the gap falls outside `lut`.
     pub fn integrated(&self, j: usize, lut: &[f64], w: f64, t: u32) -> f64 {
-        let dt = u64::from(t - self.last_update(j));
-        let mut v = self.potentials[j];
-        if dt > 0 {
-            v = decay_with_lut(lut, v, dt);
-        }
-        v + w
+        self.potentials[j] * decay_factor(lut, t, self.last_update(j)) + w
     }
 
     /// Applies one input event at `t` adding `w` to neuron `j`
     /// ([`TickState::integrated`]) and returns the new potential.
-    ///
-    /// # Panics
-    ///
-    /// As [`TickState::integrated`].
-    pub fn integrate(&mut self, j: usize, lut: &[f64], w: f64, t: u32) -> f64 {
+    fn integrate(&mut self, j: usize, lut: &[f64], w: f64, t: u32) -> f64 {
         let v = self.integrated(j, lut, w, t);
         self.last_update_mut()[j] = t;
         self.potentials[j] = v;
         v
+    }
+
+    /// The per-event scan: integrates one input event at `t` into the
+    /// open neurons from `from` upward, in ascending id, each taking its
+    /// weight from `weight(j)` (called once per open neuron, in that
+    /// order, so a faulty read port keeps its read order). Stops at and
+    /// returns the first neuron that ends at or above its threshold, its
+    /// potential not yet reset: the caller fires it and resumes the event
+    /// at `j + 1`. `None` once the event has reached every open neuron.
+    ///
+    /// # Panics
+    ///
+    /// As [`TickState::integrated`]; also if `thresholds` is shorter than
+    /// the state.
+    pub fn scan_event(
+        &mut self,
+        lut: &[f64],
+        thresholds: &[f64],
+        t: u32,
+        from: usize,
+        mut weight: impl FnMut(usize) -> f64,
+    ) -> Option<usize> {
+        (from..self.potentials.len())
+            .find(|&j| t >= self.gate[j] && self.integrate(j, lut, weight(j), t) >= thresholds[j])
     }
 
     /// The gated pass over the tick at `t` whose events are `bucket`'s
@@ -234,46 +248,6 @@ impl TickState {
             self.shared_last = Some(t);
         }
         Some(open)
-    }
-
-    /// The neuron that fires first in the tick at `t` that
-    /// [`TickState::try_tick`] declined: re-folds `bucket`'s events in
-    /// order over the open neurons in ascending id, as the per-event scan
-    /// does, and returns the first neuron at or above its threshold, or
-    /// `None` if no open neuron crosses (a tick the pass commits). The
-    /// committed state is only read; the tentative sums reuse the pass's
-    /// buffer.
-    ///
-    /// # Panics
-    ///
-    /// As [`TickState::try_tick`].
-    pub fn first_crossing(
-        &mut self,
-        weights_t: &[f64],
-        lut: &[f64],
-        thresholds: &[f64],
-        bucket: &[usize],
-        t: u32,
-    ) -> Option<usize> {
-        let n = self.potentials.len();
-        for (e, &input) in bucket.iter().enumerate() {
-            for j in 0..n {
-                if t < self.gate[j] {
-                    continue;
-                }
-                let w = weights_t[input * n + j];
-                let s = if e == 0 {
-                    self.potentials[j] * decay_factor(lut, t, self.last_update(j)) + w
-                } else {
-                    self.staged[j] + w
-                };
-                self.staged[j] = s;
-                if s >= thresholds[j] {
-                    return Some(j);
-                }
-            }
-        }
-        None
     }
 }
 
@@ -558,25 +532,27 @@ mod tests {
     }
 
     #[test]
-    fn first_crossing_matches_the_per_event_scan() {
+    fn scan_event_matches_the_per_event_scan() {
         // Two inputs, three neurons: w[input * 3 + j]; the tick is t = 5.
         let w = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         let lut: Vec<f64> = (0..10).map(|dt| 0.5f64.powi(dt)).collect();
         let first =
             |v0: [f64; 3], last: [u32; 3], gate: [u32; 3], th: [f64; 3], bucket: &[usize]| {
                 let mut s = state(&v0, &last, &gate);
-                let before = s.clone();
-                let found = s.first_crossing(&w, &lut, &th, bucket, 5);
-                assert_eq!(found, scan(&s, &w, &lut, &th, bucket, 5).err());
-                // Read-only: the committed state is untouched.
-                assert_eq!(bits(&s.potentials), bits(&before.potentials));
-                assert_eq!(last_updates(&s), last_updates(&before));
-                assert_eq!(s.gate, before.gate);
+                let want = scan(&s, &w, &lut, &th, bucket, 5);
                 // It resolves exactly the ticks the pass declines.
-                assert_eq!(
-                    s.try_tick(&w, &lut, &th, bucket, 5).is_none(),
-                    found.is_some()
-                );
+                let declined = s.clone().try_tick(&w, &lut, &th, bucket, 5).is_none();
+                assert_eq!(declined, want.is_err());
+                let found = bucket
+                    .iter()
+                    .find_map(|&input| s.scan_event(&lut, &th, 5, 0, |j| w[input * 3 + j]));
+                assert_eq!(found, want.as_ref().err().copied());
+                // A scan without a fire leaves what the pass commits.
+                if let Ok((v, at, _)) = want {
+                    assert_eq!(bits(&s.potentials), bits(&v));
+                    assert_eq!(last_updates(&s), at);
+                }
+                assert_eq!(s.gate, gate);
                 found
             };
         let (rest, open) = ([0.0; 3], [0; 3]);
@@ -603,6 +579,26 @@ mod tests {
             first([0.0, 4.0, 0.0], [5, 3, 5], open, [50.0, 4.5, 50.0], &[0, 0]),
             Some(1)
         );
+    }
+
+    #[test]
+    fn scan_event_resumes_past_a_fire_and_reads_only_open_neurons() {
+        // Input 1 adds [4, 5, 6]; neuron 0 is gated, 1 and 2 both cross.
+        let w = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let lut = vec![0.5; 10];
+        let mut s = state(&[0.0; 3], &[4, 5, 5], &[6, 0, 0]);
+        let th = [1.0, 4.0, 5.0];
+        let mut reads = Vec::new();
+        let mut weight = |j: usize| {
+            reads.push(j);
+            w[3 + j]
+        };
+        assert_eq!(s.scan_event(&lut, &th, 5, 0, &mut weight), Some(1));
+        assert_eq!(s.scan_event(&lut, &th, 5, 2, &mut weight), Some(2));
+        assert_eq!(s.scan_event(&lut, &th, 5, 3, &mut weight), None);
+        assert_eq!(reads, [1, 2]);
+        assert_eq!(bits(&s.potentials), bits(&[0.0, 5.0, 6.0]));
+        assert_eq!(last_updates(&s), [4, 5, 5]);
     }
 
     #[test]

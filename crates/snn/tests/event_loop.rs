@@ -8,8 +8,10 @@
 //! optimized loop must reproduce bit for bit: presentations (potentials
 //! compared by `to_bits`), learned weights, thresholds, labels and
 //! readouts, over random sequences of `present`, `present_learn`,
-//! `predict` and `self_label`, for every coding scheme, every STDP rule
-//! and the fault models that act on the presentation loop.
+//! `present_traced`, `predict` and `self_label`, for every coding
+//! scheme, every STDP rule and the fault models that act on the
+//! presentation loop. A trace is the reference's `(j, t, v)` at every
+//! integration and `(j, t)` at every fire.
 //!
 //! The reference also checks the whole-tick pass ([`TickState`]) on
 //! every tick it runs without transient read faults: from the
@@ -68,6 +70,11 @@ struct Reference {
     /// Whether the last presentation committed a pass that updated a
     /// neuron after a fire, and then fired again.
     resumed: bool,
+    /// The last presentation's `(neuron, t, potential)` at every
+    /// integration.
+    samples: Vec<(usize, u32, f64)>,
+    /// The last presentation's `(neuron, t)` at every fire.
+    traced_fires: Vec<(usize, u32)>,
 }
 
 impl Reference {
@@ -92,6 +99,8 @@ impl Reference {
                 .filter(|_| model == Some(FaultModel::StuckLfsrTap)),
             labels: net.labels().to_vec(),
             resumed: false,
+            samples: Vec::new(),
+            traced_fires: Vec::new(),
         }
     }
 
@@ -146,6 +155,8 @@ impl Reference {
         let mut skip_until = 0u32;
         let mut committed_after_fire = false;
         self.resumed = false;
+        self.samples.clear();
+        self.traced_fires.clear();
         for (t, bucket) in events {
             let pass = (!self.reads.is_active()).then(|| {
                 self.pass(
@@ -176,8 +187,10 @@ impl Reference {
                     let w = self.reads.read_u8(self.weights[j * self.inputs + input]);
                     potentials[j] += f64::from(w);
                     updates += 1;
+                    self.samples.push((j, t, potentials[j]));
                     if potentials[j] >= self.thresholds[j] {
                         fires.push((t, j));
+                        self.traced_fires.push((j, t));
                         winner.get_or_insert(j);
                         potentials[j] = 0.0;
                         refractory_until[j] = t + self.params.t_refrac;
@@ -401,7 +414,7 @@ fn presentation_loop_matches_the_serial_reference() {
             let pixels = image(rng, inputs);
             let pseed = rng.next_u64();
             // Labels first, so predictions read out more than class 0.
-            match if op == 0 { 4 } else { rng.next_below(5) } {
+            match if op == 0 { 5 } else { rng.next_below(6) } {
                 0 => {
                     let want = reference.simulate(&pixels, false, pseed);
                     count(&reference);
@@ -420,6 +433,28 @@ fn presentation_loop_matches_the_serial_reference() {
                 3 => {
                     let want = reference.predict(&pixels, pseed);
                     assert_eq!(net.predict(&pixels, pseed), want, "{ctx} op {op} predict");
+                }
+                4 => {
+                    let want = reference.simulate(&pixels, false, pseed);
+                    count(&reference);
+                    let trace = net.present_traced(&pixels, pseed);
+                    let what = format!("{ctx} op {op} present_traced");
+                    let got = trace
+                        .outcome()
+                        .expect("a traced presentation keeps its outcome");
+                    assert_same(got, &want, &what);
+                    let sample_bits = |samples: &[(usize, u32, f64)]| -> Vec<(usize, u32, u64)> {
+                        samples
+                            .iter()
+                            .map(|&(j, t, v)| (j, t, v.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(
+                        sample_bits(trace.potential_samples()),
+                        sample_bits(&reference.samples),
+                        "{what}: potential samples"
+                    );
+                    assert_eq!(trace.fires(), reference.traced_fires, "{what}: fires");
                 }
                 _ => {
                     let samples = (0..1 + rng.next_index(12))

@@ -7,12 +7,10 @@
 //! software, shared by the quantized MLP, the `nc-hw` cycle simulators
 //! and the benches:
 //!
-//! * [`gemv_i8xu8`] — the blocked integer matrix–vector product with
-//!   i64 adder-tree semantics (bit-exact regardless of blocking, since
-//!   integer addition is associative).
-//! * [`gemm_i8xu8`] — the batched form: one weight pass over a
-//!   contiguous slab of presentations, bit-identical to running the
-//!   GEMV column by column.
+//! * [`gemm_i8xu8`] — the blocked integer matrix product over a slab
+//!   of presentations with i64 adder-tree semantics (bit-exact regardless
+//!   of blocking, since integer addition is associative); one
+//!   presentation is the one-column case.
 //! * [`swar_spike_counts`] — the SNNwot luminance→spike-count ladder
 //!   evaluated word-parallel, eight pixels per iteration.
 //! * [`FixedActLut`] — the activation table lowered to fixed-point
@@ -41,7 +39,7 @@
 use crate::fixed::sat_i64_round;
 use crate::interp::PiecewiseLinear;
 
-/// Rows per i32 partial-sum block in [`gemv_i8xu8`]. The worst-case
+/// Rows per i32 partial-sum block in [`gemm_i8xu8`]. The worst-case
 /// partial is a block of `i8::MIN` weights against saturated inputs,
 /// `|BLOCK · -128 · 255| = 8,355,840 < 2^23`, far inside the i32
 /// range, so blocking never overflows and — integer addition being
@@ -58,53 +56,23 @@ const COL_TILE: usize = 8;
 /// Fractional bits of the [`FixedActLut`] coefficients.
 const FRAC: u32 = 32;
 
-/// Blocked integer GEMV with i64 adder-tree semantics: for every output
-/// row `j`, `out[j] = Σ_i w[j][i]·input[i] + w[j][n]·255` where `n =
-/// input.len()` and each weight row is `n + 1` wide with the bias word
-/// last (the bias input is the constant 1.0 ≡ 255 on the u8 grid).
+/// Blocked integer GEMM over a batch of presentations with i64
+/// adder-tree semantics. `inputs` holds `cols` images back to back, each
+/// `n = inputs.len() / cols` pixels wide; `weights` is a `rows × (n + 1)`
+/// matrix with the bias word last in each row (the bias input is the
+/// constant 1.0 ≡ 255 on the u8 grid), and `out` is column-major —
+/// `out[c·rows + j] = Σ_i w[j][i]·image_c[i] + w[j][n]·255`, so each
+/// presentation's accumulators are one contiguous stripe.
 ///
-/// Inner blocks accumulate in `i32` (provably overflow-free, see
-/// [`BLOCK`]) so the compiler can vectorize the 8-bit multiplies; block
-/// results are summed into the wide `i64` accumulator, matching the
-/// hardware's narrow-multiplier / wide-adder-tree split.
-///
-/// # Panics
-///
-/// Panics if `weights.len() != out.len() · (input.len() + 1)`.
-pub fn gemv_i8xu8(weights: &[i8], input: &[u8], out: &mut [i64]) {
-    let row_w = input.len() + 1;
-    assert_eq!(
-        weights.len(),
-        out.len() * row_w,
-        "weight matrix does not match input/output geometry"
-    );
-    for (j, acc_out) in out.iter_mut().enumerate() {
-        let row = &weights[j * row_w..(j + 1) * row_w];
-        let mut acc = i64::from(row[input.len()]) * 255; // bias input = 1.0 ≡ 255
-        for (wb, ib) in row[..input.len()].chunks(BLOCK).zip(input.chunks(BLOCK)) {
-            let mut partial = 0i32;
-            for (&w, &x) in wb.iter().zip(ib) {
-                partial += i32::from(w) * i32::from(x);
-            }
-            acc += i64::from(partial);
-        }
-        *acc_out = acc;
-    }
-}
-
-/// Blocked integer GEMM over a batch of presentations: the batched form
-/// of [`gemv_i8xu8`]. `inputs` holds `cols` images back to back, each
-/// `inputs.len() / cols` pixels wide; `weights` is the same
-/// `rows × (in_dim + 1)` bias-last matrix the GEMV takes, and `out` is
-/// column-major — `out[c·rows + j]` is row `j` of presentation `c`,
-/// so each presentation's accumulators are one contiguous stripe.
-///
-/// Every `(j, c)` cell runs the identical bias-first, `BLOCK`-chunked
-/// i32-partial accumulation as [`gemv_i8xu8`], so the result is
-/// bit-identical to calling the GEMV column by column (integer addition
-/// is exact and associative; the property test below pins this). The
-/// tiling only reorders *which* cell is computed when: columns are
-/// processed [`COL_TILE`] at a time with the weight row held hot.
+/// Every `(j, c)` cell accumulates bias first, then in `BLOCK`-chunked
+/// `i32` partials (provably overflow-free, see `BLOCK`) so the
+/// compiler can vectorize the 8-bit multiplies; block results are summed
+/// into the wide `i64` accumulator, matching the hardware's
+/// narrow-multiplier / wide-adder-tree split. Integer addition is exact
+/// and associative, so the result equals the naive widened sum (the
+/// property test below pins this). The tiling only reorders *which* cell
+/// is computed when: columns are processed `COL_TILE` at a time with
+/// the weight row held hot.
 ///
 /// # Panics
 ///
@@ -357,38 +325,18 @@ mod tests {
     }
 
     #[test]
-    fn gemv_matches_widened_reference_on_random_matrices() {
-        check_cases(0x6E3B, DEFAULT_CASES, |case, rng| {
-            // Sizes straddle the blocking boundary (BLOCK = 256).
-            let n = 1 + rng.next_index(700);
-            let rows = 1 + rng.next_index(12);
-            let weights: Vec<i8> = (0..rows * (n + 1))
-                .map(|_| {
-                    let v = i64::try_from(rng.next_index(255)).unwrap_or(0) - 127;
-                    i8::try_from(v).unwrap_or(0) // always in -127..=127
-                })
-                .collect();
-            let input: Vec<u8> = (0..n)
-                .map(|_| u8::try_from(rng.next_index(256)).unwrap_or(0))
-                .collect();
-            let mut out = vec![0i64; rows];
-            gemv_i8xu8(&weights, &input, &mut out);
-            assert_eq!(out, gemv_reference(&weights, &input, rows), "case {case}");
-        });
-    }
-
-    #[test]
-    fn gemm_matches_column_by_column_gemv() {
+    fn gemm_matches_widened_reference_on_random_matrices() {
         check_cases(0x9EAA, DEFAULT_CASES, |case, rng| {
             // Sizes straddle both blocking boundaries (BLOCK = 256 on
-            // the depth axis, COL_TILE = 8 on the batch axis).
-            let n = 1 + rng.next_index(520);
+            // the depth axis, COL_TILE = 8 on the batch axis); one
+            // column is the single-presentation case.
+            let n = 1 + rng.next_index(700);
             let rows = 1 + rng.next_index(12);
             let cols = 1 + rng.next_index(20);
             let weights: Vec<i8> = (0..rows * (n + 1))
                 .map(|_| {
                     let v = i64::try_from(rng.next_index(255)).unwrap_or(0) - 127;
-                    i8::try_from(v).unwrap_or(0)
+                    i8::try_from(v).unwrap_or(0) // always in -127..=127
                 })
                 .collect();
             let inputs: Vec<u8> = (0..n * cols)
@@ -396,12 +344,10 @@ mod tests {
                 .collect();
             let mut batched = vec![0i64; rows * cols];
             gemm_i8xu8(&weights, rows, &inputs, cols, &mut batched);
-            let mut serial = vec![0i64; rows];
             for c in 0..cols {
-                gemv_i8xu8(&weights, &inputs[c * n..(c + 1) * n], &mut serial);
                 assert_eq!(
-                    &batched[c * rows..(c + 1) * rows],
-                    &serial[..],
+                    batched[c * rows..(c + 1) * rows],
+                    gemv_reference(&weights, &inputs[c * n..(c + 1) * n], rows),
                     "case {case} col {c} (n={n} rows={rows} cols={cols})"
                 );
             }
@@ -484,7 +430,7 @@ mod tests {
     }
 
     #[test]
-    fn gemv_handles_extreme_weights_and_saturated_input() {
+    fn gemm_handles_extreme_weights_and_saturated_input() {
         // Against saturated inputs: rows alternating i8::MIN and
         // i8::MAX, and rows of all i8::MIN and all i8::MAX (bias word
         // included). The uniform rows make every BLOCK partial the
@@ -507,20 +453,19 @@ mod tests {
             );
             for weights in [alternating, uniform] {
                 let expected = gemv_reference(&weights, &input, 2);
-                let mut out = vec![0i64; 2];
-                gemv_i8xu8(&weights, &input, &mut out);
-                assert_eq!(out, expected, "gemv n={n}");
-                // One whole COL_TILE plus a one-column tail.
-                let cols = COL_TILE + 1;
-                let inputs = vec![255u8; n * cols];
-                let mut batched = vec![0i64; 2 * cols];
-                gemm_i8xu8(&weights, 2, &inputs, cols, &mut batched);
-                for c in 0..cols {
-                    assert_eq!(
-                        &batched[2 * c..2 * c + 2],
-                        &expected[..],
-                        "gemm n={n} col {c}"
-                    );
+                // One column, and one whole COL_TILE plus a one-column
+                // tail.
+                for cols in [1, COL_TILE + 1] {
+                    let inputs = vec![255u8; n * cols];
+                    let mut batched = vec![0i64; 2 * cols];
+                    gemm_i8xu8(&weights, 2, &inputs, cols, &mut batched);
+                    for c in 0..cols {
+                        assert_eq!(
+                            &batched[2 * c..2 * c + 2],
+                            &expected[..],
+                            "gemm n={n} cols {cols} col {c}"
+                        );
+                    }
                 }
             }
         }
@@ -528,9 +473,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "does not match")]
-    fn gemv_rejects_mismatched_geometry() {
+    fn gemm_rejects_mismatched_geometry() {
         let mut out = vec![0i64; 2];
-        gemv_i8xu8(&[0i8; 9], &[0u8; 3], &mut out);
+        gemm_i8xu8(&[0i8; 9], 2, &[0u8; 3], 1, &mut out);
     }
 
     #[test]

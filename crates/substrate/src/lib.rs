@@ -13,7 +13,7 @@
 //! * [`interp`] — 16-point piecewise-linear interpolation, the mechanism
 //!   the hardware uses for both the sigmoid (`f(x) = a_i·x + b_i`, paper
 //!   §4.2.1) and the exponential leak of the LIF neuron (paper §4.4).
-//! * [`kernel`] — the shared hot-path kernels: blocked integer GEMV with
+//! * [`kernel`] — the shared hot-path kernels: blocked integer GEMM with
 //!   i64 adder-tree semantics, the fixed-point activation table, and the
 //!   reusable scratch buffers that make steady-state inference
 //!   allocation-free.
@@ -52,5 +52,5 @@ pub mod stats;
 
 pub use fixed::{QFixed, Q8};
 pub use interp::PiecewiseLinear;
-pub use kernel::{gemv_i8xu8, FixedActLut, Scratch};
+pub use kernel::{FixedActLut, Scratch};
 pub use rng::{noise_seed, GaussianClt, Lfsr31, PoissonInterval, SplitMix64};
