@@ -10,7 +10,7 @@ use nc_core::fault_sweep::FaultSweep;
 use nc_core::report::{csv, pct, TextTable};
 use nc_core::robustness::{self, RobustnessSweep};
 use nc_core::{Engine, FaultModel, FaultPlan, Job};
-use nc_dataset::model::EVAL_PRESENTATION_SEED_BASE;
+use nc_dataset::model::{Model, EVAL_PRESENTATION_SEED_BASE};
 use nc_dataset::Dataset;
 use nc_hw::ablation::{bank_width_sweep, count_width_sweep, max_tree_sweep};
 use nc_hw::folded::{FoldedMlp, FoldedSnnWot, FoldedSnnWt};
@@ -154,7 +154,7 @@ pub fn precision(engine: &Engine) -> String {
         ..TrainConfig::default()
     })
     .fit(&mut mlp, train);
-    let float_acc = nc_mlp::metrics::evaluate(&mlp, test).accuracy();
+    let float_acc = mlp.evaluate(test).accuracy();
     let mut t = TextTable::new(&["MLP weight bits", "accuracy"]);
     let mut pairs = Vec::new();
     for p in mlp_explore::precision_sweep(&mlp, test, &[2, 3, 4, 5, 6, 8]) {

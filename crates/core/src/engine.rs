@@ -39,12 +39,11 @@ use crate::error::Error;
 use crate::experiment::{ExperimentScale, Workload};
 use nc_dataset::model::{FitBudget, Model};
 use nc_dataset::Dataset;
-use nc_mlp::{metrics, Activation, Mlp, MlpError, QuantizedMlp, TrainConfig, Trainer};
+use nc_mlp::{Activation, Mlp, MlpError, QuantizedMlp, TrainConfig, Trainer};
 use nc_obs::{NullRecorder, Recorder, Span};
 use nc_snn::bp_hybrid::BpSnn;
 use nc_snn::coding::CodingScheme;
 use nc_snn::{SnnNetwork, SnnParams, WotSnn};
-use nc_substrate::stats::Confusion;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 // nc-lint: allow(R3, reason = "per-job wall-clock is reported as observability metadata only; no result depends on it")
@@ -869,10 +868,6 @@ impl Model for StepDeployedMlp {
         .fit_observed(&mut self.mlp, train, recorder);
         self.mlp.set_activation(Activation::Step);
         Ok(())
-    }
-
-    fn evaluate(&mut self, test: &Dataset) -> Confusion {
-        metrics::evaluate(&self.mlp, test)
     }
 
     fn predict(&mut self, pixels: &[u8], _presentation_seed: u64) -> usize {

@@ -1,12 +1,13 @@
 //! Cross-family regression: for every model the experiment engine
 //! schedules, the batched evaluation path (`evaluate_batch` over a
-//! contiguous [`PixelSlab`] view) must be bit-identical to the serial
-//! `predict` loop it replaced — same confusion matrix, same per-image
-//! predictions, same seeds. The batched paths are allowed to reorder
+//! contiguous [`PixelSlab`] view, and `evaluate`, which scores through
+//! it) must be bit-identical to the serial `predict` loop it replaced —
+//! same confusion matrix, same per-image predictions, same seeds. The batched paths are allowed to reorder
 //! arithmetic only where the result is provably bit-equal (integer
 //! GEMM tiles, the SNN winner path that stops at the first fire), so any drift here is a
 //! correctness bug, not a tolerance issue.
 
+use nc_core::StepDeployedMlp;
 use nc_dataset::model::{FitBudget, Model, EVAL_PRESENTATION_SEED_BASE};
 use nc_dataset::{digits::DigitsSpec, Dataset, Difficulty, PixelSlab};
 use nc_mlp::{Activation, Mlp, QuantizedMlp};
@@ -33,7 +34,7 @@ fn budget() -> FitBudget {
     }
 }
 
-/// All five model families behind the unified trait, freshly fitted.
+/// All six model families behind the unified trait, freshly fitted.
 fn fitted_models(train: &Dataset) -> Vec<Box<dyn Model>> {
     let mut models: Vec<Box<dyn Model>> = vec![
         Box::new(Mlp::new(&[784, 12, 10], Activation::sigmoid(), 3).unwrap()),
@@ -41,6 +42,7 @@ fn fitted_models(train: &Dataset) -> Vec<Box<dyn Model>> {
         Box::new(SnnNetwork::new(784, 10, SnnParams::for_neurons(10), 3)),
         Box::new(WotSnn::untrained(784, 10, SnnParams::for_neurons(10), 3)),
         Box::new(BpSnn::new(784, 10, SnnParams::for_neurons(10), 3)),
+        Box::new(StepDeployedMlp::new(&[784, 12, 10], 4.0, 3).unwrap()),
     ];
     for model in &mut models {
         model.fit(train, &budget()).unwrap();
@@ -72,6 +74,12 @@ fn batched_evaluation_matches_the_serial_predict_loop() {
             confusion,
             expected,
             "{} evaluate_batch drifted",
+            model.name()
+        );
+        assert_eq!(
+            model.evaluate(&test),
+            expected,
+            "{} evaluate drifted",
             model.name()
         );
     }

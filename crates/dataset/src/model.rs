@@ -124,8 +124,7 @@ impl std::error::Error for ModelError {}
 /// `i` of a test set is presented with seed
 /// `EVAL_PRESENTATION_SEED_BASE | i`, so single-sample
 /// [`Model::predict`] calls can reproduce exactly what
-/// [`Model::evaluate_batch`] (and the stochastic models' own `evaluate`
-/// loops) saw.
+/// [`Model::evaluate_batch`] saw.
 pub const EVAL_PRESENTATION_SEED_BASE: u64 = 0xE7A1_0000;
 
 /// The owned backing store of an [`EvalBatch`]: every sample's pixels
@@ -397,8 +396,18 @@ pub trait Model: Send {
         self.fit(train, budget)
     }
 
-    /// Scores on `test`, producing the shared confusion matrix.
-    fn evaluate(&mut self, test: &Dataset) -> Confusion;
+    /// Scores on `test`, producing the shared confusion matrix: the
+    /// whole set as one [`PixelSlab`] through [`Model::evaluate_batch`],
+    /// the path the experiment engine scores through, so every caller
+    /// gets the same predictions and seeds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `test`'s geometry does not match the model's input
+    /// width (through [`Model::predict`]'s contract).
+    fn evaluate(&mut self, test: &Dataset) -> Confusion {
+        self.evaluate_batch(&PixelSlab::from_dataset(test).batch())
+    }
 
     /// Classifies one image. `presentation_seed` drives any
     /// per-presentation stochasticity (the temporal SNN's spike trains
@@ -561,9 +570,6 @@ mod tests {
             fn fit(&mut self, _: &Dataset, _: &FitBudget) -> Result<(), ModelError> {
                 Ok(())
             }
-            fn evaluate(&mut self, test: &Dataset) -> Confusion {
-                self.evaluate_batch(&PixelSlab::from_dataset(test).batch())
-            }
             fn predict(&mut self, _: &[u8], presentation_seed: u64) -> usize {
                 self.seen.push(presentation_seed);
                 0
@@ -709,9 +715,6 @@ mod tests {
             }
             fn fit(&mut self, _: &Dataset, _: &FitBudget) -> Result<(), ModelError> {
                 Ok(())
-            }
-            fn evaluate(&mut self, _: &Dataset) -> Confusion {
-                Confusion::new(1)
             }
             fn predict(&mut self, _: &[u8], _: u64) -> usize {
                 0

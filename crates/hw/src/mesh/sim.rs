@@ -22,8 +22,8 @@
 //! per-neuron path on every tick. An unreached core is never billed, so
 //! an inhibition packet that reaches one changes nothing there.
 //!
-//! * Every tick, traced or not, first goes through the gated whole-tick
-//!   pass ([`TickState::try_tick`]) that the reference loop runs too. If
+//! * Every tick first goes through the gated whole-tick pass
+//!   ([`TickState::try_tick`]) that the reference loop runs too. If
 //!   no open neuron ends at or above threshold, the tick had no fire and
 //!   commits.
 //! * Otherwise it is scanned event by event as below, through the
@@ -67,8 +67,6 @@
 //! fire then gates. A read-only count from the state before the event
 //! bills that work, which the scan never does. The count assumes at most
 //! one fire per core per event, hence `Tinhibit, Trefrac >= 1`.
-
-use std::fmt::Write as _;
 
 use crate::mesh::partition::{partition_snn, Partition};
 use crate::mesh::place::{place_greedy, Grid, Placement};
@@ -455,35 +453,6 @@ impl MeshSnn {
         um2 / 1e6
     }
 
-    /// Presents one image without learning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pixels.len()` differs from the network's input count.
-    pub fn present(&mut self, pixels: &[u8], presentation_seed: u64) -> MeshPresentation {
-        self.present_inner(pixels, presentation_seed, None)
-    }
-
-    /// Presents one image and also returns the routed-spike trace: one
-    /// `E <t> <input>` line per injected input event and one
-    /// `F <t> <neuron>` line per output spike. The trace is *logical* —
-    /// physical hops live in the cost counters — so on a healthy fabric
-    /// it is byte-identical across placements of the same partition and
-    /// across engine thread counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pixels.len()` differs from the network's input count.
-    pub fn present_traced(
-        &mut self,
-        pixels: &[u8],
-        presentation_seed: u64,
-    ) -> (MeshPresentation, String) {
-        let mut trace = String::new();
-        let p = self.present_inner(pixels, presentation_seed, Some(&mut trace));
-        (p, trace)
-    }
-
     /// Predicted class label for one image — bit-compatible with the
     /// reference `SnnNetwork::predict`.
     ///
@@ -491,15 +460,18 @@ impl MeshSnn {
     ///
     /// Panics if `pixels.len()` differs from the network's input count.
     pub fn predict(&mut self, pixels: &[u8], presentation_seed: u64) -> usize {
-        self.present_inner(pixels, presentation_seed, None).label
+        self.present(pixels, presentation_seed).label
     }
 
-    fn present_inner(
-        &mut self,
-        pixels: &[u8],
-        presentation_seed: u64,
-        mut trace: Option<&mut String>,
-    ) -> MeshPresentation {
+    /// Presents one image without learning. The spikes, potentials and
+    /// readout are *logical*, so on a healthy fabric they are identical
+    /// across placements of the same partition; physical hops live only
+    /// in the cost counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pixels.len()` differs from the network's input count.
+    pub fn present(&mut self, pixels: &[u8], presentation_seed: u64) -> MeshPresentation {
         assert_eq!(pixels.len(), self.inputs, "pixel count mismatch");
         let seed = self.stream_base.wrapping_add(presentation_seed);
         let MeshSnn {
@@ -543,11 +515,6 @@ impl MeshSnn {
             events = events.wrapping_add(k);
             widest = widest.max(k);
             if let Some(open) = s.try_tick(&nrn.w, &nrn.lut, &nrn.thresholds, bucket, t) {
-                if let Some(tr) = trace.as_deref_mut() {
-                    for &input in bucket {
-                        let _ = writeln!(tr, "E {t} {input}");
-                    }
-                }
                 // No fire, so no other traffic: the tick reads `k` columns
                 // on every listening core that is not skipping and updates
                 // the open neurons but the parked ones `k` times.
@@ -565,9 +532,6 @@ impl MeshSnn {
             }
             // A crossing: scan the tick event by event.
             for &input in bucket {
-                if let Some(tr) = trace.as_deref_mut() {
-                    let _ = writeln!(tr, "E {t} {input}");
-                }
                 let col = &nrn.w[input * n..][..n];
                 // Bill each listening core's column read and its updates up
                 // to its own first crossing, from the state before the event.
@@ -586,9 +550,6 @@ impl MeshSnn {
                 let mut from = 0;
                 while let Some(j) = s.scan_event(&nrn.lut, &nrn.thresholds, t, from, |j| col[j]) {
                     fires.push((t, j));
-                    if let Some(tr) = trace.as_deref_mut() {
-                        let _ = writeln!(tr, "F {t} {j}");
-                    }
                     s.potentials[j] = 0.0;
                     let home = placement.core_of(partition.cluster_of(j));
                     cores[home].inhibit(s, j, t + inhibit, t + refrac.min(inhibit));

@@ -134,16 +134,18 @@ fn routed_trace_is_placement_invariant() {
     let mut mesh_a = MeshSnn::compiled(&net, partition.clone(), greedy, Fabric::healthy(grid));
     let mut mesh_b = MeshSnn::compiled(&net, partition, linear, Fabric::healthy(grid));
     let pixels = test_pixels(64, 2);
-    let (pa, trace_a) = mesh_a.present_traced(&pixels, 4);
-    let (pb, trace_b) = mesh_b.present_traced(&pixels, 4);
-    assert!(!trace_a.is_empty());
-    assert!(trace_a.contains("F "), "trace should contain output spikes");
+    let pa = mesh_a.present(&pixels, 4);
+    let pb = mesh_b.present(&pixels, 4);
+    assert!(!pa.fires.is_empty(), "the presentation should fire");
     // The logical spike schedule is a property of the partition, not of
-    // where its clusters physically sit.
-    assert_eq!(trace_a, trace_b);
+    // where its clusters physically sit; only the hop bill may differ.
     assert_eq!(pa.winner, pb.winner);
     assert_eq!(pa.fires, pb.fires);
-    assert_eq!(pa.potentials, pb.potentials);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&pa.potentials), bits(&pb.potentials));
+    assert_eq!((pa.readout, pa.label), (pb.readout, pb.label));
+    assert_eq!(pa.cost.sram_rows, pb.cost.sram_rows);
+    assert_eq!(pa.cost.neuron_updates, pb.cost.neuron_updates);
 }
 
 #[test]

@@ -9,8 +9,8 @@
 //! the tick-at-a-time simulator must reproduce bit for bit — winners,
 //! spikes, potentials (by `to_bits`), readouts, labels and every
 //! `MeshCost` counter — over random networks, parameters, coding
-//! schemes, grids and fabric fault plans. `present` must also equal
-//! `present_traced`, and the trace must equal the reference's.
+//! schemes, grids and fabric fault plans. Presenting the same image
+//! again must reproduce the presentation: nothing leaks between images.
 //!
 //! The reference also checks the whole-tick pass ([`TickState`]) on
 //! every tick: from the reference's state at the start of the tick, with
@@ -18,8 +18,6 @@
 //! must decline exactly the ticks in which a neuron fires, and a tick it
 //! commits must leave every potential and last update as the per-event
 //! protocol does and count its neuron updates.
-
-use std::fmt::Write as _;
 
 use nc_dataset::{Dataset, Sample};
 use nc_faults::{FaultModel, FaultPlan};
@@ -257,7 +255,7 @@ impl Reference {
         delivered
     }
 
-    fn present(&mut self, pixels: &[u8], presentation_seed: u64) -> (MeshPresentation, String) {
+    fn present(&mut self, pixels: &[u8], presentation_seed: u64) -> MeshPresentation {
         let seed = self.stream_base.wrapping_add(presentation_seed);
         let (t_refrac, t_inhibit) = (self.params.t_refrac, self.params.t_inhibit);
         for core in &mut self.cores {
@@ -269,7 +267,6 @@ impl Reference {
         let mut cost = MeshCost::default();
         let mut winner = None;
         let mut fires = Vec::new();
-        let mut trace = String::new();
         let used = self.used.clone();
         let mut committed_after_fire = false;
         self.resumed = false;
@@ -278,7 +275,6 @@ impl Reference {
             let (outcome, pass_potentials, pass_last_update) = self.pass(t, bucket);
             let (fires_before, updates_before) = (fires.len(), cost.neuron_updates);
             for &input in bucket {
-                writeln!(trace, "E {t} {input}").unwrap();
                 for &c in &used {
                     let delivered = self.route(&mut link_load, INJECTOR, c, &mut cost);
                     let core = &mut self.cores[c];
@@ -303,7 +299,6 @@ impl Reference {
                     }
                     fires.push((t, j));
                     winner.get_or_insert(j);
-                    writeln!(trace, "F {t} {j}").unwrap();
                     self.cores[cj].commit_fire(j, t, t_refrac, t_inhibit);
                     for &c2 in &used {
                         if c2 != cj
@@ -343,15 +338,14 @@ impl Reference {
         let (potentials, _) = self.flat_state();
         let readout = tie_broken_readout(winner, &potentials, seed);
         let label = self.labels[readout].unwrap_or(0);
-        let p = MeshPresentation {
+        MeshPresentation {
             winner,
             readout,
             label,
             fires,
             potentials,
             cost,
-        };
-        (p, trace)
+        }
     }
 }
 
@@ -449,12 +443,11 @@ fn tick_simulator_matches_the_per_event_reference() {
             let ctx = format!(
                 "case {case} image {k}: {inputs} inputs, {neurons} neurons, {coding:?}, {w}x{h}"
             );
-            let (want, want_trace) = reference.present(&pixels, pseed);
+            let want = reference.present(&pixels, pseed);
             let got = mesh.present(&pixels, pseed);
             assert_same(&got, &want, &ctx);
-            let (traced, trace) = mesh.present_traced(&pixels, pseed);
-            assert_same(&traced, &got, &format!("{ctx} (traced)"));
-            assert_eq!(trace, want_trace, "{ctx}: trace");
+            let again = mesh.present(&pixels, pseed);
+            assert_same(&again, &got, &format!("{ctx} (again)"));
             let (fires, dropped, pairs, resumed, reverting) = seen.get();
             seen.set((
                 fires + got.fires.len(),

@@ -10,8 +10,13 @@ use nc_substrate::check::check_cases;
 use nc_substrate::rng::SplitMix64;
 use std::path::{Path, PathBuf};
 
+/// Read at run time, not through `env!`: a test binary built in a target
+/// dir shared with another checkout must read this checkout's corpus.
 fn corpus_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/graph_violations")
+    PathBuf::from(
+        std::env::var_os("CARGO_MANIFEST_DIR").expect("cargo test sets CARGO_MANIFEST_DIR"),
+    )
+    .join("tests/fixtures/graph_violations")
 }
 
 /// Collects `(relative path, source)` pairs exactly as the walker

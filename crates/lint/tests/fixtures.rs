@@ -14,10 +14,14 @@ use nc_lint::Report;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+/// Read at run time, not through `env!`: a test binary built in a target
+/// dir shared with another checkout must read this checkout's fixtures.
 fn fixture(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name)
+    PathBuf::from(
+        std::env::var_os("CARGO_MANIFEST_DIR").expect("cargo test sets CARGO_MANIFEST_DIR"),
+    )
+    .join("tests/fixtures")
+    .join(name)
 }
 
 fn lint(name: &str) -> Report {

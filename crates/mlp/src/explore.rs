@@ -4,10 +4,10 @@
 //! simultaneously exploring the hyper-parameters, such as the learning
 //! rate)") and §4.2.3 (operator/weight bit-width exploration).
 
-use crate::metrics;
 use crate::quant::QuantizedMlp;
 use crate::trainer::{TrainConfig, Trainer};
 use crate::{Activation, Mlp};
+use nc_dataset::model::Model;
 use nc_dataset::Dataset;
 use nc_substrate::rng::SplitMix64;
 
@@ -63,7 +63,7 @@ pub fn random_search(
         results.push(MlpCandidate {
             hidden,
             learning_rate,
-            accuracy: metrics::evaluate(&mlp, test).accuracy(),
+            accuracy: mlp.evaluate(test).accuracy(),
         });
     }
     results.sort_by(|a, b| b.accuracy.total_cmp(&a.accuracy));
@@ -89,7 +89,7 @@ pub fn precision_sweep(mlp: &Mlp, test: &Dataset, bit_widths: &[u32]) -> Vec<Pre
             let mut q = QuantizedMlp::from_mlp_with_bits(mlp, bits);
             PrecisionPoint {
                 bits,
-                accuracy: metrics::evaluate_quantized(&mut q, test).accuracy(),
+                accuracy: q.evaluate(test).accuracy(),
             }
         })
         .collect()
@@ -147,7 +147,7 @@ mod tests {
         let acc2 = pts.iter().find(|p| p.bits == 2).unwrap().accuracy;
         assert!(acc8 >= acc2, "8-bit {acc8} vs 2-bit {acc2}");
         // And 8-bit must be close to float.
-        let float_acc = metrics::evaluate(&mlp, &test).accuracy();
+        let float_acc = mlp.evaluate(&test).accuracy();
         assert!(
             acc8 >= float_acc - 0.08,
             "8-bit {acc8} vs float {float_acc}"

@@ -20,11 +20,14 @@
 //!   `nc-hw` cost model prices.
 //! * [`explore`] — the §3.1 hyper-parameter random search and the §4.2.3
 //!   weight-precision sweep.
-//! * [`metrics`] — shared evaluation producing a confusion matrix.
+//! * [`model`] — the [`Model`](nc_dataset::model::Model) implementations
+//!   for both networks; every model scores through the trait's one
+//!   batched path, which produces the shared confusion matrix.
 //!
 //! # Examples
 //!
 //! ```
+//! use nc_dataset::model::Model;
 //! use nc_dataset::{digits::DigitsSpec, Difficulty};
 //! use nc_mlp::activation::Activation;
 //! use nc_mlp::network::Mlp;
@@ -37,13 +40,12 @@
 //! let mut mlp = Mlp::new(&[28 * 28, 20, 10], Activation::sigmoid(), 42).unwrap();
 //! let cfg = TrainConfig { epochs: 3, ..TrainConfig::default() };
 //! Trainer::new(cfg).fit(&mut mlp, &train);
-//! let acc = nc_mlp::metrics::evaluate(&mlp, &test).accuracy();
+//! let acc = mlp.evaluate(&test).accuracy();
 //! assert!(acc > 0.15); // well above 10% chance even with 3 epochs
 //! ```
 
 pub mod activation;
 pub mod explore;
-pub mod metrics;
 pub mod model;
 pub mod network;
 pub mod quant;

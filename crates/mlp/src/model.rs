@@ -2,7 +2,6 @@
 //! comparison: the floating-point MLP+BP and its 8-bit fixed-point
 //! deployment, scheduled as independent jobs by the experiment engine.
 
-use crate::metrics;
 use crate::network::{ForwardScratch, Mlp};
 use crate::quant::QuantizedMlp;
 use crate::trainer::{TrainConfig, Trainer};
@@ -10,7 +9,6 @@ use nc_dataset::model::{check_fit_inputs, EvalBatch, FitBudget, Model, ModelErro
 use nc_dataset::Dataset;
 use nc_faults::{dead_unit_mask, FaultModel, FaultPlan};
 use nc_obs::Recorder;
-use nc_substrate::stats::Confusion;
 
 fn train_config(budget: &FitBudget) -> TrainConfig {
     let mut config = TrainConfig {
@@ -41,10 +39,6 @@ impl Model for Mlp {
         check_fit_inputs(train, self.sizes()[0])?;
         Trainer::new(train_config(budget)).fit_observed(self, train, recorder);
         Ok(())
-    }
-
-    fn evaluate(&mut self, test: &Dataset) -> Confusion {
-        metrics::evaluate(self, test)
     }
 
     fn predict(&mut self, pixels: &[u8], _presentation_seed: u64) -> usize {
@@ -130,10 +124,6 @@ impl Model for QuantizedMlp {
         Ok(())
     }
 
-    fn evaluate(&mut self, test: &Dataset) -> Confusion {
-        metrics::evaluate_quantized(self, test)
-    }
-
     fn predict(&mut self, pixels: &[u8], _presentation_seed: u64) -> usize {
         self.predict_u8(pixels)
     }
@@ -201,6 +191,33 @@ mod tests {
     }
 
     #[test]
+    fn trained_network_beats_chance_on_digits() {
+        let (train, test) = DigitsSpec {
+            train: 400,
+            test: 100,
+            seed: 2,
+            difficulty: Difficulty::default(),
+        }
+        .generate();
+        let mut mlp = Mlp::new(&[784, 16, 10], Activation::sigmoid(), 3).unwrap();
+        Trainer::new(TrainConfig {
+            epochs: 8,
+            ..TrainConfig::default()
+        })
+        .fit(&mut mlp, &train);
+        let acc = Model::evaluate(&mut mlp, &test).accuracy();
+        assert!(acc > 0.5, "accuracy {acc}");
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match topology input")]
+    fn evaluate_rejects_mismatched_geometry() {
+        let (_, test) = data();
+        let mut mlp = Mlp::new(&[100, 8, 10], Activation::sigmoid(), 3).unwrap();
+        let _ = Model::evaluate(&mut mlp, &test);
+    }
+
+    #[test]
     fn trait_fit_matches_manual_train_then_quantize() {
         let (train, test) = data();
 
@@ -219,7 +236,7 @@ mod tests {
 
         assert_eq!(
             Model::evaluate(&mut q, &test).accuracy(),
-            metrics::evaluate_quantized(&mut reference, &test).accuracy()
+            Model::evaluate(&mut reference, &test).accuracy()
         );
         for l in 0..2 {
             assert_eq!(q.layer_weights(l), reference.layer_weights(l), "layer {l}");

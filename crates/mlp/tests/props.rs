@@ -4,6 +4,8 @@
 //! (seeded [`SplitMix64`] case generation) so the workspace builds and
 //! tests fully offline.
 
+use nc_dataset::model::EVAL_PRESENTATION_SEED_BASE;
+use nc_dataset::{Model, RequestSlab};
 use nc_mlp::network::argmax;
 use nc_mlp::{Activation, Mlp, QuantizedMlp, TrainConfig, Trainer};
 use nc_substrate::check::check_cases;
@@ -119,6 +121,39 @@ fn quantized_forward_tracks_float_forward() {
                 (f - f64::from(*qv) / 255.0).abs() < 0.08,
                 "case {case}: float {f} vs quantized {qv}"
             );
+        }
+    }
+}
+
+#[test]
+fn quantized_batches_match_the_serial_path_at_every_width() {
+    // Every weight width on random topologies, over slab lengths that
+    // leave tails in both the 32-image evaluation tiles and the GEMM's
+    // column tiles.
+    let mut rng = SplitMix64::new(0x3108);
+    for case in 0..12 {
+        let sizes = random_topology(&mut rng);
+        let mlp = Mlp::new(&sizes, Activation::sigmoid(), rng.next_u64()).unwrap();
+        let (inputs, outputs) = (sizes[0], sizes[sizes.len() - 1]);
+        let len = 1 + rng.next_below(80) as usize;
+        let pixels: Vec<u8> = (0..len * inputs).map(|_| rng.next_u64() as u8).collect();
+        let mut slab = RequestSlab::new(inputs, outputs);
+        for (i, image) in pixels.chunks(inputs).enumerate() {
+            slab.push(image, EVAL_PRESENTATION_SEED_BASE | i as u64, 0)
+                .unwrap();
+        }
+        for bits in 2..=8 {
+            let mut q = QuantizedMlp::from_mlp_with_bits(&mlp, bits);
+            let ctx = format!("case {case}: {sizes:?} at {bits} bits, {len} images");
+            let registers = q.forward_batch_u8(&pixels, len).to_vec();
+            let mut batched = Vec::new();
+            q.predict_batch(&slab.batch(), &mut batched);
+            assert_eq!(batched.len(), len, "{ctx}");
+            for (c, image) in pixels.chunks(inputs).enumerate() {
+                let column = &registers[c * outputs..(c + 1) * outputs];
+                assert_eq!(q.forward_u8(image), column, "{ctx}: image {c} registers");
+                assert_eq!(batched[c], q.predict_u8(image), "{ctx}: image {c}");
+            }
         }
     }
 }

@@ -230,7 +230,6 @@ mod tests {
     use nc_dataset::model::ModelError;
     use nc_dataset::{digits::DigitsSpec, Difficulty};
     use nc_mlp::Activation;
-    use nc_substrate::stats::Confusion;
 
     fn tiny_data() -> (Dataset, Dataset) {
         DigitsSpec {
@@ -368,9 +367,6 @@ mod tests {
             }
             fn fit(&mut self, _: &Dataset, _: &FitBudget) -> Result<(), ModelError> {
                 Ok(())
-            }
-            fn evaluate(&mut self, _: &Dataset) -> Confusion {
-                Confusion::new(2)
             }
             fn predict(&mut self, _: &[u8], _: u64) -> usize {
                 1

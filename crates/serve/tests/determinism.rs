@@ -21,7 +21,6 @@ use nc_serve::{
     Server,
 };
 use nc_substrate::check::check_cases;
-use nc_substrate::stats::Confusion;
 use std::sync::Arc;
 
 #[test]
@@ -199,9 +198,6 @@ impl Model for PoisonSensitive {
     }
     fn fit(&mut self, _: &Dataset, _: &FitBudget) -> Result<(), ModelError> {
         Ok(())
-    }
-    fn evaluate(&mut self, _: &Dataset) -> Confusion {
-        Confusion::new(10)
     }
     fn predict(&mut self, pixels: &[u8], _seed: u64) -> usize {
         assert!(

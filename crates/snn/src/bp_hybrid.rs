@@ -30,7 +30,6 @@ use nc_dataset::Dataset;
 use nc_obs::{EpochMetrics, Recorder};
 use nc_substrate::fixed::sat_u8_round;
 use nc_substrate::rng::SplitMix64;
-use nc_substrate::stats::Confusion;
 
 /// Training configuration for the SNN+BP hybrid.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,6 +57,7 @@ impl Default for BpSnnConfig {
 /// # Examples
 ///
 /// ```
+/// use nc_dataset::model::Model;
 /// use nc_dataset::{digits::DigitsSpec, Difficulty};
 /// use nc_snn::bp_hybrid::{BpSnn, BpSnnConfig};
 /// use nc_snn::params::SnnParams;
@@ -283,20 +283,6 @@ impl BpSnn {
         }
         out
     }
-
-    /// Evaluates on a dataset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dataset geometry does not match.
-    pub fn evaluate(&self, data: &Dataset) -> Confusion {
-        assert_eq!(data.input_dim(), self.inputs, "geometry mismatch");
-        let mut confusion = Confusion::new(self.classes);
-        for s in data.iter() {
-            confusion.record(s.label, self.predict(&s.pixels));
-        }
-        confusion
-    }
 }
 
 fn softmax(z: &[f64]) -> Vec<f64> {
@@ -309,6 +295,7 @@ fn softmax(z: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nc_dataset::model::Model;
     use nc_dataset::{digits::DigitsSpec, Difficulty};
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::network::SnnNetwork;
 use crate::params::SnnParams;
+use nc_dataset::model::Model;
 use nc_dataset::Dataset;
 use nc_substrate::rng::SplitMix64;
 

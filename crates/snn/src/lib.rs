@@ -30,6 +30,7 @@
 //! # Examples
 //!
 //! ```
+//! use nc_dataset::model::Model;
 //! use nc_dataset::{digits::DigitsSpec, Difficulty};
 //! use nc_snn::params::SnnParams;
 //! use nc_snn::network::SnnNetwork;

@@ -10,7 +10,6 @@ use nc_dataset::model::{check_fit_inputs, FitBudget, Model, ModelError};
 use nc_dataset::Dataset;
 use nc_faults::FaultPlan;
 use nc_obs::{Recorder, Span};
-use nc_substrate::stats::Confusion;
 
 impl Model for SnnNetwork {
     fn name(&self) -> &'static str {
@@ -36,10 +35,6 @@ impl Model for SnnNetwork {
         let _span = Span::enter(recorder, "snn.self_label");
         self.self_label(train);
         Ok(())
-    }
-
-    fn evaluate(&mut self, test: &Dataset) -> Confusion {
-        SnnNetwork::evaluate(self, test)
     }
 
     fn predict(&mut self, pixels: &[u8], presentation_seed: u64) -> usize {
@@ -84,10 +79,6 @@ impl Model for WotSnn {
         Ok(())
     }
 
-    fn evaluate(&mut self, test: &Dataset) -> Confusion {
-        WotSnn::evaluate(self, test)
-    }
-
     fn predict(&mut self, pixels: &[u8], _presentation_seed: u64) -> usize {
         WotSnn::predict(self, pixels)
     }
@@ -122,10 +113,6 @@ impl Model for BpSnn {
         }
         BpSnn::fit_observed(self, train, &config, recorder);
         Ok(())
-    }
-
-    fn evaluate(&mut self, test: &Dataset) -> Confusion {
-        BpSnn::evaluate(self, test)
     }
 
     fn predict(&mut self, pixels: &[u8], _presentation_seed: u64) -> usize {
@@ -181,7 +168,7 @@ mod tests {
         master.set_stdp_delta(8);
         master.train_stdp(&train, 1);
         master.self_label(&train);
-        let reference = WotSnn::from_network(&master);
+        let mut reference = WotSnn::from_network(&master);
 
         // The unified-API pipeline with the same seed and budget.
         let mut wot = WotSnn::untrained(784, 10, SnnParams::for_neurons(10), 7);
@@ -190,7 +177,7 @@ mod tests {
         assert_eq!(wot.weights(), reference.weights());
         assert_eq!(
             Model::evaluate(&mut wot, &test).accuracy(),
-            reference.evaluate(&test).accuracy()
+            Model::evaluate(&mut reference, &test).accuracy()
         );
     }
 

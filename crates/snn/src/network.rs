@@ -26,12 +26,11 @@ use crate::coding::{CodingScheme, SpikeCalendar};
 use crate::params::SnnParams;
 use crate::tick::TickState;
 use crate::trace::PresentationTrace;
-use nc_dataset::model::{ModelError, EVAL_PRESENTATION_SEED_BASE};
+use nc_dataset::model::ModelError;
 use nc_dataset::Dataset;
 use nc_faults::{dead_unit_mask, stuck_bits_u8, FaultModel, FaultPlan, TransientReads};
 use nc_obs::{EpochMetrics, Recorder};
 use nc_substrate::rng::SplitMix64;
-use nc_substrate::stats::Confusion;
 
 /// Sentinel meaning "this input has not spiked yet in this presentation".
 const NEVER: u32 = u32::MAX;
@@ -482,7 +481,7 @@ impl SnnNetwork {
     /// Copies the scratch state of the presentation that just ran into an
     /// owned [`Presentation`]. Only the outcome-returning entry points
     /// pay for these clones; the batch paths ([`SnnNetwork::predict`],
-    /// [`SnnNetwork::evaluate`], [`SnnNetwork::self_label`]) read the
+    /// through it `Model::evaluate`, and [`SnnNetwork::self_label`]) read the
     /// scratch directly and stay allocation-free.
     fn snapshot_presentation(&self, winner: Option<usize>, tie_seed: u64) -> Presentation {
         Presentation {
@@ -770,7 +769,7 @@ impl SnnNetwork {
     /// error in evaluation unless the true class happens to be 0).
     ///
     /// Reads the readout straight from the reused simulation scratch, so
-    /// repeated predictions (and [`SnnNetwork::evaluate`]) perform no
+    /// repeated predictions (and `Model::evaluate`) perform no
     /// heap allocation once the buffers are warm. The presentation stops
     /// at the first fire, which decides the readout.
     pub fn predict(&mut self, pixels: &[u8], presentation_seed: u64) -> usize {
@@ -779,26 +778,12 @@ impl SnnNetwork {
         let readout = tie_broken_readout(winner, &self.sim.state.potentials, tie_seed);
         self.labels[readout].unwrap_or(0)
     }
-
-    /// Evaluates the labeled network on a dataset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dataset geometry does not match the network.
-    pub fn evaluate(&mut self, data: &Dataset) -> Confusion {
-        assert_eq!(data.input_dim(), self.inputs, "geometry mismatch");
-        let mut confusion = Confusion::new(self.classes);
-        for (i, s) in data.iter().enumerate() {
-            let predicted = self.predict(&s.pixels, EVAL_PRESENTATION_SEED_BASE | i as u64);
-            confusion.record(s.label, predicted);
-        }
-        confusion
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nc_dataset::model::Model;
     use nc_dataset::{digits::DigitsSpec, Difficulty};
 
     fn tiny_params(neurons: usize) -> SnnParams {
@@ -957,7 +942,7 @@ mod tests {
         .generate();
         let mut snn = SnnNetwork::new(784, 10, tiny_params(10), 2);
         snn.self_label(&train);
-        let confusion = snn.evaluate(&test);
+        let confusion = Model::evaluate(&mut snn, &test);
         assert_eq!(confusion.total(), 10);
     }
 

@@ -27,11 +27,9 @@
 use crate::network::SnnNetwork;
 use crate::params::SnnParams;
 use nc_dataset::model::ModelError;
-use nc_dataset::Dataset;
 use nc_faults::{dead_unit_mask, stuck_bits_u8, FaultModel, FaultPlan, TransientReads};
 use nc_substrate::fixed::sat_u8_round;
 use nc_substrate::kernel::swar_spike_counts;
-use nc_substrate::stats::Confusion;
 
 /// Recipe for (re)building and training the temporal master network a
 /// [`WotSnn`] is extracted from, stored by [`WotSnn::untrained`] so the
@@ -272,20 +270,6 @@ impl WotSnn {
     /// Panics if `pixels.len()` does not match the input count.
     pub fn predict(&self, pixels: &[u8]) -> usize {
         self.labels[self.winner(pixels)].unwrap_or(0)
-    }
-
-    /// Evaluates on a dataset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dataset geometry does not match.
-    pub fn evaluate(&self, data: &Dataset) -> Confusion {
-        assert_eq!(data.input_dim(), self.inputs, "geometry mismatch");
-        let mut confusion = Confusion::new(data.num_classes());
-        for s in data.iter() {
-            confusion.record(s.label, self.predict(&s.pixels));
-        }
-        confusion
     }
 }
 

@@ -9,7 +9,7 @@
 use neurocmp::core::FitBudget;
 use neurocmp::dataset::{digits::DigitsSpec, Difficulty, GreyImage, Model};
 use neurocmp::hw::sim::{FoldedMlpSim, SnnWtSim, WotDatapathSim};
-use neurocmp::mlp::{metrics, Activation, Mlp, QuantizedMlp};
+use neurocmp::mlp::{Activation, Mlp, QuantizedMlp};
 use neurocmp::snn::bp_hybrid::BpSnn;
 use neurocmp::snn::{SnnNetwork, SnnParams, WotSnn};
 
@@ -41,7 +41,7 @@ fn main() {
     Model::fit(&mut mlp, &train, &budget).expect("geometry matches");
     let float_acc = Model::evaluate(&mut mlp, &test).accuracy();
     let mut quant = QuantizedMlp::from_mlp(&mlp);
-    let quant_acc = metrics::evaluate_quantized(&mut quant, &test).accuracy();
+    let quant_acc = Model::evaluate(&mut quant, &test).accuracy();
     println!("MLP+BP float:        {:.2}%", float_acc * 100.0);
     println!(
         "MLP+BP 8-bit fixed:  {:.2}%  (paper: 96.65% vs 97.65% — 'on par')",
@@ -57,8 +57,8 @@ fn main() {
     };
     Model::fit(&mut snn, &train, &stdp_budget).expect("geometry matches");
     let snn_acc = Model::evaluate(&mut snn, &test).accuracy();
-    let wot = WotSnn::from_network(&snn);
-    let wot_acc = wot.evaluate(&test).accuracy();
+    let mut wot = WotSnn::from_network(&snn);
+    let wot_acc = Model::evaluate(&mut wot, &test).accuracy();
     println!("SNN+STDP (LIF):      {:.2}%", snn_acc * 100.0);
     println!("SNN+STDP (SNNwot):   {:.2}%", wot_acc * 100.0);
 

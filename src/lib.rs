@@ -32,7 +32,7 @@
 //! # Quick start
 //!
 //! ```
-//! use neurocmp::dataset::{digits::DigitsSpec, Difficulty};
+//! use neurocmp::dataset::{digits::DigitsSpec, Difficulty, Model};
 //! use neurocmp::mlp::{Activation, Mlp, TrainConfig, Trainer};
 //! use neurocmp::hw::folded::FoldedMlp;
 //!
@@ -44,7 +44,7 @@
 //! // 2. Model: the paper's MLP, scaled down.
 //! let mut mlp = Mlp::new(&[784, 16, 10], Activation::sigmoid(), 42).unwrap();
 //! Trainer::new(TrainConfig { epochs: 5, ..Default::default() }).fit(&mut mlp, &train);
-//! let accuracy = neurocmp::mlp::metrics::evaluate(&mlp, &test).accuracy();
+//! let accuracy = mlp.evaluate(&test).accuracy();
 //! assert!(accuracy > 0.2);
 //!
 //! // 3. Hardware: what would the folded accelerator cost?
