@@ -48,7 +48,7 @@ pub fn fig3(engine: &Engine) -> String {
     snn.set_stdp_delta(4);
     snn.train_stdp(&train_small, 2);
     let sample = &train.samples()[0];
-    let trace = snn.present_traced(&sample.pixels, FIG3_PRESENTATION_SEED);
+    let (_, trace) = snn.present_traced(&sample.pixels, FIG3_PRESENTATION_SEED);
     write_results("fig3_raster.csv", &trace.raster_csv());
     write_results("fig3_potentials.csv", &trace.potentials_csv());
     format!(

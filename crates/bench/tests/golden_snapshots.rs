@@ -177,7 +177,7 @@ fn fig3_trace_snapshots() {
         );
         snn.set_stdp_delta(4);
         snn.train_stdp(&train, 1);
-        snn.present_traced(&train.samples()[0].pixels, 0x316)
+        snn.present_traced(&train.samples()[0].pixels, 0x316).1
     };
     assert_snapshot("fig3_raster.csv", &trace.raster_csv());
     assert_snapshot(

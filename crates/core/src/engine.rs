@@ -37,7 +37,7 @@
 
 use crate::error::Error;
 use crate::experiment::{ExperimentScale, Workload};
-use nc_dataset::model::{FitBudget, Model};
+use nc_dataset::model::{EvalBatch, FitBudget, Model};
 use nc_dataset::Dataset;
 use nc_mlp::{Activation, Mlp, MlpError, QuantizedMlp, TrainConfig, Trainer};
 use nc_obs::{NullRecorder, Recorder, Span};
@@ -326,6 +326,7 @@ impl Engine {
 
     /// A single-threaded engine at the given scale — the reference
     /// configuration every parallel run must reproduce bit for bit.
+    // nc-lint: allow(R12, reason = "driver that several test files run: tests/end_to_end.rs, golden_snapshots.rs and the nc-core unit tests")
     pub fn sequential(scale: ExperimentScale) -> Engine {
         Engine::builder().threads(1).scale(scale).build()
     }
@@ -826,11 +827,6 @@ impl StepDeployedMlp {
             slope,
         })
     }
-
-    /// The deployed network (step activation after `fit`).
-    pub fn network(&self) -> &Mlp {
-        &self.mlp
-    }
 }
 
 impl Model for StepDeployedMlp {
@@ -870,9 +866,13 @@ impl Model for StepDeployedMlp {
         Ok(())
     }
 
-    fn predict(&mut self, pixels: &[u8], _presentation_seed: u64) -> usize {
-        let unit: Vec<f64> = pixels.iter().map(|&p| f64::from(p) / 255.0).collect();
-        self.mlp.predict(&unit)
+    /// The wrapped MLP's readout, whose batch path reuses one scratch.
+    fn predict(&mut self, pixels: &[u8], presentation_seed: u64) -> usize {
+        Model::predict(&mut self.mlp, pixels, presentation_seed)
+    }
+
+    fn predict_batch(&mut self, batch: &EvalBatch<'_>, out: &mut Vec<usize>) {
+        self.mlp.predict_batch(batch, out);
     }
 }
 

@@ -234,8 +234,6 @@ impl AccuracyResults {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccuracyComparison {
     workload: Workload,
-    /// Pinned scale; `None` defers to the engine's scale.
-    scale: Option<ExperimentScale>,
     /// Override the SNN neuron count (defaults to the paper topology).
     pub snn_neurons: Option<usize>,
     /// Override the MLP hidden width (defaults to the paper topology).
@@ -245,38 +243,15 @@ pub struct AccuracyComparison {
 }
 
 impl AccuracyComparison {
-    /// Creates the experiment with the paper's topology for the
-    /// workload, pinned to an explicit scale.
-    pub fn new(workload: Workload, scale: ExperimentScale) -> Self {
-        AccuracyComparison {
-            workload,
-            scale: Some(scale),
-            snn_neurons: None,
-            mlp_hidden: None,
-            seed: 0xC0FFEE,
-        }
-    }
-
-    /// Creates the experiment at the engine's scale (the usual way to
-    /// build one for [`Engine::run`]).
+    /// Creates the experiment with the paper's topology for the workload,
+    /// at the engine's scale.
     pub fn on(workload: Workload) -> Self {
         AccuracyComparison {
             workload,
-            scale: None,
             snn_neurons: None,
             mlp_hidden: None,
             seed: 0xC0FFEE,
         }
-    }
-
-    /// The workload under test.
-    pub fn workload(&self) -> Workload {
-        self.workload
-    }
-
-    /// The scale this experiment resolves to on a given engine.
-    pub fn scale_on(&self, engine: &Engine) -> ExperimentScale {
-        self.scale.unwrap_or_else(|| engine.scale())
     }
 
     /// The five Table 3 model variants as job specs, in result order:
@@ -323,7 +298,7 @@ impl Experiment for AccuracyComparison {
     type Output = AccuracyResults;
 
     fn run(&self, engine: &Engine) -> Result<AccuracyResults, Error> {
-        let scale = self.scale_on(engine);
+        let scale = engine.scale();
         let data = engine.dataset_at(self.workload, scale);
         let (train, test) = (&data.0, &data.1);
         if train.is_empty() || test.is_empty() {

@@ -195,7 +195,7 @@ impl Experiment for FaultSweep {
             move |(spec, budget, plan): &(ModelSpec, FitBudget, FaultPlan), _attempt| {
                 let run = || -> Result<f64, Error> {
                     let mut model = spec.build()?;
-                    model.fit(&shared.0, budget)?;
+                    model.fit_observed(&shared.0, budget, recorder.as_ref())?;
                     model.inject(plan)?;
                     recorder.add("engine.fault_injections", 1);
                     Ok(model.evaluate_batch(&slab.batch()).accuracy())
@@ -316,6 +316,10 @@ mod tests {
         assert_eq!(
             snap.counters.get("engine.fault_injections").copied(),
             Some(points.len() as u64)
+        );
+        assert!(
+            !snap.epochs.is_empty(),
+            "training epochs reach the recorder"
         );
     }
 }

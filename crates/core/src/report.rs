@@ -101,11 +101,6 @@ pub fn pct(x: f64) -> String {
     format!("{:.2}%", x * 100.0)
 }
 
-/// Formats a ratio as `N.NNx`.
-pub fn ratio(x: f64) -> String {
-    format!("{x:.2}x")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,6 +136,5 @@ mod tests {
     #[test]
     fn formatters_are_stable() {
         assert_eq!(pct(0.9182), "91.82%");
-        assert_eq!(ratio(2.566), "2.57x");
     }
 }

@@ -139,9 +139,10 @@ impl Experiment for RobustnessSweep {
                 )
             })
             .collect();
+        let recorder = engine.recorder_handle();
         let ladders: Vec<Result<Vec<f64>, Error>> = engine.run_jobs(jobs, |(spec, budget)| {
             let mut model = spec.build()?;
-            model.fit(train, &budget)?;
+            model.fit_observed(train, &budget, recorder.as_ref())?;
             Ok(noisy
                 .iter()
                 .map(|d| model.evaluate_batch(&d.batch()).accuracy())
@@ -244,14 +245,21 @@ mod tests {
         let sequential = Engine::sequential(ExperimentScale::Tiny)
             .run(&sweep)
             .unwrap();
+        let recorder = std::sync::Arc::new(nc_obs::MemoryRecorder::new());
         let parallel = Engine::builder()
             .threads(3)
             .scale(ExperimentScale::Tiny)
+            .recorder(recorder.clone())
             .build()
             .run(&sweep)
             .unwrap();
         assert_eq!(sequential, parallel);
         assert_eq!(sequential.len(), 2);
+        let snap = recorder.snapshot();
+        assert!(
+            !snap.epochs.is_empty(),
+            "training epochs reach the recorder"
+        );
         // Heavy noise does not raise accuracy.
         assert!(
             sequential[1].mlp_accuracy <= sequential[0].mlp_accuracy + 0.05,

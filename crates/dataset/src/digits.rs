@@ -243,7 +243,12 @@ mod tests {
             difficulty: Difficulty::default(),
         };
         let (train, _) = spec.generate();
-        assert_eq!(train.class_counts(), vec![10; 10]);
+        assert_eq!(
+            (0..10)
+                .map(|c| train.iter().filter(|s| s.label == c).count())
+                .collect::<Vec<_>>(),
+            vec![10; 10]
+        );
     }
 
     #[test]
@@ -272,7 +277,8 @@ mod tests {
             difficulty: Difficulty::default(),
         };
         let (train, _) = spec.generate();
-        let lum = train.mean_luminance();
+        let pixels: Vec<u8> = train.iter().flat_map(|s| s.pixels.clone()).collect();
+        let lum = pixels.iter().map(|&p| f64::from(p)).sum::<f64>() / pixels.len() as f64 / 255.0;
         assert!(lum > 0.03 && lum < 0.40, "mean luminance = {lum}");
     }
 

@@ -247,33 +247,6 @@ impl Dataset {
             samples: self.samples[..n.min(self.samples.len())].to_vec(),
         }
     }
-
-    /// Per-class sample counts.
-    pub fn class_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.num_classes];
-        for s in &self.samples {
-            counts[s.label] += 1;
-        }
-        counts
-    }
-
-    /// Mean luminance over every pixel of every sample, in `[0, 1]` —
-    /// a quick sanity statistic for generator tests.
-    pub fn mean_luminance(&self) -> f64 {
-        let mut sum = 0.0f64;
-        let mut n = 0u64;
-        for s in &self.samples {
-            for &p in &s.pixels {
-                sum += f64::from(p);
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64 / 255.0
-        }
-    }
 }
 
 impl<'a> IntoIterator for &'a Dataset {
@@ -317,9 +290,10 @@ impl Default for Difficulty {
 }
 
 impl Difficulty {
-    /// A no-jitter configuration (every sample of a class is identical);
-    /// useful for unit tests that need perfectly separable data.
-    pub fn none() -> Self {
+    /// A no-jitter configuration (every sample of a class is identical),
+    /// for unit tests that need perfectly separable data.
+    #[cfg(test)]
+    pub(crate) fn none() -> Self {
         Difficulty {
             max_shift: 0.0,
             max_rotation: 0.0,

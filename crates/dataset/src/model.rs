@@ -249,7 +249,7 @@ impl RequestSlab {
 }
 
 /// A borrowed, contiguous view of evaluation work: `len()` images of
-/// `stride()` pixels back to back in one slab, each with its label and
+/// same-length pixel rows back to back in one slab, each with its label and
 /// its presentation seed. This is the unit the batched kernel layer
 /// consumes — one slab, one weight pass — and what
 /// [`Model::predict_batch`]/[`Model::evaluate_batch`] take instead of a
@@ -285,17 +285,12 @@ impl<'a> EvalBatch<'a> {
         self.labels.is_empty()
     }
 
-    /// Pixels per image (the dataset's input dimension).
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
     /// Number of label classes (the confusion-matrix dimension).
     pub fn num_classes(&self) -> usize {
         self.num_classes
     }
 
-    /// The whole contiguous pixel slab, `len() · stride()` bytes.
+    /// The whole contiguous pixel slab, `len()` images of equal length.
     pub fn pixels(&self) -> &'a [u8] {
         self.pixels
     }
@@ -626,7 +621,7 @@ mod tests {
         let slab = PixelSlab::from_dataset(&ds);
         let batch = slab.batch();
         assert_eq!(batch.len(), 5);
-        assert_eq!(batch.stride(), 4);
+        assert_eq!(batch.item(0).len(), 4);
         assert_eq!(batch.num_classes(), 3);
         assert_eq!(batch.pixels().len(), 20);
         for i in 0..5 {
@@ -668,7 +663,7 @@ mod tests {
         assert_eq!(slab.len(), 5);
         let batch = slab.batch();
         assert_eq!(batch.len(), 5);
-        assert_eq!(batch.stride(), 4);
+        assert_eq!(batch.item(0).len(), 4);
         assert_eq!(batch.num_classes(), 3);
         assert_eq!(batch.seed(0), EVAL_PRESENTATION_SEED_BASE | 4);
         assert_eq!(batch.seed(4), EVAL_PRESENTATION_SEED_BASE | 1);

@@ -247,7 +247,12 @@ mod tests {
             difficulty: Difficulty::default(),
         }
         .generate();
-        assert_eq!(train.class_counts(), vec![4; 10]);
+        assert_eq!(
+            (0..10)
+                .map(|c| train.iter().filter(|s| s.label == c).count())
+                .collect::<Vec<_>>(),
+            vec![4; 10]
+        );
     }
 
     #[test]

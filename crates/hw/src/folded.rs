@@ -44,11 +44,6 @@ impl FoldedMlp {
         }
     }
 
-    /// Inputs per neuron per cycle.
-    pub fn ni(&self) -> usize {
-        self.ni
-    }
-
     /// Total hardware neurons (one per logical neuron).
     pub fn num_neurons(&self) -> usize {
         self.sizes[1..].iter().sum()
@@ -145,11 +140,6 @@ impl FoldedSnnWot {
         }
     }
 
-    /// Inputs per neuron per cycle.
-    pub fn ni(&self) -> usize {
-        self.ni
-    }
-
     /// Area of one folded SNNwot neuron in µm².
     pub fn neuron_area_um2(&self) -> f64 {
         SNNWOT_LANE_AREA * self.ni as f64 + SNNWOT_NEURON_BASE
@@ -215,16 +205,6 @@ impl FoldedSnnWt {
             ni,
             t_period: 500,
         }
-    }
-
-    /// Inputs per neuron per cycle.
-    pub fn ni(&self) -> usize {
-        self.ni
-    }
-
-    /// Emulated presentation length in ms (= emulation steps).
-    pub fn t_period(&self) -> u64 {
-        self.t_period
     }
 
     /// Area of one folded SNNwt neuron in µm².

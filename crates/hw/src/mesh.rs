@@ -31,8 +31,8 @@ pub mod place;
 pub mod route;
 pub mod sim;
 
-pub use partition::{partition_snn, partition_units, Partition, MAX_CLUSTER_NEURONS};
-pub use place::{place_greedy, place_linear, Grid, Placement};
+pub use partition::{partition_snn, Partition, MAX_CLUSTER_NEURONS};
+pub use place::{place_greedy, Grid, Placement};
 pub use route::{Fabric, PORTS_PER_ROUTER};
 pub use sim::{MeshCost, MeshPresentation, MeshSnn};
 

@@ -63,21 +63,12 @@ impl Partition {
         self.traffic[a * self.clusters.len() + b]
     }
 
-    /// Total affinity mass crossing cluster boundaries — the quantity
-    /// the greedy assignment minimizes.
-    pub fn cut_weight(&self) -> u64 {
-        let k = self.clusters.len();
-        let mut cut = 0u64;
-        for a in 0..k {
-            for b in (a + 1)..k {
-                cut = cut.wrapping_add(self.traffic[a * k + b]);
-            }
-        }
-        cut
-    }
-
     /// Builds the cluster lists and traffic matrix from an assignment.
-    fn from_assignment(cluster_of: Vec<usize>, num_clusters: usize, affinity: &[u64]) -> Partition {
+    pub(super) fn from_assignment(
+        cluster_of: Vec<usize>,
+        num_clusters: usize,
+        affinity: &[u64],
+    ) -> Partition {
         let n = cluster_of.len();
         let mut clusters = vec![Vec::new(); num_clusters];
         for (j, &c) in cluster_of.iter().enumerate() {
@@ -126,23 +117,6 @@ pub fn partition_snn(net: &SnnNetwork, targets: usize) -> Partition {
     let weights = net.weights();
     let affinity = affinity_matrix(weights, n, inputs);
     partition_affinity(&affinity, n, targets)
-}
-
-/// Partitions `neurons` featureless units (a folded MLP layer: no
-/// lateral synapses, so every cut is equal and the minimal-cut greedy
-/// degenerates to balanced contiguous blocks) into at most `targets`
-/// clusters. The resulting [`Partition`] carries a zero traffic matrix.
-///
-/// # Panics
-///
-/// Panics if `targets == 0`, `neurons == 0`, or the units cannot fit.
-pub fn partition_units(neurons: usize, targets: usize) -> Partition {
-    assert!(targets > 0, "need at least one target cluster");
-    assert!(neurons > 0, "need at least one unit");
-    let cap = capacity(neurons, targets);
-    let num_clusters = neurons.div_ceil(cap);
-    let cluster_of: Vec<usize> = (0..neurons).map(|j| j / cap).collect();
-    Partition::from_assignment(cluster_of, num_clusters, &[])
 }
 
 /// The per-cluster capacity for `n` neurons over `targets` clusters.
@@ -236,24 +210,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn units_split_into_balanced_contiguous_blocks() {
-        let p = partition_units(10, 4);
-        assert_eq!(p.num_clusters(), 4);
-        assert_eq!(p.clusters()[0], vec![0, 1, 2]);
-        assert_eq!(p.clusters()[3], vec![9]);
-        assert_eq!(p.cluster_of(5), 1);
-        assert_eq!(p.cut_weight(), 0);
-    }
-
-    #[test]
-    fn unit_partition_respects_the_core_capacity() {
-        let p = partition_units(600, 3);
-        assert_eq!(p.num_clusters(), 3);
-        assert!(p.clusters().iter().all(|c| c.len() <= MAX_CLUSTER_NEURONS));
-        assert_eq!(p.neurons(), 600);
-    }
-
-    #[test]
     #[should_panic(expected = "cannot fit")]
     fn oversubscribed_grids_are_rejected() {
         let affinity = vec![0u64; 600 * 600];
@@ -276,7 +232,6 @@ mod tests {
         assert_eq!(p.cluster_of(0), p.cluster_of(1));
         assert_eq!(p.cluster_of(2), p.cluster_of(3));
         assert_ne!(p.cluster_of(0), p.cluster_of(2));
-        assert_eq!(p.cut_weight(), 0);
         assert!(p.traffic(0, 1) == 0 && p.traffic(1, 0) == 0);
     }
 

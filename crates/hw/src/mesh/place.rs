@@ -96,22 +96,6 @@ impl Placement {
         self.core_of_cluster.len()
     }
 
-    /// Total traffic-weighted Manhattan distance — the placement cost
-    /// the greedy placer minimizes, and the expected per-spike hop bill.
-    pub fn cost(&self, partition: &Partition) -> u64 {
-        let k = self.core_of_cluster.len();
-        let mut cost = 0u64;
-        for a in 0..k {
-            for b in (a + 1)..k {
-                let hops = self
-                    .grid
-                    .manhattan(self.core_of_cluster[a], self.core_of_cluster[b]);
-                cost = cost.wrapping_add(partition.traffic(a, b).wrapping_mul(hops_u64(hops)));
-            }
-        }
-        cost
-    }
-
     fn validate(partition: &Partition, grid: Grid) {
         assert!(
             partition.num_clusters() <= grid.cores(),
@@ -183,26 +167,14 @@ pub fn place_greedy(partition: &Partition, grid: Grid) -> Placement {
     }
 }
 
-/// The identity placement: cluster `c` on core `c`, row-major. The
-/// second deterministic placement the determinism tests compare against
-/// [`place_greedy`] — same partition, different physical routes, same
-/// logical spike schedule.
-///
-/// # Panics
-///
-/// Panics if the partition has more clusters than the grid has cores.
-pub fn place_linear(partition: &Partition, grid: Grid) -> Placement {
-    Placement::validate(partition, grid);
-    Placement {
-        grid,
-        core_of_cluster: (0..partition.num_clusters()).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mesh::partition::partition_units;
+
+    /// `n` featureless units in `k` contiguous blocks, no traffic.
+    fn blocks(n: usize, k: usize) -> Partition {
+        Partition::from_assignment((0..n).map(|j| j * k / n).collect(), k, &[])
+    }
 
     #[test]
     fn grid_geometry_round_trips() {
@@ -216,19 +188,8 @@ mod tests {
     }
 
     #[test]
-    fn linear_placement_is_the_identity() {
-        let p = partition_units(40, 4);
-        let placement = place_linear(&p, Grid::new(2, 2));
-        assert_eq!(placement.num_clusters(), 4);
-        for c in 0..4 {
-            assert_eq!(placement.core_of(c), c);
-        }
-        assert_eq!(placement.cost(&p), 0); // unit partitions carry no traffic
-    }
-
-    #[test]
     fn greedy_places_every_cluster_on_a_distinct_core() {
-        let p = partition_units(100, 9);
+        let p = blocks(100, 9);
         let placement = place_greedy(&p, Grid::new(3, 3));
         let mut used = [false; 9];
         for c in 0..placement.num_clusters() {
@@ -243,7 +204,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot be placed")]
     fn too_small_grids_are_rejected() {
-        let p = partition_units(100, 9);
+        let p = blocks(100, 9);
         let _ = place_greedy(&p, Grid::new(2, 2));
     }
 }

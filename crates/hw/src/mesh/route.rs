@@ -168,11 +168,6 @@ impl Fabric {
         &self.routes[from * self.grid.cores() + to].links
     }
 
-    /// Whether the outbound link `link` is dead.
-    pub fn is_dead_link(&self, link: usize) -> bool {
-        self.dead_links[link]
-    }
-
     /// Number of dead outbound links.
     pub fn dead_link_count(&self) -> usize {
         self.dead_links.iter().filter(|&&d| d).count()
@@ -311,8 +306,9 @@ mod tests {
         assert_eq!(clean.dead_router_count(), 0);
         // Per-core site streams: masks for core 0 are grid-size invariant.
         let small = Fabric::with_plan(Grid::new(2, 2), &plan);
-        for link in 0..PORTS_PER_ROUTER {
-            assert_eq!(small.is_dead_link(link), a.is_dead_link(link));
-        }
+        assert_eq!(
+            small.dead_links[..PORTS_PER_ROUTER],
+            a.dead_links[..PORTS_PER_ROUTER]
+        );
     }
 }

@@ -420,11 +420,6 @@ impl MeshSnn {
         &self.partition
     }
 
-    /// The compiled placement.
-    pub fn placement(&self) -> &Placement {
-        &self.placement
-    }
-
     /// The routing fabric.
     pub fn fabric(&self) -> &Fabric {
         &self.fabric

@@ -32,16 +32,6 @@ impl PowerBreakdown {
     pub fn total_w(&self) -> f64 {
         self.clock_w + self.datapath_w + self.sram_w
     }
-
-    /// Fraction of the total drawn by the clock tree (the paper's 60% /
-    /// 20% statistic).
-    pub fn clock_share(&self) -> f64 {
-        if self.total_w() <= 0.0 {
-            0.0
-        } else {
-            self.clock_w / self.total_w()
-        }
-    }
 }
 
 /// Design families with distinct clock-vs-datapath balances.
@@ -147,7 +137,6 @@ mod tests {
     fn snnwt_breakdown_is_well_formed() {
         let b = folded_snnwt_power(&FoldedSnnWt::new(784, 300, 4));
         assert!(b.clock_w > 0.0 && b.datapath_w > 0.0 && b.sram_w > 0.0);
-        assert!((0.0..=1.0).contains(&b.clock_share()));
     }
 
     #[test]

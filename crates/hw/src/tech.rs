@@ -50,16 +50,6 @@ pub const SIGMOID_UNIT_AREA: f64 = 862.0 + 58.0 + 16.0 * 30.0;
 /// content.
 pub const REG8_AREA: f64 = 50.0;
 
-/// Area of one 8-bit comparator (used by the spike-count converter ladder
-/// of Figure 7 and the STDP window checks). Derived from adder area
-/// (a comparator is a subtractor).
-pub const CMP8_AREA: f64 = 60.0;
-
-/// Per-neuron fixed overhead of a folded hardware neuron (control FSM,
-/// accumulator register, output register, clock/wiring share), µm².
-/// Calibrated residual from the Table 7 `ni = 1` points.
-pub const FOLDED_NEURON_OVERHEAD: f64 = 1_200.0;
-
 /// Builds a two-level max tree (readout) for `n` inputs and returns
 /// `(units, area_um2)` (§4.3.2: 15 + 1 units for 300 neurons).
 pub fn max_tree(n: usize) -> (usize, f64) {

@@ -5,9 +5,7 @@
 //! deterministically under fabric faults.
 
 use nc_faults::{FaultModel, FaultPlan};
-use nc_hw::mesh::{
-    partition_snn, place_greedy, place_linear, Fabric, Grid, MeshSnn, MAX_CLUSTER_NEURONS,
-};
+use nc_hw::mesh::{partition_snn, place_greedy, Fabric, Grid, MeshSnn, MAX_CLUSTER_NEURONS};
 use nc_snn::{CodingScheme, SnnNetwork, SnnParams};
 
 const ALL_CODINGS: [CodingScheme; 4] = [
@@ -129,10 +127,12 @@ fn routed_trace_is_placement_invariant() {
     let net = test_net(64, 24, CodingScheme::PoissonRate, 9);
     let grid = Grid::new(2, 2);
     let partition = partition_snn(&net, grid.cores());
+    // The same partition on a larger grid sits on other cores and routes.
+    let wide = Grid::new(3, 3);
     let greedy = place_greedy(&partition, grid);
-    let linear = place_linear(&partition, grid);
+    let spread = place_greedy(&partition, wide);
     let mut mesh_a = MeshSnn::compiled(&net, partition.clone(), greedy, Fabric::healthy(grid));
-    let mut mesh_b = MeshSnn::compiled(&net, partition, linear, Fabric::healthy(grid));
+    let mut mesh_b = MeshSnn::compiled(&net, partition, spread, Fabric::healthy(wide));
     let pixels = test_pixels(64, 2);
     let pa = mesh_a.present(&pixels, 4);
     let pb = mesh_b.present(&pixels, 4);
@@ -191,9 +191,11 @@ fn saturated_dead_links_isolate_the_ingress_core() {
     assert!(p.cost.dropped_packets > 0);
     assert_eq!(p.cost.hops, 0, "all first hops are dead");
     // Only neurons hosted on core 0 can ever fire.
+    // `compile_faulty` places greedily, so the placement is recomputable.
+    let placement = place_greedy(mesh.partition(), Grid::new(2, 2));
     let locals: &[usize] = {
         let cluster = (0..mesh.partition().num_clusters())
-            .find(|&c| mesh.placement().core_of(c) == 0)
+            .find(|&c| placement.core_of(c) == 0)
             .unwrap_or(0);
         &mesh.partition().clusters()[cluster]
     };

@@ -22,8 +22,8 @@
 use nc_dataset::{Dataset, Sample};
 use nc_faults::{FaultModel, FaultPlan};
 use nc_hw::mesh::{
-    partition_snn, place_greedy, Fabric, Grid, MeshCost, MeshPresentation, MeshSnn,
-    PORTS_PER_ROUTER,
+    partition_snn, place_greedy, Fabric, Grid, MeshCost, MeshPresentation, MeshSnn, Partition,
+    Placement, PORTS_PER_ROUTER,
 };
 use nc_snn::{
     decay_with_lut, tie_broken_readout, CodingScheme, SnnNetwork, SnnParams, SpikeCalendar,
@@ -166,11 +166,13 @@ struct Reference {
 }
 
 impl Reference {
-    fn of(net: &SnnNetwork, mesh: &MeshSnn) -> Self {
+    fn of(net: &SnnNetwork, partition: &Partition, placement: &Placement, fabric: &Fabric) -> Self {
         let inputs = net.inputs();
-        let mut cores: Vec<Core> = (0..mesh.grid().cores()).map(|_| Core::default()).collect();
-        for (cluster, members) in mesh.partition().clusters().iter().enumerate() {
-            let core = &mut cores[mesh.placement().core_of(cluster)];
+        let mut cores: Vec<Core> = (0..fabric.grid().cores())
+            .map(|_| Core::default())
+            .collect();
+        for (cluster, members) in partition.clusters().iter().enumerate() {
+            let core = &mut cores[placement.core_of(cluster)];
             core.locals = members.clone();
             core.wcols = (0..inputs)
                 .flat_map(|input| members.iter().map(move |&g| (g, input)))
@@ -187,7 +189,7 @@ impl Reference {
             stream_base: net.presentation_stream_seed(0),
             lut: net.decay_lut().to_vec(),
             labels: net.labels().to_vec(),
-            fabric: mesh.fabric().clone(),
+            fabric: fabric.clone(),
             cores,
             used,
             resumed: false,
@@ -430,8 +432,8 @@ fn tick_simulator_matches_the_per_event_reference() {
         let fabric = random_fabric(rng, grid);
         let partition = partition_snn(&net, grid.cores());
         let placement = place_greedy(&partition, grid);
+        let mut reference = Reference::of(&net, &partition, &placement, &fabric);
         let mut mesh = MeshSnn::compiled(&net, partition, placement, fabric);
-        let mut reference = Reference::of(&net, &mesh);
         let parked = reference
             .used
             .iter()

@@ -15,13 +15,18 @@
 //!   `nc_substrate::kernel` hot functions or anything they transitively
 //!   call (constructors `new`/`ensure`/`with_capacity`/`default` are
 //!   setup paths, not hot loops, and are exempt as roots).
+//! * **R12 reachability** — every library `pub fn` is reached from a
+//!   binary, bench, example or nested-workspace call site. Here a name
+//!   match is enough: the deny-listed methods and `Type::f` paths named
+//!   without a call both count as uses, because a false edge only
+//!   hides dead code while a missed one reports live code as dead.
 //!
 //! Everything iterates in sorted order over `BTree` containers so the
 //! produced findings are byte-identical regardless of the order files
 //! were discovered in.
 
-use crate::parse::{CallSite, FileModel, FnDef};
-use crate::rules::{Finding, RuleId};
+use crate::parse::{CallSite, FileModel, FnDef, OwnerKind};
+use crate::rules::{FileContext, Finding, RuleId, TargetKind};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Method names that shadow std collection/iterator/IO methods, or that
@@ -197,8 +202,12 @@ impl<'a> SymbolGraph<'a> {
             .defs
             .iter()
             .map(|def| {
-                let mut out: Vec<usize> =
-                    def.f.calls.iter().flat_map(|c| graph.resolve(c)).collect();
+                let mut out: Vec<usize> = def
+                    .f
+                    .calls
+                    .iter()
+                    .flat_map(|c| graph.resolve(c, def.f))
+                    .collect();
                 out.sort_unstable();
                 out.dedup();
                 out
@@ -207,13 +216,18 @@ impl<'a> SymbolGraph<'a> {
         graph
     }
 
-    /// Resolves one call reference to candidate definitions.
-    pub fn resolve(&self, call: &CallSite) -> Vec<usize> {
+    /// Resolves one call reference made inside `caller` to candidate
+    /// definitions; a `Self::` qualifier names the caller's own type.
+    pub fn resolve(&self, call: &CallSite, caller: &FnDef) -> Vec<usize> {
         match (&call.qualifier, call.is_method) {
             (Some(q), _) => {
+                let q = match (q.as_str(), caller.owner.as_deref()) {
+                    ("Self", Some(owner)) => owner,
+                    (q, _) => q,
+                };
                 if q.chars().next().is_some_and(char::is_uppercase) {
                     self.assoc
-                        .get(&(q.as_str(), call.name.as_str()))
+                        .get(&(q, call.name.as_str()))
                         .cloned()
                         .unwrap_or_default()
                 } else {
@@ -242,6 +256,24 @@ impl<'a> SymbolGraph<'a> {
         }
     }
 
+    /// Every def `f` may use, matched by name: its calls, including the
+    /// deny-listed method names [`Self::resolve`] drops, plus its
+    /// `Type::name` mentions.
+    fn uses_of(&self, f: &FnDef) -> Vec<usize> {
+        f.calls
+            .iter()
+            .chain(&f.mentions)
+            .flat_map(|c| match c.qualifier {
+                None if c.is_method => self
+                    .methods
+                    .get(c.name.as_str())
+                    .cloned()
+                    .unwrap_or_default(),
+                _ => self.resolve(c, f),
+            })
+            .collect()
+    }
+
     /// `Owner::name` (or bare name) for messages.
     pub fn qualname(&self, d: usize) -> String {
         let f = self.defs[d].f;
@@ -264,11 +296,15 @@ impl<'a> SymbolGraph<'a> {
     /// Breadth-first reachability from `roots` over call edges; returns
     /// the visited set and a parent map for path reconstruction.
     pub fn reach(&self, roots: &[usize]) -> (BTreeSet<usize>, BTreeMap<usize, usize>) {
+        Self::bfs(&self.callees, roots)
+    }
+
+    fn bfs(edges: &[Vec<usize>], roots: &[usize]) -> (BTreeSet<usize>, BTreeMap<usize, usize>) {
         let mut seen: BTreeSet<usize> = roots.iter().copied().collect();
         let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
         let mut queue: VecDeque<usize> = roots.iter().copied().collect();
         while let Some(d) = queue.pop_front() {
-            for &c in &self.callees[d] {
+            for &c in &edges[d] {
                 if seen.insert(c) {
                     parent.insert(c, d);
                     queue.push_back(c);
@@ -417,7 +453,7 @@ pub fn check_lock_order(graph: &SymbolGraph<'_>) -> Vec<Finding> {
                     });
                 }
             }
-            for &c in &graph.resolve(call) {
+            for &c in &graph.resolve(call, def.f) {
                 for to in &acq[c] {
                     for h in &call.held {
                         edges.insert(LockEdge {
@@ -537,6 +573,39 @@ pub fn check_kernel_allocs(graph: &SymbolGraph<'_>) -> Vec<Finding> {
     findings
 }
 
+/// Runs R12 (every library `pub fn` is reached from a deliverable
+/// target) over the graph. The roots are every fn of a binary unit,
+/// every trait-impl method (`Display::fmt` or `FromIterator::from_iter`
+/// run without a call by name), and everything `roots` (bench, example
+/// and nested-workspace fns) uses. Tests are no roots: a `pub fn` only
+/// tests call is a finding too.
+pub fn check_reachability(graph: &SymbolGraph<'_>, roots: &[&FnDef]) -> Vec<Finding> {
+    let mut root_defs: Vec<usize> = roots.iter().flat_map(|f| graph.uses_of(f)).collect();
+    root_defs.extend((0..graph.defs.len()).filter(|&d| {
+        graph.defs[d].f.owner_kind == OwnerKind::TraitImpl
+            || FileContext::classify(graph.path_of(d)).target == TargetKind::Binary
+    }));
+    let uses: Vec<Vec<usize>> = graph.defs.iter().map(|def| graph.uses_of(def.f)).collect();
+    let (reached, _) = SymbolGraph::bfs(&uses, &root_defs);
+    (0..graph.defs.len())
+        .filter(|&d| {
+            graph.defs[d].f.is_pub
+                && !reached.contains(&d)
+                && FileContext::classify(graph.path_of(d)).target == TargetKind::Library
+        })
+        .map(|d| Finding {
+            file: graph.path_of(d).to_string(),
+            line: graph.defs[d].f.line,
+            rule: RuleId::R12,
+            message: format!(
+                "`{}` is public but no binary, bench, example or nested workspace reaches \
+                 it; delete it, make it private, or move it into the tests that call it",
+                graph.qualname(d)
+            ),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -623,6 +692,33 @@ mod tests {
                 pub fn outer(&self) {
                     let g = lock_or_recover(&self.admission);
                     self.helper();
+                }
+                fn helper(&self) {
+                    lock_or_recover(&self.completion).clear();
+                }
+                pub fn reversed(&self) {
+                    let g = lock_or_recover(&self.completion);
+                    lock_or_recover(&self.admission).clear();
+                }
+            }",
+        )]);
+        let findings = check_lock_order(&graph(&ms));
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.message.contains("via call to `Gate::helper`")),
+            "{findings:?}"
+        );
+    }
+
+    #[test]
+    fn cycle_through_a_self_path_callee_is_found() {
+        let ms = models(&[(
+            "crates/a/src/x.rs",
+            "impl Gate {
+                pub fn outer(&self) {
+                    let g = lock_or_recover(&self.admission);
+                    Self::helper(self);
                 }
                 fn helper(&self) {
                     lock_or_recover(&self.completion).clear();

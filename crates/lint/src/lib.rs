@@ -29,6 +29,7 @@
 //! | R9 | graph | no lock-order cycles; no lock held across dyn dispatch |
 //! | R10 | graph | no heap allocation on `nc_substrate::kernel` hot paths |
 //! | R11 | graph | seed arguments derive from seeded streams or named constants |
+//! | R12 | graph | every library `pub fn` is reached from a binary, bench or example |
 //!
 //! Violations that are intentional carry an inline, auditable waiver:
 //!
@@ -58,49 +59,50 @@ pub mod taint;
 pub mod walk;
 
 pub use report::Report;
-pub use rules::{check_source, scan_file, Finding, RuleId};
+pub use rules::{scan_file, Finding, RuleId};
 
-use rules::FileScan;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-/// Runs phase 2 and suppression resolution over completed phase-1 scans.
-fn finish(mut scans: Vec<FileScan>) -> Report {
+/// Lints a set of in-memory sources (`(workspace-relative path, text)`)
+/// through the full two-phase pipeline. R12 runs only when `nested` is
+/// given: the sources of the nested workspaces whose call sites are its
+/// roots, which only a tree's targets supply. Pure and
+/// order-insensitive: the same set of files produces a byte-identical
+/// report whatever order they arrive in.
+pub fn lint_sources(files: &[(String, String)], nested: Option<&[(String, String)]>) -> Report {
+    let scan = |(path, source): &(String, String)| rules::scan_file(path, source);
+    let mut scans: Vec<_> = files.iter().map(scan).collect();
     // Sort before building the graph so the report is byte-identical
     // regardless of the order files were discovered in.
     scans.sort_by(|a, b| a.path.cmp(&b.path));
-    let phase2 = rules::run_phase2(&scans);
+    let nested: Option<Vec<_>> = nested.map(|n| n.iter().map(|f| scan(f).model).collect());
+    let phase2 = rules::run_phase2(&scans, nested.as_deref());
     rules::resolve_workspace(scans, phase2)
-}
-
-/// Lints a set of in-memory sources (`(workspace-relative path, text)`)
-/// through the full two-phase pipeline. Pure and order-insensitive: the
-/// same set of files produces a byte-identical report whatever order
-/// they arrive in.
-pub fn lint_sources(files: &[(String, String)]) -> Report {
-    finish(
-        files
-            .iter()
-            .map(|(path, source)| rules::scan_file(path, source))
-            .collect(),
-    )
 }
 
 /// Lints every `.rs` file under `root` (skipping `target/`, hidden
 /// directories, fixture corpora and nested workspaces) and folds the
-/// results into one [`Report`].
+/// results into one [`Report`]. When `root` is a Cargo workspace, R12
+/// runs too, with the skipped nested workspaces' call sites as roots.
 ///
 /// # Errors
 ///
 /// Returns an I/O error if the tree cannot be walked or a source file
 /// cannot be read.
 pub fn lint_tree(root: &Path) -> io::Result<Report> {
-    let files = walk::rust_files(root)?;
-    let mut scans = Vec::with_capacity(files.len());
-    for path in &files {
-        let source = std::fs::read_to_string(path)?;
-        let key = walk::relative_key(root, path);
-        scans.push(rules::scan_file(&key, &source));
-    }
-    Ok(finish(scans))
+    let tree = walk::rust_files(root)?;
+    let read = |paths: &[PathBuf]| -> io::Result<Vec<(String, String)>> {
+        paths
+            .iter()
+            .map(|p| Ok((walk::relative_key(root, p), std::fs::read_to_string(p)?)))
+            .collect()
+    };
+    let files = read(&tree.own)?;
+    let nested = if walk::is_workspace_root(root) {
+        Some(read(&tree.nested)?)
+    } else {
+        None
+    };
+    Ok(lint_sources(&files, nested.as_deref()))
 }

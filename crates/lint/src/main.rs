@@ -31,7 +31,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!("usage: nc-lint [--json] [--sarif FILE] [--root DIR]");
                 println!(
-                    "Checks workspace invariants R1-R11; see DESIGN.md \"Static invariants\"."
+                    "Checks workspace invariants R1-R12; see DESIGN.md \"Static invariants\"."
                 );
                 return ExitCode::SUCCESS;
             }

@@ -2,12 +2,14 @@
 //! token stream into a lightweight item/scope model.
 //!
 //! The build is offline (no `syn`), so this is not a Rust parser — it is
-//! a fact extractor tuned to what the cross-file rules (R8–R11) consume:
+//! a fact extractor tuned to what the cross-file rules (R8–R12) consume:
 //!
 //! * which functions a file defines, and inside which `impl`/`trait`;
 //! * which functions each body *references* (free calls, `Type::assoc`
 //!   paths, `.method(...)` calls), with the argument token text the
-//!   seed-discipline rule inspects;
+//!   seed-discipline rule inspects, and which `Type::name` paths it names
+//!   without calling them;
+//! * which functions are declared plain `pub` (R12's candidates);
 //! * where locks are acquired (`Mutex::lock`, `RwLock::read/write`, the
 //!   workspace's `lock_or_recover` helper) and which locks are already
 //!   held at every acquisition and call site;
@@ -76,8 +78,10 @@ const NON_CALL_KEYWORDS: [&str; 14] = [
 pub enum OwnerKind {
     /// A free function at module scope.
     Free,
-    /// A method or associated function inside an `impl` block.
+    /// A method or associated function inside an inherent `impl` block.
     Impl,
+    /// A method inside an `impl Trait for Type` block.
+    TraitImpl,
     /// A method declared (or defaulted) inside a `trait` block.
     Trait,
 }
@@ -155,10 +159,17 @@ pub struct FnDef {
     pub line: u32,
     /// Inside a `#[test]`/`#[cfg(test)]` region.
     pub is_test: bool,
+    /// Declared plain `pub` (`pub(crate)` and narrower do not count).
+    pub is_pub: bool,
     /// Parameter names in order, `self` excluded.
     pub params: Vec<String>,
+    /// Takes a `self` receiver (which a UFCS call passes explicitly).
+    pub receiver: bool,
     /// Call references in body order.
     pub calls: Vec<CallSite>,
+    /// `Type::name` paths the body names without calling them
+    /// (`map(Self::decode)`): uses that R12 counts, no call edge.
+    pub mentions: Vec<CallSite>,
     /// Lock acquisitions in body order.
     pub locks: Vec<LockSite>,
     /// Clock/entropy identifier uses.
@@ -375,7 +386,7 @@ fn scan_items(
         match ident_at(code, i) {
             Some("impl" | "trait") => {
                 let is_trait = ident_at(code, i) == Some("trait");
-                let Some((type_name, body_open)) = impl_header(code, i, end) else {
+                let Some((type_name, body_open, for_trait)) = impl_header(code, i, end) else {
                     i += 1;
                     continue;
                 };
@@ -385,10 +396,10 @@ fn scan_items(
                     body_open + 1,
                     body_close,
                     Some(&type_name),
-                    if is_trait {
-                        OwnerKind::Trait
-                    } else {
-                        OwnerKind::Impl
+                    match (is_trait, for_trait) {
+                        (true, _) => OwnerKind::Trait,
+                        (false, true) => OwnerKind::TraitImpl,
+                        (false, false) => OwnerKind::Impl,
                     },
                     model,
                     cx,
@@ -416,7 +427,7 @@ fn scan_items(
                     i += 1;
                     continue;
                 };
-                let (params, after_sig) = fn_params(code, i + 2, end);
+                let (params, receiver, after_sig) = fn_params(code, i + 2, end);
                 // Find the body `{` (or `;` for bodyless trait decls),
                 // skipping the return type and where clause.
                 let mut j = after_sig;
@@ -433,8 +444,11 @@ fn scan_items(
                     },
                     line: code[fn_index].line,
                     is_test: (cx.in_test)(fn_index),
+                    is_pub: is_plain_pub(code, fn_index),
                     params,
+                    receiver,
                     calls: Vec::new(),
+                    mentions: Vec::new(),
                     locks: Vec::new(),
                     sources: Vec::new(),
                     allocs: Vec::new(),
@@ -454,10 +468,27 @@ fn scan_items(
     }
 }
 
+/// Is the `fn` keyword at `kw` declared plain `pub`, past any
+/// `const`/`unsafe`/`async`/`extern "ABI"` qualifiers?
+fn is_plain_pub(code: &[&Token], kw: usize) -> bool {
+    let mut k = kw;
+    while k > 0 {
+        k -= 1;
+        match &code[k].kind {
+            TokenKind::Ident(s) if s == "pub" => return true,
+            TokenKind::Ident(s)
+                if matches!(s.as_str(), "const" | "unsafe" | "async" | "extern") => {}
+            TokenKind::StrLit => {}
+            _ => return false,
+        }
+    }
+    false
+}
+
 /// Extracts the subject type name of an `impl`/`trait` header starting
-/// at `kw` and the index of the opening `{`. For `impl Trait for Type`,
-/// the subject is `Type`.
-fn impl_header(code: &[&Token], kw: usize, end: usize) -> Option<(String, usize)> {
+/// at `kw`, the index of the opening `{`, and whether the header is
+/// `impl Trait for Type` (whose subject is `Type`).
+fn impl_header(code: &[&Token], kw: usize, end: usize) -> Option<(String, usize, bool)> {
     let mut i = kw + 1;
     let mut angle = 0i32;
     let mut first: Option<String> = None;
@@ -467,7 +498,7 @@ fn impl_header(code: &[&Token], kw: usize, end: usize) -> Option<(String, usize)
         match &code[i].kind {
             TokenKind::Punct('{') if angle <= 0 => {
                 let name = after_for.or(first)?;
-                return Some((name, i));
+                return Some((name, i, saw_for));
             }
             TokenKind::Punct(';') if angle <= 0 => return None, // `trait X: Y;` — malformed
             TokenKind::Punct('<') => angle += 1,
@@ -491,8 +522,9 @@ fn impl_header(code: &[&Token], kw: usize, end: usize) -> Option<(String, usize)
 }
 
 /// Parses a parameter list starting at (or just before) its `(`;
-/// returns the names (excluding `self`) and the index after `)`.
-fn fn_params(code: &[&Token], from: usize, end: usize) -> (Vec<String>, usize) {
+/// returns the names (excluding `self`), whether `self` is among them,
+/// and the index after `)`.
+fn fn_params(code: &[&Token], from: usize, end: usize) -> (Vec<String>, bool, usize) {
     let mut i = from;
     // Skip generics between the name and `(`.
     let mut angle = 0i32;
@@ -506,10 +538,11 @@ fn fn_params(code: &[&Token], from: usize, end: usize) -> (Vec<String>, usize) {
         i += 1;
     }
     if i >= end {
-        return (Vec::new(), end);
+        return (Vec::new(), false, end);
     }
     let close = matching_paren(code, i, end);
     let mut params = Vec::new();
+    let mut receiver = false;
     // Split on top-level commas; each parameter's name is its first
     // identifier that is not `mut`/`self`.
     let mut j = i + 1;
@@ -525,7 +558,9 @@ fn fn_params(code: &[&Token], from: usize, end: usize) -> (Vec<String>, usize) {
                         k += 1;
                         continue;
                     }
-                    if name != "self" && is_punct(code, k + 1, ':') {
+                    if name == "self" {
+                        receiver = true;
+                    } else if is_punct(code, k + 1, ':') {
                         params.push(name.to_string());
                     }
                     break;
@@ -542,7 +577,7 @@ fn fn_params(code: &[&Token], from: usize, end: usize) -> (Vec<String>, usize) {
         }
         j += 1;
     }
-    (params, close + 1)
+    (params, receiver, close + 1)
 }
 
 /// Index of the `}` matching the `{` at `open` (bounded by `end`).
@@ -766,6 +801,26 @@ fn scan_body(
                     // Scan *inside* the argument list too (nested calls).
                     i += 2;
                     continue;
+                }
+                // `Type::name` not followed by a call, macro bang or
+                // further path segment: a function named as a value.
+                if name.starts_with(|c: char| c.is_ascii_lowercase())
+                    && i >= start + 3
+                    && is_punct(code, i - 1, ':')
+                    && is_punct(code, i - 2, ':')
+                    && !is_punct(code, i + 1, '!')
+                    && !is_punct(code, i + 1, ':')
+                {
+                    if let Some(q) = ident_at(code, i - 3) {
+                        def.mentions.push(CallSite {
+                            qualifier: Some(q.to_string()),
+                            name: name.to_string(),
+                            is_method: false,
+                            line: tok.line,
+                            held: Vec::new(),
+                            args: Vec::new(),
+                        });
+                    }
                 }
                 i += 1;
             }
@@ -1009,6 +1064,7 @@ mod tests {
     fn impl_trait_for_type_owner_is_the_type() {
         let m = model("impl Model for WotSnn { fn predict(&mut self) -> usize { 1 } }");
         assert_eq!(m.fns[0].owner.as_deref(), Some("WotSnn"));
+        assert_eq!(m.fns[0].owner_kind, OwnerKind::TraitImpl);
     }
 
     #[test]

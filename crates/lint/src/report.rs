@@ -1,6 +1,6 @@
 //! Rendering a lint run: rustc-style text and a versioned JSON document.
 
-use crate::rules::{Finding, RuleId};
+use crate::rules::Finding;
 use std::fmt::Write as _;
 
 /// The outcome of linting a file tree.
@@ -72,11 +72,6 @@ impl Report {
         }
         out
     }
-
-    /// Findings for one rule, for tests and tooling.
-    pub fn findings_for(&self, rule: RuleId) -> Vec<&Finding> {
-        self.findings.iter().filter(|f| f.rule == rule).collect()
-    }
 }
 
 /// Escapes a string as a JSON literal.
@@ -103,6 +98,7 @@ pub(crate) fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::RuleId;
 
     #[test]
     fn json_escapes_and_shapes() {

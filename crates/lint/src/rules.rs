@@ -1,8 +1,8 @@
 //! The invariant rule table and the two-phase checking pipeline.
 //!
-//! Each rule has an ID (`R1`..`R11`), a *scope* (which files or graph
+//! Each rule has an ID (`R1`..`R12`), a *scope* (which files or graph
 //! regions it governs), and a detector. R1–R7 are per-file token-pattern
-//! rules (phase 1); R8–R11 run on the workspace symbol graph built from
+//! rules (phase 1); R8–R12 run on the workspace symbol graph built from
 //! every file's parsed model (phase 2, see [`crate::graph`] and
 //! [`crate::taint`]). The scopes encode the architecture DESIGN.md
 //! documents: wall-clock reads belong to the observability layer,
@@ -50,13 +50,15 @@ pub enum RuleId {
     R10,
     /// Seed arguments derive from seeded streams or named constants (cross-file).
     R11,
+    /// Every library `pub fn` is reached from a deliverable target (cross-file).
+    R12,
     /// Suppression comments must parse, carry a reason, and not expire.
     Suppress,
 }
 
 impl RuleId {
     /// Every enforced rule, in report order.
-    pub const ALL: [RuleId; 12] = [
+    pub const ALL: [RuleId; 13] = [
         RuleId::R1,
         RuleId::R2,
         RuleId::R3,
@@ -68,6 +70,7 @@ impl RuleId {
         RuleId::R9,
         RuleId::R10,
         RuleId::R11,
+        RuleId::R12,
         RuleId::Suppress,
     ];
 
@@ -85,6 +88,7 @@ impl RuleId {
             RuleId::R9 => "R9",
             RuleId::R10 => "R10",
             RuleId::R11 => "R11",
+            RuleId::R12 => "R12",
             RuleId::Suppress => "SUPPRESS",
         }
     }
@@ -103,6 +107,7 @@ impl RuleId {
             "R9" => Some(RuleId::R9),
             "R10" => Some(RuleId::R10),
             "R11" => Some(RuleId::R11),
+            "R12" => Some(RuleId::R12),
             _ => None,
         }
     }
@@ -121,6 +126,7 @@ impl RuleId {
             RuleId::R9 => "lock-order cycle or lock held across dyn dispatch",
             RuleId::R10 => "heap allocation on a kernel hot path",
             RuleId::R11 => "seed argument not derived from a seeded stream or named constant",
+            RuleId::R12 => "library `pub fn` that no binary, bench or example reaches",
             RuleId::Suppress => "malformed, unused, or expired suppression",
         }
     }
@@ -225,7 +231,7 @@ fn rule_applies(rule: RuleId, file: &FileContext) -> bool {
         RuleId::R4 | RuleId::R7 => true,
         RuleId::R5 => file.target == TargetKind::Library,
         RuleId::R6 => file.path != R6_POOL_FILE,
-        RuleId::R8 | RuleId::R9 | RuleId::R10 | RuleId::R11 => false,
+        RuleId::R8 | RuleId::R9 | RuleId::R10 | RuleId::R11 | RuleId::R12 => false,
         RuleId::Suppress => true,
     }
 }
@@ -381,15 +387,6 @@ fn split_top_level_commas(s: &str) -> Vec<&str> {
     parts
 }
 
-/// Per-file lint statistics, folded into the workspace report.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct FileStats {
-    /// Suppression comments seen (well-formed ones).
-    pub suppressions_total: usize,
-    /// Suppressions that silenced at least one finding.
-    pub suppressions_used: usize,
-}
-
 /// A file's live (well-formed, unexpired) waivers, queryable by rule and
 /// line. Phase-2 analyses consult this: an R3/R7 waiver on a source line
 /// sanctions the source for R8 as well.
@@ -511,9 +508,12 @@ pub fn scan_file(path: &str, source: &str) -> FileScan {
 }
 
 /// Phase 2: links every non-test file's model into the workspace symbol
-/// graph and runs the cross-file rules (R8–R11). Returns raw findings;
-/// suppression resolution happens in [`resolve_workspace`].
-pub fn run_phase2(scans: &[FileScan]) -> Vec<Finding> {
+/// graph and runs the cross-file rules (R8–R11). R12 also runs when the
+/// tree's targets are known: `nested` then holds the models of the
+/// nested workspaces the walk skipped, whose call sites are roots.
+/// Returns raw findings; suppression resolution happens in
+/// [`resolve_workspace`].
+pub fn run_phase2(scans: &[FileScan], nested: Option<&[FileModel]>) -> Vec<Finding> {
     let units: Vec<graph::Unit<'_>> = scans
         .iter()
         .filter(|s| s.target != TargetKind::TestOrBench)
@@ -535,6 +535,21 @@ pub fn run_phase2(scans: &[FileScan]) -> Vec<Finding> {
     findings.extend(graph::check_lock_order(&graph));
     findings.extend(graph::check_kernel_allocs(&graph));
     findings.extend(taint::check_seed_discipline(&graph));
+    if let Some(nested) = nested {
+        let roots: Vec<&parse::FnDef> = scans
+            .iter()
+            .filter(|s| {
+                s.target == TargetKind::TestOrBench
+                    && s.path
+                        .split('/')
+                        .any(|dir| dir == "benches" || dir == "examples")
+            })
+            .map(|s| &s.model)
+            .chain(nested)
+            .flat_map(|m| &m.fns)
+            .collect();
+        findings.extend(graph::check_reachability(&graph, &roots));
+    }
     findings
 }
 
@@ -624,21 +639,6 @@ pub fn resolve_workspace(mut scans: Vec<FileScan>, phase2: Vec<Finding>) -> Repo
         suppressions_total,
         suppressions_used,
     }
-}
-
-/// Lints one file's source text through the full two-phase pipeline
-/// (phase 2 degenerates to a single-file graph). Pure: no filesystem
-/// access, so fixture tests can feed synthetic sources through the
-/// identical code path the CLI uses.
-pub fn check_source(path: &str, source: &str) -> (Vec<Finding>, FileStats) {
-    let scan = scan_file(path, source);
-    let phase2 = run_phase2(std::slice::from_ref(&scan));
-    let report = resolve_workspace(vec![scan], phase2);
-    let stats = FileStats {
-        suppressions_total: report.suppressions_total,
-        suppressions_used: report.suppressions_used,
-    };
-    (report.findings, stats)
 }
 
 /// Runs every applicable phase-1 rule's detector over the comment-free
@@ -757,6 +757,30 @@ fn scan_rules(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Per-file lint statistics, folded into the workspace report.
+    #[derive(Debug, Default, Clone, PartialEq, Eq)]
+    struct FileStats {
+        /// Suppression comments seen (well-formed ones).
+        suppressions_total: usize,
+        /// Suppressions that silenced at least one finding.
+        suppressions_used: usize,
+    }
+
+    /// Lints one file's source text through the full two-phase pipeline
+    /// (phase 2 degenerates to a single-file graph). Pure: no filesystem
+    /// access, so fixture tests can feed synthetic sources through the
+    /// identical code path the CLI uses.
+    fn check_source(path: &str, source: &str) -> (Vec<Finding>, FileStats) {
+        let scan = scan_file(path, source);
+        let phase2 = run_phase2(std::slice::from_ref(&scan), None);
+        let report = resolve_workspace(vec![scan], phase2);
+        let stats = FileStats {
+            suppressions_total: report.suppressions_total,
+            suppressions_used: report.suppressions_used,
+        };
+        (report.findings, stats)
+    }
 
     fn rules_hit(path: &str, src: &str) -> Vec<RuleId> {
         check_source(path, src)

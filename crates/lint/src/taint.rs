@@ -125,16 +125,15 @@ pub fn check_seed_discipline(graph: &SymbolGraph<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (d, def) in graph.defs.iter().enumerate() {
         for call in &def.f.calls {
-            let candidates = graph.resolve(call);
-            if candidates.is_empty() {
-                continue;
-            }
-            // UFCS calls (`Mlp::predict(self, x)`) pass the receiver
-            // explicitly; parameter lists never include `self`, so drop
-            // it to keep args and params aligned.
-            let args: &[String] = match call.args.first() {
-                Some(first) if !call.is_method && first == "self" => &call.args[1..],
-                _ => &call.args,
+            let candidates = graph.resolve(call, def.f);
+            // UFCS calls (`Model::predict(&mut self.mlp, x)`) pass the
+            // receiver explicitly, and parameter lists never include
+            // `self`: a method called so takes one argument more than
+            // its parameters.
+            let ufcs = !call.is_method && call.qualifier.is_some();
+            let passes_receiver = |c: usize| ufcs && graph.defs[c].f.receiver;
+            let fits = |c: usize| {
+                graph.defs[c].f.params.len() + usize::from(passes_receiver(c)) == call.args.len()
             };
             // Deterministic choice among candidates: prefer one whose
             // arity matches this call (same-named free fns can have
@@ -143,10 +142,15 @@ pub fn check_seed_discipline(graph: &SymbolGraph<'_>) -> Vec<Finding> {
             let callee = candidates
                 .iter()
                 .copied()
-                .find(|&c| graph.defs[c].f.params.len() == args.len())
+                .find(|&c| fits(c))
                 .or_else(|| candidates.first().copied());
             let Some(callee) = callee else { continue };
             let params = &graph.defs[callee].f.params;
+            // Drop the explicit receiver to keep args and params aligned.
+            let args: &[String] = match call.args.split_first() {
+                Some((_, rest)) if passes_receiver(callee) => rest,
+                _ => &call.args,
+            };
             for (k, param) in params.iter().enumerate() {
                 if !is_seed_param(param) {
                     continue;
@@ -362,6 +366,33 @@ mod tests {
             }",
         )]);
         assert!(check_seed_discipline(&graph(&ms)).is_empty());
+    }
+
+    #[test]
+    fn ufcs_field_receiver_keeps_args_aligned() {
+        let ms = models(&[(
+            "crates/m/src/model.rs",
+            "impl Model for Net {
+                fn predict(&mut self, pixels: &[u8], presentation_seed: u64) -> usize { 0 }
+            }
+            impl Model for Wrapped {
+                fn predict(&mut self, pixels: &[u8], presentation_seed: u64) -> usize {
+                    Model::predict(&mut self.net, pixels, presentation_seed)
+                }
+            }
+            impl Wrapped {
+                pub fn first(&mut self, pixels: &[u8]) -> usize {
+                    Self::predict(self, pixels, 7)
+                }
+            }",
+        )]);
+        let findings = check_seed_discipline(&graph(&ms));
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].line, 11);
+        assert!(
+            findings[0].message.contains("`Wrapped::predict`"),
+            "{findings:?}"
+        );
     }
 
     #[test]

@@ -16,19 +16,28 @@ pub fn is_workspace_root(dir: &Path) -> bool {
         .is_ok_and(|text| text.lines().any(|line| line.trim() == "[workspace]"))
 }
 
-/// Collects every `.rs` file under `root`, sorted by path so reports are
+/// The `.rs` files under a root, each list sorted by path so reports are
 /// byte-stable across filesystems (directory iteration order is not).
-/// A subdirectory that is itself a workspace root is a separate
-/// workspace with its own call graph, so it is skipped whole: linking
-/// its items into this one would invent cross-workspace call edges.
+#[derive(Debug, Default)]
+pub struct RustFiles {
+    /// The workspace's own files, which every rule lints.
+    pub own: Vec<PathBuf>,
+    /// The files of nested workspaces, read only for R12's roots.
+    pub nested: Vec<PathBuf>,
+}
+
+/// Collects every `.rs` file under `root`. A subdirectory that is itself
+/// a workspace root is a separate workspace with its own call graph, so
+/// its files go to [`RustFiles::nested`]: linking its items into this
+/// one would invent cross-workspace call edges.
 ///
 /// # Errors
 ///
 /// Returns the first I/O error hit while walking (an unreadable `root`,
 /// typically; unreadable children are reported, not skipped, because a
 /// lint pass that silently misses files is worse than one that fails).
-pub fn rust_files(root: &Path) -> io::Result<Vec<PathBuf>> {
-    let mut out = Vec::new();
+pub fn rust_files(root: &Path) -> io::Result<RustFiles> {
+    let mut out = RustFiles::default();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
         let mut entries: Vec<PathBuf> = fs::read_dir(&dir)?
@@ -41,16 +50,23 @@ pub fn rust_files(root: &Path) -> io::Result<Vec<PathBuf>> {
                 .and_then(|n| n.to_str())
                 .unwrap_or_default();
             if path.is_dir() {
-                if !SKIP_DIRS.contains(&name) && !name.starts_with('.') && !is_workspace_root(&path)
-                {
+                if SKIP_DIRS.contains(&name) || name.starts_with('.') {
+                    continue;
+                }
+                if is_workspace_root(&path) {
+                    let nested = rust_files(&path)?;
+                    out.nested
+                        .extend(nested.own.into_iter().chain(nested.nested));
+                } else {
                     stack.push(path);
                 }
             } else if name.ends_with(".rs") {
-                out.push(path);
+                out.own.push(path);
             }
         }
     }
-    out.sort();
+    out.own.sort();
+    out.nested.sort();
     Ok(out)
 }
 

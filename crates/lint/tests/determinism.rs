@@ -52,7 +52,7 @@ fn reports_are_byte_identical_across_walk_orders() {
     collect(&root, &root, &mut files);
     assert_eq!(files.len(), 15, "corpus drifted: {files:?}");
 
-    let baseline = nc_lint::lint_sources(&files);
+    let baseline = nc_lint::lint_sources(&files, None);
     let base_text = baseline.render_text();
     let base_json = baseline.render_json();
     let base_sarif = nc_lint::sarif::render_sarif(&baseline);
@@ -61,7 +61,7 @@ fn reports_are_byte_identical_across_walk_orders() {
     check_cases(0x0D0E_0F10, 32, |case, rng| {
         let mut shuffled = files.clone();
         shuffle(&mut shuffled, rng);
-        let report = nc_lint::lint_sources(&shuffled);
+        let report = nc_lint::lint_sources(&shuffled, None);
         assert_eq!(report.render_text(), base_text, "case {case}");
         assert_eq!(report.render_json(), base_json, "case {case}");
         assert_eq!(

@@ -5,11 +5,13 @@
 //! `tests/fixtures/clean/` holds the near-misses (casts in strings and
 //! comments, test-only floats, scoped exemptions, justified waivers)
 //! that must never produce a finding; `tests/fixtures/nested_workspace/`
-//! holds a nested Cargo workspace the walker must skip. The real
+//! holds a nested Cargo workspace the walker must skip;
+//! `tests/fixtures/reach_violations/` and `reach_clean/` are workspace
+//! roots for R12, which needs a tree's targets. The real
 //! `cargo run -p nc-lint` never sees any corpus: the walker skips
 //! `fixtures/` directories.
 
-use nc_lint::rules::RuleId;
+use nc_lint::rules::{Finding, RuleId};
 use nc_lint::Report;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -28,8 +30,13 @@ fn lint(name: &str) -> Report {
     nc_lint::lint_tree(&fixture(name)).expect("fixture tree is readable")
 }
 
+/// The findings of one rule, in report order.
+fn findings_for(report: &Report, rule: RuleId) -> Vec<&Finding> {
+    report.findings.iter().filter(|f| f.rule == rule).collect()
+}
+
 fn count(report: &Report, rule: RuleId) -> usize {
-    report.findings_for(rule).len()
+    findings_for(report, rule).len()
 }
 
 #[test]
@@ -52,8 +59,7 @@ fn violations_land_on_the_expected_lines() {
     let report = lint("violations");
     let at = |rule: RuleId, file: &str, line: u32| {
         assert!(
-            report
-                .findings_for(rule)
+            findings_for(&report, rule)
                 .iter()
                 .any(|f| f.file == file && f.line == line),
             "missing {rule} at {file}:{line}: {report:#?}"
@@ -81,8 +87,7 @@ fn violations_land_on_the_expected_lines() {
 fn malformed_suppressions_do_not_silence_the_line_below() {
     let report = lint("violations");
     // Both HashMap uses under the broken waivers in suppress.rs still fire.
-    let r4_in_suppress: Vec<u32> = report
-        .findings_for(RuleId::R4)
+    let r4_in_suppress: Vec<u32> = findings_for(&report, RuleId::R4)
         .iter()
         .filter(|f| f.file == "crates/core/src/suppress.rs")
         .map(|f| f.line)
@@ -198,8 +203,7 @@ fn phase2_violations_land_on_the_expected_lines() {
     let report = lint("graph_violations");
     let at = |rule: RuleId, file: &str, line: u32| {
         assert!(
-            report
-                .findings_for(rule)
+            findings_for(&report, rule)
                 .iter()
                 .any(|f| f.file == file && f.line == line),
             "missing {rule} at {file}:{line}: {report:#?}"
@@ -237,8 +241,7 @@ fn phase2_violations_land_on_the_expected_lines() {
 fn phase2_findings_carry_call_chains_and_canonical_locks() {
     let report = lint("graph_violations");
     let m = |rule: RuleId, file: &str| {
-        report
-            .findings_for(rule)
+        findings_for(&report, rule)
             .iter()
             .find(|f| f.file == file)
             .map(|f| f.message.clone())
@@ -319,4 +322,45 @@ fn nested_workspaces_are_skipped() {
         .expect("fixture tree is readable");
     assert_eq!(nested.files_scanned, 1);
     assert!(count(&nested, RuleId::R4) > 0, "{nested:#?}");
+}
+
+// ---------------------------------------------------------------------
+// R12 corpora: each root declares `[workspace]`, so the walk knows the
+// tree's targets. reach_violations/ holds a test-only `pub fn` and an
+// unreached chain; reach_clean/ reaches every `pub fn` from a binary, a
+// bench, an example, a nested workspace, a deny-listed method name, a
+// `map(Self::f)` path and a trait impl, and waives a test reference.
+
+#[test]
+fn reach_violations_corpus_flags_test_only_and_unreached_pub_fns() {
+    let report = lint("reach_violations");
+    assert_eq!(count(&report, RuleId::R12), 3, "{report:#?}");
+    assert_eq!(report.findings.len(), 3, "{report:#?}");
+    assert_eq!(report.files_scanned, 3);
+    let message = |line: u32| {
+        findings_for(&report, RuleId::R12)
+            .iter()
+            .find(|f| f.file == "crates/snn/src/helpers.rs" && f.line == line)
+            .map(|f| f.message.clone())
+            .unwrap_or_default()
+    };
+    // A test call is no root.
+    assert!(message(4).contains("`test_only`"), "{report:#?}");
+    // Both ends of the unreached chain `outer → inner`.
+    assert!(message(10).contains("`outer`"), "{report:#?}");
+    assert!(message(15).contains("`inner`"), "{report:#?}");
+    // Below the workspace root the tree's targets are unknown: no R12.
+    let below = nc_lint::lint_tree(&fixture("reach_violations").join("crates"))
+        .expect("fixture tree is readable");
+    assert_eq!(count(&below, RuleId::R12), 0, "{below:#?}");
+}
+
+#[test]
+fn reach_clean_corpus_produces_no_findings() {
+    let report = lint("reach_clean");
+    assert!(report.is_clean(), "{report:#?}");
+    // The nested `perf/` workspace is read for its call sites only.
+    assert_eq!(report.files_scanned, 5);
+    assert_eq!(report.suppressions_total, 1);
+    assert_eq!(report.suppressions_used, 1);
 }

@@ -1,5 +1,7 @@
 //! Fixture benchmark driver in a nested workspace: it times itself and
 //! keys a hash map, both findings if it were linted with its parent.
+//! Its call to `evaluate_batch` is what reaches the parent's
+//! `Mlp::evaluate_batch` for R12.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -13,4 +15,9 @@ pub fn run(inputs: &[u8]) -> usize {
     }
     let _ = started.elapsed();
     seen.len()
+}
+
+/// Scores one batch through the parent workspace's model.
+pub fn score(mlp: &mut mlp::model::Mlp, inputs: &[u8]) -> usize {
+    mlp.evaluate_batch(inputs)
 }

@@ -169,19 +169,6 @@ impl Mlp {
         trace
     }
 
-    /// The output layer's pre-activation sums (membrane potentials in
-    /// the SNN analogy), used for readout when the activation is binary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len()` does not match the input layer width.
-    pub fn output_potentials(&self, input: &[f64]) -> Vec<f64> {
-        let mut trace = Vec::new();
-        self.forward_into(input, &mut trace, false);
-        // nc-lint: allow(R5, reason = "Mlp::new rejects empty topologies, so the trace is nonempty")
-        trace.pop().expect("at least one layer")
-    }
-
     /// Predicted class: index of the maximum output activation. For the
     /// binary [`Activation::Step`] the activations carry no ranking
     /// (several outputs can be exactly 1), so the readout falls back to

@@ -183,15 +183,6 @@ impl QuantizedMlp {
         &self.layers[layer]
     }
 
-    /// The power-of-two scale exponent of a layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of range.
-    pub fn layer_scale_exp(&self, layer: usize) -> i32 {
-        self.scales[layer]
-    }
-
     /// Runs 8-bit inference on raw pixel luminances, returning the
     /// output-layer activations as `u8` (the neuron-output register
     /// contents). The returned slice borrows the network's scratch
@@ -446,17 +437,23 @@ mod tests {
     }
 
     #[test]
-    fn quantized_weights_are_close_to_float() {
-        let mlp = Mlp::new(&[10, 6, 3], Activation::sigmoid(), 4).unwrap();
-        let q = QuantizedMlp::from_mlp(&mlp);
-        for l in 0..2 {
-            let scale = 2f64.powi(q.layer_scale_exp(l));
-            for (qw, fw) in q.layer_weights(l).iter().zip(mlp.layer_weights(l)) {
-                let back = f64::from(*qw) / scale;
-                assert!(
-                    (back - fw).abs() <= 0.5 / scale + 1e-12,
-                    "w={fw} back={back}"
-                );
+    fn quantized_weights_round_trip_within_half_step() {
+        let mut rng = nc_substrate::rng::SplitMix64::new(0x3105);
+        for case in 0..48 {
+            let sizes: Vec<usize> = (0..2 + rng.next_below(3))
+                .map(|_| 1 + rng.next_below(19) as usize)
+                .collect();
+            let mlp = Mlp::new(&sizes, Activation::sigmoid(), rng.next_u64()).unwrap();
+            let q = QuantizedMlp::from_mlp(&mlp);
+            for l in 0..sizes.len() - 1 {
+                let scale = 2f64.powi(q.scales[l]);
+                for (qw, fw) in q.layer_weights(l).iter().zip(mlp.layer_weights(l)) {
+                    let back = f64::from(*qw) / scale;
+                    assert!(
+                        (back - fw).abs() <= 0.5 / scale + 1e-12,
+                        "case {case}: layer {l}: w={fw} back={back}"
+                    );
+                }
             }
         }
     }

@@ -81,11 +81,6 @@ impl Trainer {
         Trainer { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &TrainConfig {
-        &self.config
-    }
-
     /// Trains `mlp` in place on `data`, returning per-epoch statistics.
     ///
     /// # Panics

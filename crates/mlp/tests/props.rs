@@ -87,25 +87,6 @@ fn derivative_matches_finite_difference() {
 }
 
 #[test]
-fn quantized_weights_round_trip_within_half_step() {
-    let mut rng = SplitMix64::new(0x3105);
-    for case in 0..CASES {
-        let sizes = random_topology(&mut rng);
-        let mlp = Mlp::new(&sizes, Activation::sigmoid(), rng.next_u64()).unwrap();
-        let q = QuantizedMlp::from_mlp(&mlp);
-        for l in 0..sizes.len() - 1 {
-            let scale = 2f64.powi(q.layer_scale_exp(l));
-            for (qw, fw) in q.layer_weights(l).iter().zip(mlp.layer_weights(l)) {
-                assert!(
-                    (f64::from(*qw) / scale - fw).abs() <= 0.5 / scale + 1e-12,
-                    "case {case}: layer {l}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn quantized_forward_tracks_float_forward() {
     let mut rng = SplitMix64::new(0x3106);
     for case in 0..CASES {
@@ -283,11 +264,6 @@ fn blocked_forward_and_bp_step_are_bit_identical_to_the_serial_loop() {
         assert_eq!(
             bits(&mlp.forward(&input)),
             bits(&trace[layers - 1]),
-            "case {case}: {sizes:?}"
-        );
-        assert_eq!(
-            bits(&mlp.output_potentials(&input)),
-            bits(&potentials),
             "case {case}: {sizes:?}"
         );
         let readout = match activation {

@@ -9,8 +9,8 @@
 //! 1. **Quantiles are exact in rank.** [`LatencyHistogram::quantile_ppm`]
 //!    walks fixed bucket boundaries and returns the upper bound of the
 //!    bucket holding the rank-`⌈q·n⌉` sample — the *same* value a sorted
-//!    reference implementation produces after mapping that sample through
-//!    [`LatencyHistogram::bucket_upper_bound`]. No interpolation, no
+//!    reference implementation produces after mapping that sample to the
+//!    upper bound of its bucket. No interpolation, no
 //!    floating-point rank arithmetic: quantile fractions are expressed in
 //!    integer parts-per-million.
 //! 2. **Clock reads stay quarantined.** [`Stopwatch`] owns the only
@@ -71,7 +71,7 @@ fn upper_of_bucket(index: u32) -> u64 {
 /// ```
 /// use nc_obs::LatencyHistogram;
 ///
-/// let mut h = LatencyHistogram::new();
+/// let mut h = LatencyHistogram::default();
 /// for ns in [10, 20, 30, 40, 1_000_000] {
 ///     h.record(ns);
 /// }
@@ -89,11 +89,6 @@ pub struct LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one sample (nanoseconds).
     pub fn record(&mut self, nanos: u64) {
         *self.counts.entry(bucket_of(nanos)).or_insert(0) += 1;
@@ -130,14 +125,6 @@ impl LatencyHistogram {
         } else {
             u64::try_from(self.sum / u128::from(self.total)).ok()
         }
-    }
-
-    /// The largest value that maps into the same bucket as `value` — the
-    /// canonical reported value for every sample in that bucket, and the
-    /// value a sorted-reference quantile must quantize through to compare
-    /// against [`LatencyHistogram::quantile_ppm`].
-    pub fn bucket_upper_bound(value: u64) -> u64 {
-        upper_of_bucket(bucket_of(value))
     }
 
     /// The quantile at `ppm` parts per million (e.g. p99 = 990 000):
@@ -184,24 +171,6 @@ impl LatencyHistogram {
     pub fn p99(&self) -> Option<u64> {
         self.quantile_ppm(990_000)
     }
-
-    /// Folds another histogram into this one (bucket-wise sum; min/max
-    /// and mean stay exact because they aggregate exact per-sample data).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (&bucket, &count) in &other.counts {
-            *self.counts.entry(bucket).or_insert(0) += count;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
 }
 
 /// A clock guard for code outside the observability layer: started
@@ -216,7 +185,7 @@ impl LatencyHistogram {
 /// ```
 /// use nc_obs::Stopwatch;
 ///
-/// let off = Stopwatch::disabled();
+/// let off = Stopwatch::start_if(false);
 /// assert_eq!(off.elapsed_ns(), None); // no clock was read
 ///
 /// let on = Stopwatch::start_if(true);
@@ -237,26 +206,11 @@ impl Stopwatch {
         }
     }
 
-    /// A watch that never reads the clock.
-    pub fn disabled() -> Self {
-        Stopwatch { started: None }
-    }
-
-    /// Whether the watch was started enabled.
-    pub fn is_running(&self) -> bool {
-        self.started.is_some()
-    }
-
     /// Nanoseconds since the watch started, or `None` if it was never
     /// started (saturating at `u64::MAX` far beyond any real run).
     pub fn elapsed_ns(&self) -> Option<u64> {
         self.started
             .map(|s| u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX))
-    }
-
-    /// Seconds since the watch started, or `None` if never started.
-    pub fn elapsed_s(&self) -> Option<f64> {
-        self.started.map(|s| s.elapsed().as_secs_f64())
     }
 }
 
@@ -264,6 +218,13 @@ impl Stopwatch {
 mod tests {
     use super::*;
     use nc_substrate::check::check_cases;
+
+    /// The largest value in `value`'s bucket: the value every sample in
+    /// that bucket reports as, and so the one a sorted-reference quantile
+    /// must quantize through.
+    fn upper_of_bucket_of(value: u64) -> u64 {
+        upper_of_bucket(bucket_of(value))
+    }
 
     /// The sorted-reference quantile: sort the raw samples, pick the
     /// rank-`⌈ppm·n/10⁶⌉` element, quantize it through the shared bucket
@@ -281,12 +242,12 @@ mod tests {
         let n = u128::try_from(sorted.len()).expect("len fits");
         let rank = (u128::from(ppm) * n).div_ceil(1_000_000).clamp(1, n);
         let index = usize::try_from(rank - 1).expect("rank fits");
-        Some(LatencyHistogram::bucket_upper_bound(sorted[index]))
+        Some(upper_of_bucket_of(sorted[index]))
     }
 
     #[test]
     fn empty_histogram_has_no_quantiles() {
-        let h = LatencyHistogram::new();
+        let h = LatencyHistogram::default();
         assert!(h.is_empty());
         assert_eq!(h.count(), 0);
         assert_eq!(h.p50(), None);
@@ -301,7 +262,7 @@ mod tests {
         // not rounded up to its bucket boundary (129 must report 129,
         // not 130; u64::MAX must not overflow the rank arithmetic).
         for value in [0u64, 1, 127, 128, 129, 1_000, u64::MAX] {
-            let mut h = LatencyHistogram::new();
+            let mut h = LatencyHistogram::default();
             h.record(value);
             for ppm in [0, 1, 500_000, 950_000, 990_000, 1_000_000] {
                 assert_eq!(h.quantile_ppm(ppm), Some(value), "{value} at {ppm}");
@@ -317,16 +278,13 @@ mod tests {
         // The smallest histogram where bucket quantization is allowed to
         // show: rank ⌈0.5·2⌉ = 1 picks the low sample, p99 picks the
         // high one, each through its bucket upper bound.
-        let mut h = LatencyHistogram::new();
+        let mut h = LatencyHistogram::default();
         h.record(129);
         h.record(1_000);
         assert_eq!(h.count(), 2);
-        assert_eq!(h.p50(), Some(LatencyHistogram::bucket_upper_bound(129)));
-        assert_eq!(h.p99(), Some(LatencyHistogram::bucket_upper_bound(1_000)));
-        assert_eq!(
-            h.quantile_ppm(0),
-            Some(LatencyHistogram::bucket_upper_bound(129))
-        );
+        assert_eq!(h.p50(), Some(upper_of_bucket_of(129)));
+        assert_eq!(h.p99(), Some(upper_of_bucket_of(1_000)));
+        assert_eq!(h.quantile_ppm(0), Some(upper_of_bucket_of(129)));
         assert_eq!(h.min(), Some(129));
         assert_eq!(h.max(), Some(1_000));
     }
@@ -334,11 +292,11 @@ mod tests {
     #[test]
     fn all_equal_samples_report_one_bucket_at_every_rank() {
         for n in [2u32, 3, 17] {
-            let mut h = LatencyHistogram::new();
+            let mut h = LatencyHistogram::default();
             for _ in 0..n {
                 h.record(777);
             }
-            let expected = LatencyHistogram::bucket_upper_bound(777);
+            let expected = upper_of_bucket_of(777);
             for ppm in [0, 1, 500_000, 990_000, 1_000_000] {
                 assert_eq!(h.quantile_ppm(ppm), Some(expected), "n={n} at {ppm}");
             }
@@ -350,7 +308,7 @@ mod tests {
     fn small_values_are_exact() {
         // Below 128 ns every bucket holds exactly one value, so the
         // histogram quantile equals the raw sorted quantile.
-        let mut h = LatencyHistogram::new();
+        let mut h = LatencyHistogram::default();
         for v in 0..SUB {
             h.record(v);
         }
@@ -368,7 +326,7 @@ mod tests {
             for delta in [-1i64, 0, 1] {
                 let v = (1i128 << exp) + i128::from(delta);
                 let Ok(v) = u64::try_from(v) else { continue };
-                let ub = LatencyHistogram::bucket_upper_bound(v);
+                let ub = upper_of_bucket_of(v);
                 assert!(ub >= v, "upper bound {ub} < value {v}");
                 assert_eq!(bucket_of(ub), bucket_of(v), "value {v}");
                 if ub < u64::MAX {
@@ -383,7 +341,7 @@ mod tests {
         // The reported value overestimates by at most 2^-SUB_BITS.
         check_cases(0x15708157, 256, |_, rng| {
             let v = rng.next_u64() >> (rng.next_u64() % 40);
-            let ub = LatencyHistogram::bucket_upper_bound(v);
+            let ub = upper_of_bucket_of(v);
             assert!(ub >= v);
             let error = ub - v;
             // error < 2^(msb - SUB_BITS) <= v / 2^(SUB_BITS - 1)
@@ -402,7 +360,7 @@ mod tests {
             let samples: Vec<u64> = (0..n)
                 .map(|_| rng.next_u64() >> (rng.next_u64() % 48))
                 .collect();
-            let mut h = LatencyHistogram::new();
+            let mut h = LatencyHistogram::default();
             for &s in &samples {
                 h.record(s);
             }
@@ -424,7 +382,7 @@ mod tests {
         check_cases(0xD0D0, 32, |case, rng| {
             let n = 1 + rng.next_index(200);
             let samples: Vec<u64> = (0..n).map(|_| 120 + rng.next_u64() % 16).collect();
-            let mut h = LatencyHistogram::new();
+            let mut h = LatencyHistogram::default();
             for &s in &samples {
                 h.record(s);
             }
@@ -439,40 +397,14 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_recording_the_union() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut union = LatencyHistogram::new();
-        for (i, v) in [5u64, 900, 17, 88_000, 3, 5, 1 << 40].iter().enumerate() {
-            if i % 2 == 0 {
-                a.record(*v)
-            } else {
-                b.record(*v)
-            }
-            union.record(*v);
-        }
-        a.merge(&b);
-        assert_eq!(a, union);
-        // Merging an empty histogram is the identity.
-        a.merge(&LatencyHistogram::new());
-        assert_eq!(a, union);
-    }
-
-    #[test]
     fn stopwatch_disabled_never_reads_the_clock() {
-        let w = Stopwatch::disabled();
-        assert!(!w.is_running());
-        assert_eq!(w.elapsed_ns(), None);
-        assert_eq!(w.elapsed_s(), None);
-        assert!(!Stopwatch::start_if(false).is_running());
+        assert_eq!(Stopwatch::start_if(false).elapsed_ns(), None);
     }
 
     #[test]
     fn stopwatch_enabled_measures_something() {
         let w = Stopwatch::start_if(true);
-        assert!(w.is_running());
         let ns = w.elapsed_ns().expect("running watch reports");
         assert!(w.elapsed_ns().expect("monotone") >= ns);
-        assert!(w.elapsed_s().expect("seconds view") >= 0.0);
     }
 }

@@ -83,11 +83,6 @@ impl Coalescer {
         }
     }
 
-    /// The effective batch window (requests per sealed batch).
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
     /// Admits one request for model index `model`, sealing that model's
     /// pending batch if it reaches the window.
     ///
@@ -142,11 +137,6 @@ impl Coalescer {
     pub fn take_sealed(&mut self) -> Vec<SealedBatch> {
         std::mem::take(&mut self.sealed)
     }
-
-    /// Requests admitted but not yet sealed.
-    pub fn pending_len(&self) -> usize {
-        self.pending.iter().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +151,7 @@ mod tests {
         }
         c.admit(1, 100, vec![1], None);
         // Model 0 sealed once at 3; 2 + 1 requests still pending.
-        assert_eq!(c.pending_len(), 3);
+        assert_eq!(c.pending.iter().map(Vec::len).sum::<usize>(), 3);
         let sealed = c.take_sealed();
         assert_eq!(sealed.len(), 1);
         assert_eq!(sealed[0].seq, 0);
@@ -183,7 +173,7 @@ mod tests {
             vec![0, 2]
         );
         assert_eq!(sealed[1].requests.len(), 2);
-        assert_eq!(c.pending_len(), 0);
+        assert!(c.pending.iter().all(Vec::is_empty));
         // Flushing an empty queue seals nothing.
         c.flush();
         assert!(c.take_sealed().is_empty());
@@ -200,7 +190,7 @@ mod tests {
     #[test]
     fn zero_window_is_clamped_to_one() {
         let mut c = Coalescer::new(1, 0);
-        assert_eq!(c.window(), 1);
+        assert_eq!(c.window, 1);
         c.admit(0, 0, vec![], None);
         assert_eq!(c.take_sealed().len(), 1);
     }

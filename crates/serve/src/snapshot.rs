@@ -3,7 +3,6 @@
 use crate::ServeError;
 use nc_core::{FaultPlan, ModelSpec};
 use nc_dataset::{Dataset, FitBudget, Model};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// See `MemoryRecorder` in nc-obs for the rationale: a poisoned pool
@@ -48,14 +47,6 @@ pub struct ModelSnapshot {
     num_classes: usize,
     source: Source,
     pool: Mutex<Vec<Box<dyn Model>>>,
-    /// Pool-miss rebuilds. Monotone but *schedule-dependent* (worker
-    /// contention decides pool misses), so it is an observability
-    /// counter, never part of a deterministic outcome trace.
-    rebuilds: AtomicU64,
-    /// Replicas consumed by panicking attempts (see
-    /// [`ModelSnapshot::note_lost`]). Deterministic under a seeded
-    /// chaos plan: the panic schedule is item/attempt-keyed.
-    lost: AtomicU64,
 }
 
 impl std::fmt::Debug for ModelSnapshot {
@@ -97,8 +88,6 @@ impl ModelSnapshot {
                 faults,
             },
             pool: Mutex::new(Vec::new()),
-            rebuilds: AtomicU64::new(0),
-            lost: AtomicU64::new(0),
         };
         let replica = snapshot.build_replica()?;
         lock_or_recover(&snapshot.pool).push(replica);
@@ -120,8 +109,6 @@ impl ModelSnapshot {
             num_classes,
             source: Source::Factory(Box::new(factory)),
             pool: Mutex::new(Vec::new()),
-            rebuilds: AtomicU64::new(0),
-            lost: AtomicU64::new(0),
         }
     }
 
@@ -138,11 +125,6 @@ impl ModelSnapshot {
     /// Label classes the model predicts over.
     pub fn num_classes(&self) -> usize {
         self.num_classes
-    }
-
-    /// Replicas currently idle in the pool.
-    pub fn pooled(&self) -> usize {
-        lock_or_recover(&self.pool).len()
     }
 
     fn build_replica(&self) -> Result<Box<dyn Model>, ServeError> {
@@ -179,7 +161,6 @@ impl ModelSnapshot {
         if let Some(model) = lock_or_recover(&self.pool).pop() {
             return Ok(model);
         }
-        self.rebuilds.fetch_add(1, Ordering::Relaxed);
         self.build_replica()
     }
 
@@ -204,24 +185,6 @@ impl ModelSnapshot {
             .map_err(|e| ServeError::Build(e.to_string()))?;
         Ok(replica)
     }
-
-    /// Records one replica consumed by a panicking attempt (it never
-    /// returned to the pool; the next checkout rebuilds bit-identically
-    /// from the recipe). Called by the server's quarantine accounting.
-    pub fn note_lost(&self) {
-        self.lost.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Replicas rebuilt on pool misses so far. Schedule-dependent —
-    /// use for observability, not for deterministic traces.
-    pub fn rebuilds(&self) -> u64 {
-        self.rebuilds.load(Ordering::Relaxed)
-    }
-
-    /// Replicas consumed by panicking attempts so far.
-    pub fn lost(&self) -> u64 {
-        self.lost.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -230,6 +193,11 @@ mod tests {
     use nc_dataset::model::ModelError;
     use nc_dataset::{digits::DigitsSpec, Difficulty};
     use nc_mlp::Activation;
+
+    /// Replicas currently idle in the pool.
+    fn idle(snap: &ModelSnapshot) -> usize {
+        lock_or_recover(&snap.pool).len()
+    }
 
     fn tiny_data() -> (Dataset, Dataset) {
         DigitsSpec {
@@ -266,7 +234,7 @@ mod tests {
         assert_eq!(snap.name(), "q");
         assert_eq!(snap.input_dim(), 784);
         assert_eq!(snap.num_classes(), 10);
-        assert_eq!(snap.pooled(), 1);
+        assert_eq!(idle(&snap), 1);
         let dbg = format!("{snap:?}");
         assert!(dbg.contains("\"q\""), "{dbg}");
     }
@@ -277,7 +245,7 @@ mod tests {
         let snap = ModelSnapshot::prepare("q", quant_spec(), tiny_budget(), Arc::new(train), None)
             .unwrap();
         let mut pooled = snap.replica().unwrap();
-        assert_eq!(snap.pooled(), 0);
+        assert_eq!(idle(&snap), 0);
         // Pool is empty now: this one is rebuilt from the recipe.
         let mut rebuilt = snap.replica().unwrap();
         for (i, s) in test.iter().enumerate() {
@@ -290,26 +258,7 @@ mod tests {
         }
         snap.release(pooled);
         snap.release(rebuilt);
-        assert_eq!(snap.pooled(), 2);
-    }
-
-    #[test]
-    fn rebuild_and_loss_counters_track_pool_traffic() {
-        let (train, _) = tiny_data();
-        let snap = ModelSnapshot::prepare("q", quant_spec(), tiny_budget(), Arc::new(train), None)
-            .unwrap();
-        assert_eq!((snap.rebuilds(), snap.lost()), (0, 0));
-        let pooled = snap.replica().unwrap();
-        assert_eq!(snap.rebuilds(), 0, "pool hit is not a rebuild");
-        let rebuilt = snap.replica().unwrap();
-        assert_eq!(snap.rebuilds(), 1, "pool miss rebuilds");
-        // A panicking attempt consumes its replica: drop without
-        // release, as the unwinding worker would, and note the loss.
-        drop(pooled);
-        snap.note_lost();
-        assert_eq!(snap.lost(), 1);
-        snap.release(rebuilt);
-        assert_eq!(snap.pooled(), 1);
+        assert_eq!(idle(&snap), 2);
     }
 
     #[test]
@@ -326,7 +275,7 @@ mod tests {
         let mut stormy = snap.burst_replica(&storm).unwrap();
         let mut stormy_twin = snap.burst_replica(&storm).unwrap();
         let mut healthy = snap.replica().unwrap();
-        assert_eq!(snap.pooled(), 0, "burst builds never touch the pool");
+        assert_eq!(idle(&snap), 0, "burst builds never touch the pool");
         let mut diverged = false;
         for (i, s) in test.iter().enumerate() {
             let seed = crate::presentation_seed(u64::try_from(i).unwrap());
@@ -373,10 +322,10 @@ mod tests {
             }
         }
         let snap = ModelSnapshot::from_factory("fixed", 4, 2, || Box::new(Fixed));
-        assert_eq!(snap.pooled(), 0);
+        assert_eq!(idle(&snap), 0);
         let mut replica = snap.replica().unwrap();
         assert_eq!(replica.predict(&[0; 4], 0), 1);
         snap.release(replica);
-        assert_eq!(snap.pooled(), 1);
+        assert_eq!(idle(&snap), 1);
     }
 }

@@ -429,7 +429,8 @@ fn quarantined_replicas_rebuild_bit_identically() {
         panic_until_tick: 4,
         ..ChaosPlan::quiet(0xC4A0_0005)
     };
-    let run = |chaos: Option<ChaosPlan>, snap: &Arc<ModelSnapshot>| -> Vec<Response> {
+    // Each run's responses, and the replicas its attempts consumed.
+    let run = |chaos: Option<ChaosPlan>, snap: &Arc<ModelSnapshot>| -> (Vec<Response>, u32) {
         let config = ServeConfig {
             batch_window: 2,
             supervision: Supervision::with_retries(1, 0x50AC),
@@ -447,19 +448,26 @@ fn quarantined_replicas_rebuild_bit_identically() {
             );
             server.run_until_idle();
         }
-        tickets
+        let lost = server
+            .take_events()
+            .iter()
+            .map(|e| match e {
+                ServeEvent::ReplicaQuarantined { lost, .. } => *lost,
+                _ => 0,
+            })
+            .sum();
+        let responses = tickets
             .into_iter()
             .map(|t| server.take_response(t).unwrap())
-            .collect()
+            .collect();
+        (responses, lost)
     };
-    let stormy_snap = snapshot("q", &train, 51);
-    let calm_snap = snapshot("q", &train, 51);
-    let stormy = run(Some(chaos), &stormy_snap);
-    let calm = run(None, &calm_snap);
+    let (stormy, stormy_lost) = run(Some(chaos), &snapshot("q", &train, 51));
+    let (calm, calm_lost) = run(None, &snapshot("q", &train, 51));
 
     // The chaos really consumed replicas...
-    assert!(stormy_snap.lost() > 0, "no replica was ever lost");
-    assert_eq!(calm_snap.lost(), 0);
+    assert!(stormy_lost > 0, "no replica was ever lost");
+    assert_eq!(calm_lost, 0);
     // ...and every post-retry prediction matches the never-chaos'd twin
     // bit for bit: rebuilt replicas are the same model.
     assert_eq!(stormy.len(), calm.len());

@@ -11,7 +11,7 @@
 use nc_core::{Engine, ExperimentScale, FitBudget, ModelSpec};
 use nc_dataset::{digits::DigitsSpec, Dataset, Difficulty, PixelSlab};
 use nc_mlp::Activation;
-use nc_serve::{ModelSnapshot, ServeConfig, Server};
+use nc_serve::{ModelSnapshot, ResilienceConfig, ServeConfig, Server};
 use nc_snn::SnnParams;
 use nc_substrate::rng::SplitMix64;
 use std::sync::Arc;
@@ -142,8 +142,15 @@ fn served_predictions_bit_equal_offline_for_all_families() {
                 .scale(ExperimentScale::Tiny)
                 .build(),
         );
+        // The queue holds exactly one combo's requests, so a full
+        // second round is admitted only if every answer released its
+        // in-flight slot.
         let config = ServeConfig {
             batch_window: window,
+            resilience: ResilienceConfig {
+                queue_limit: Some(order.len()),
+                ..ResilienceConfig::default()
+            },
             ..ServeConfig::default()
         };
         let server = Server::new(engine, config, snapshots.clone()).unwrap();
@@ -173,7 +180,11 @@ fn served_predictions_bit_equal_offline_for_all_families() {
                 specs[m].0,
             );
         }
-        assert_eq!(server.in_flight(), 0);
+        for &(m, i) in &order {
+            server
+                .submit(specs[m].0, &test.samples()[i].pixels, 0)
+                .expect("every answered request left the queue");
+        }
     }
 }
 

@@ -17,8 +17,8 @@ use nc_dataset::model::ModelError;
 use nc_dataset::{digits::DigitsSpec, Dataset, Difficulty, Model};
 use nc_mlp::Activation;
 use nc_serve::{
-    presentation_seed, run_load, Coalescer, LoadPlan, ModelSnapshot, ServeConfig, ServeError,
-    Server,
+    presentation_seed, run_load, Coalescer, LoadPlan, ModelSnapshot, ResilienceConfig, ServeConfig,
+    ServeError, Server,
 };
 use nc_substrate::check::check_cases;
 use std::sync::Arc;
@@ -224,6 +224,10 @@ fn poisoned_batch_fails_alone_and_the_server_survives() {
     let config = ServeConfig {
         batch_window: 2,
         supervision: Supervision::with_retries(1, 0xF00D),
+        resilience: ResilienceConfig {
+            queue_limit: Some(4),
+            ..ResilienceConfig::default()
+        },
         ..ServeConfig::default()
     };
     let server = Server::new(engine, config, vec![snapshot]).unwrap();
@@ -264,5 +268,11 @@ fn poisoned_batch_fails_alone_and_the_server_survives() {
     let again = server.submit("edge", &[7; 4], 9).unwrap();
     server.run_until_idle();
     assert_eq!(server.take_response(again).unwrap().outcome.unwrap(), 7);
-    assert_eq!(server.in_flight(), 0);
+    // Failed and retried batches released their in-flight slots: the
+    // four-deep queue admits four more.
+    for i in 0..4u8 {
+        server
+            .submit("edge", &[i; 4], u64::from(i))
+            .expect("every answered request left the queue");
+    }
 }

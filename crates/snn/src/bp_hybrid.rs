@@ -21,14 +21,12 @@
 //! update rule `w ← w + η·δ·x` of §2.1 applied to the spiking layer.
 //! Shadow weights are real-valued during training (BP is an offline
 //! algorithm; the paper trains in C++ and deploys only the feed-forward
-//! path in hardware); [`BpSnn::export_weights_u8`] maps them onto the
-//! 8-bit hardware grid.
+//! path in hardware).
 
 use crate::coding::wot_spike_count;
 use crate::params::SnnParams;
 use nc_dataset::Dataset;
 use nc_obs::{EpochMetrics, Recorder};
-use nc_substrate::fixed::sat_u8_round;
 use nc_substrate::rng::SplitMix64;
 
 /// Training configuration for the SNN+BP hybrid.
@@ -258,31 +256,6 @@ impl BpSnn {
             }
         }
     }
-
-    /// Exports the excitatory weights onto the hardware's 8-bit grid:
-    /// the observed range is affinely mapped into `[0, 255]` (the bias
-    /// column, which hardware realizes as the firing threshold, is
-    /// excluded).
-    pub fn export_weights_u8(&self) -> Vec<u8> {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for j in 0..self.neurons {
-            for i in 0..self.inputs {
-                let w = self.weights[j * (self.inputs + 1) + i];
-                lo = lo.min(w);
-                hi = hi.max(w);
-            }
-        }
-        let span = (hi - lo).max(1e-12);
-        let mut out = Vec::with_capacity(self.neurons * self.inputs);
-        for j in 0..self.neurons {
-            for i in 0..self.inputs {
-                let w = self.weights[j * (self.inputs + 1) + i];
-                out.push(sat_u8_round((w - lo) / span * 255.0));
-            }
-        }
-        out
-    }
 }
 
 fn softmax(z: &[f64]) -> Vec<f64> {
@@ -352,23 +325,6 @@ mod tests {
             net
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn exported_weights_cover_the_8bit_grid() {
-        let (train, _) = DigitsSpec {
-            train: 50,
-            test: 0,
-            seed: 3,
-            difficulty: Difficulty::default(),
-        }
-        .generate();
-        let mut net = BpSnn::new(784, 10, SnnParams::for_neurons(10), 2);
-        net.fit(&train, &BpSnnConfig::default());
-        let exported = net.export_weights_u8();
-        assert_eq!(exported.len(), 10 * 784);
-        assert!(exported.contains(&0));
-        assert!(exported.contains(&255));
     }
 
     #[test]

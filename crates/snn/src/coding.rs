@@ -53,22 +53,6 @@ impl CodingScheme {
         matches!(self, CodingScheme::PoissonRate | CodingScheme::GaussianRate)
     }
 
-    /// Encodes an image into a time-sorted spike train for one
-    /// presentation window: the events of a [`SpikeCalendar`] in
-    /// `(t, input)` order.
-    ///
-    /// `seed` individualizes the stochastic generators per presentation;
-    /// temporal codes are deterministic and ignore it.
-    ///
-    /// A convenience wrapper: every call allocates a fresh calendar and
-    /// the returned `Vec`. Loops should fill one reused [`SpikeCalendar`]
-    /// with [`SpikeCalendar::fill`] instead.
-    pub fn encode(&self, pixels: &[u8], params: &SnnParams, seed: u64) -> Vec<SpikeEvent> {
-        let mut calendar = SpikeCalendar::default();
-        calendar.fill(*self, pixels, params, seed, None);
-        calendar.events().collect()
-    }
-
     /// A reasonable initial firing threshold for this scheme: temporal
     /// codes deliver ~10× fewer spikes than rate codes, so the Table 1
     /// threshold is scaled accordingly (homeostasis then fine-tunes). A
@@ -324,6 +308,18 @@ pub fn wot_spike_count(p: u8) -> u8 {
 mod tests {
     use super::*;
 
+    /// The events of one filled calendar, in `(t, input)` order.
+    fn encode(
+        scheme: CodingScheme,
+        pixels: &[u8],
+        params: &SnnParams,
+        seed: u64,
+    ) -> Vec<SpikeEvent> {
+        let mut calendar = SpikeCalendar::default();
+        calendar.fill(scheme, pixels, params, seed, None);
+        calendar.events().collect()
+    }
+
     fn px() -> Vec<u8> {
         let mut v = vec![0u8; 64];
         for (i, p) in v.iter_mut().enumerate() {
@@ -340,10 +336,8 @@ mod tests {
         let mut bright_total = 0usize;
         let mut dim_total = 0usize;
         for seed in 0..20 {
-            bright_total += CodingScheme::PoissonRate
-                .encode(&bright, &params, seed)
-                .len();
-            dim_total += CodingScheme::PoissonRate.encode(&dim, &params, seed).len();
+            bright_total += encode(CodingScheme::PoissonRate, &bright, &params, seed).len();
+            dim_total += encode(CodingScheme::PoissonRate, &dim, &params, seed).len();
         }
         assert!(
             bright_total > dim_total * 2,
@@ -363,7 +357,7 @@ mod tests {
             CodingScheme::RankOrder,
             CodingScheme::TimeToFirstSpike,
         ] {
-            assert!(scheme.encode(&dark, &params, 1).is_empty(), "{scheme:?}");
+            assert!(encode(scheme, &dark, &params, 1).is_empty(), "{scheme:?}");
         }
     }
 
@@ -376,7 +370,7 @@ mod tests {
             CodingScheme::RankOrder,
             CodingScheme::TimeToFirstSpike,
         ] {
-            let ev = scheme.encode(&px(), &params, 3);
+            let ev = encode(scheme, &px(), &params, 3);
             assert!(ev.windows(2).all(|w| w[0].t <= w[1].t), "{scheme:?}");
             assert!(ev.iter().all(|e| e.t < params.t_period), "{scheme:?}");
         }
@@ -388,7 +382,7 @@ mod tests {
         let pixels = px();
         let active = pixels.iter().filter(|&&p| p >= ACTIVE_THRESHOLD).count();
         for scheme in [CodingScheme::RankOrder, CodingScheme::TimeToFirstSpike] {
-            let ev = scheme.encode(&pixels, &params, 0);
+            let ev = encode(scheme, &pixels, &params, 0);
             assert_eq!(ev.len(), active, "{scheme:?}");
             let mut inputs: Vec<usize> = ev.iter().map(|e| e.input).collect();
             inputs.sort_unstable();
@@ -401,7 +395,7 @@ mod tests {
     fn rank_order_orders_by_luminance() {
         let params = SnnParams::for_neurons(10);
         let pixels = vec![40u8, 200, 120];
-        let ev = CodingScheme::RankOrder.encode(&pixels, &params, 0);
+        let ev = encode(CodingScheme::RankOrder, &pixels, &params, 0);
         let order: Vec<usize> = ev.iter().map(|e| e.input).collect();
         assert_eq!(order, vec![1, 2, 0]);
     }
@@ -410,7 +404,7 @@ mod tests {
     fn ttfs_brighter_is_earlier() {
         let params = SnnParams::for_neurons(10);
         let pixels = vec![255u8, 128];
-        let ev = CodingScheme::TimeToFirstSpike.encode(&pixels, &params, 0);
+        let ev = encode(CodingScheme::TimeToFirstSpike, &pixels, &params, 0);
         let t_bright = ev.iter().find(|e| e.input == 0).unwrap().t;
         let t_dim = ev.iter().find(|e| e.input == 1).unwrap().t;
         assert!(t_bright < t_dim);
@@ -425,12 +419,8 @@ mod tests {
         let mut po = 0usize;
         let mut ga = 0usize;
         for seed in 0..10 {
-            po += CodingScheme::PoissonRate
-                .encode(&pixels, &params, seed)
-                .len();
-            ga += CodingScheme::GaussianRate
-                .encode(&pixels, &params, seed)
-                .len();
+            po += encode(CodingScheme::PoissonRate, &pixels, &params, seed).len();
+            ga += encode(CodingScheme::GaussianRate, &pixels, &params, seed).len();
         }
         let ratio = po as f64 / ga as f64;
         assert!(ratio > 0.7 && ratio < 1.4, "ratio {ratio}");

@@ -40,11 +40,13 @@ const NEVER: u32 = u32::MAX;
 /// than the table compose factors (`e^{-(a+b)} = e^{-a}·e^{-b}`), so an
 /// arbitrarily long silence decays to the analytic value; an in-table
 /// gap is the single lookup `v * lut[dt]` that [`TickState`] applies.
-/// The library's own loops never leave the table; this is the serial
-/// form the tests re-derive potentials with, and factor composition is
-/// *not* associative in f64, so re-deriving the decay any other way
-/// diverges.
+/// A test reference: the library's own loops never leave the table, and
+/// the serial reference loops of `crates/snn/tests/event_loop.rs`,
+/// `crates/hw/tests/mesh_differential.rs` and `tick.rs`'s tests
+/// re-derive potentials with this. Factor composition is *not*
+/// associative in f64, so re-deriving the decay any other way diverges.
 #[inline]
+// nc-lint: allow(R12, reason = "serial reference that event_loop.rs, mesh_differential.rs and tick.rs tests compare against")
 pub fn decay_with_lut(lut: &[f64], mut v: f64, mut dt: u64) -> f64 {
     let last = lut.len() - 1;
     let max = u64::try_from(last).unwrap_or(u64::MAX);
@@ -279,16 +281,6 @@ impl SnnNetwork {
         }
     }
 
-    /// The per-presentation RNG stream seed: every stochastic choice tied
-    /// to one presentation (spike-train generation, readout tie-breaking)
-    /// derives from this single value, so a presentation is reproducible
-    /// from `(network seed, presentation seed)` alone.
-    fn presentation_rng_seed(&self, presentation_seed: u64) -> u64 {
-        self.seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(presentation_seed)
-    }
-
     /// Applies a hardware fault plan to the deployed network (DESIGN.md
     /// "Fault model"). Stuck-at faults corrupt the stored 8-bit synapses
     /// once; dead neurons zero whole synapse rows (a LIF stuck at reset
@@ -401,13 +393,16 @@ impl SnnNetwork {
         &self.decay_lut
     }
 
-    /// The per-presentation RNG stream seed for a given presentation
-    /// seed: the value that [`SnnNetwork::present`] feeds both the input
-    /// encoder and the readout tie-breaker. Public so external
+    /// The per-presentation RNG stream seed: every stochastic choice tied
+    /// to one presentation (spike-train generation, readout tie-breaking)
+    /// derives from this single value, so a presentation is reproducible
+    /// from `(network seed, presentation seed)` alone. Public so external
     /// substrates (the `nc-hw` mesh) can reproduce a presentation
-    /// spike-for-spike from `(network, presentation seed)` alone.
+    /// spike-for-spike.
     pub fn presentation_stream_seed(&self, presentation_seed: u64) -> u64 {
-        self.presentation_rng_seed(presentation_seed)
+        self.seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(presentation_seed)
     }
 
     /// Overrides the STDP weight-update magnitude (default `1`, the
@@ -434,11 +429,6 @@ impl SnnNetwork {
         self.stdp_rule = rule;
     }
 
-    /// The STDP rule currently in use.
-    pub fn stdp_rule(&self) -> &crate::stdp_rules::StdpRule {
-        &self.stdp_rule
-    }
-
     /// Truncates every synaptic weight to its top `bits` bits (the
     /// hardware narrows the SRAM word) — used by the precision study in
     /// [`crate::explore`].
@@ -457,25 +447,30 @@ impl SnnNetwork {
 
     /// Presents one image without learning and returns the outcome.
     pub fn present(&mut self, pixels: &[u8], presentation_seed: u64) -> Presentation {
-        let tie_seed = self.presentation_rng_seed(presentation_seed);
+        let tie_seed = self.presentation_stream_seed(presentation_seed);
         let winner = self.simulate(pixels, false, false, presentation_seed, None);
         self.snapshot_presentation(winner, tie_seed)
     }
 
     /// Presents one image with STDP + homeostasis enabled.
     pub fn present_learn(&mut self, pixels: &[u8], presentation_seed: u64) -> Presentation {
-        let tie_seed = self.presentation_rng_seed(presentation_seed);
+        let tie_seed = self.presentation_stream_seed(presentation_seed);
         let winner = self.simulate(pixels, true, false, presentation_seed, None);
         self.snapshot_presentation(winner, tie_seed)
     }
 
-    /// Presents one image and records a full trace (Figure 3).
-    pub fn present_traced(&mut self, pixels: &[u8], presentation_seed: u64) -> PresentationTrace {
+    /// Presents one image and records a full trace (Figure 3). The
+    /// traced pass scans every event one by one, so tests compare the
+    /// whole-tick [`present`](Self::present) against its outcome.
+    pub fn present_traced(
+        &mut self,
+        pixels: &[u8],
+        presentation_seed: u64,
+    ) -> (Presentation, PresentationTrace) {
         let mut trace = PresentationTrace::new(self.params.neurons);
-        let tie_seed = self.presentation_rng_seed(presentation_seed);
+        let tie_seed = self.presentation_stream_seed(presentation_seed);
         let winner = self.simulate(pixels, false, false, presentation_seed, Some(&mut trace));
-        trace.finish(self.snapshot_presentation(winner, tie_seed));
-        trace
+        (self.snapshot_presentation(winner, tie_seed), trace)
     }
 
     /// Copies the scratch state of the presentation that just ran into an
@@ -532,7 +527,7 @@ impl SnnNetwork {
             self.inputs
         );
         let n = self.params.neurons;
-        let seed = self.presentation_rng_seed(presentation_seed);
+        let seed = self.presentation_stream_seed(presentation_seed);
         // Move the scratch out for the duration of the loop so STDP
         // (which borrows `self` mutably) can run mid-presentation; the
         // buffers are handed back before returning.
@@ -740,7 +735,7 @@ impl SnnNetwork {
         self.class_presented.iter_mut().for_each(|c| *c = 0);
         for (i, s) in data.iter().enumerate() {
             let pseed = 0x1ABE_0000 | i as u64;
-            let tie_seed = self.presentation_rng_seed(pseed);
+            let tie_seed = self.presentation_stream_seed(pseed);
             let winner = self.simulate(&s.pixels, false, true, pseed, None);
             self.class_presented[s.label] += 1;
             let readout = tie_broken_readout(winner, &self.sim.state.potentials, tie_seed);
@@ -773,7 +768,7 @@ impl SnnNetwork {
     /// heap allocation once the buffers are warm. The presentation stops
     /// at the first fire, which decides the readout.
     pub fn predict(&mut self, pixels: &[u8], presentation_seed: u64) -> usize {
-        let tie_seed = self.presentation_rng_seed(presentation_seed);
+        let tie_seed = self.presentation_stream_seed(presentation_seed);
         let winner = self.simulate(pixels, false, true, presentation_seed, None);
         let readout = tie_broken_readout(winner, &self.sim.state.potentials, tie_seed);
         self.labels[readout].unwrap_or(0)
@@ -823,11 +818,11 @@ mod tests {
         assert!(outcome.potentials[0] > 0.0);
         // Compare: total un-decayed drive is count·w ≥ potential.
         let w = f64::from(snn.weight(0, 0));
-        let events = snn.coding().encode(&[255, 0], snn.params(), {
-            // same seed derivation as simulate() with seed 3, pres 0
-            3u64.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        });
-        let undecayed = events.len() as f64 * w;
+        let mut calendar = SpikeCalendar::default();
+        // same seed derivation as simulate() with seed 3, pres 0
+        let seed = 3u64.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        calendar.fill(snn.coding(), &[255, 0], snn.params(), seed, None);
+        let undecayed = calendar.events().count() as f64 * w;
         assert!(outcome.potentials[0] < undecayed);
     }
 
@@ -1094,8 +1089,8 @@ mod tests {
         let mut scalar = kernel.clone();
         for (i, s) in train.iter().enumerate() {
             let a = kernel.present(&s.pixels, i as u64);
-            let trace = scalar.present_traced(&s.pixels, i as u64);
-            assert_eq!(Some(&a), trace.outcome(), "presentation {i}");
+            let (b, _) = scalar.present_traced(&s.pixels, i as u64);
+            assert_eq!(a, b, "presentation {i}");
         }
     }
 
@@ -1150,10 +1145,7 @@ mod tests {
                 }
                 for (i, s) in test.iter().enumerate() {
                     let pseed = 0x51AE_0000 | i as u64;
-                    let trace = reference.present_traced(&s.pixels, pseed);
-                    let p = trace
-                        .outcome()
-                        .expect("a traced presentation keeps its outcome");
+                    let (p, _) = reference.present_traced(&s.pixels, pseed);
                     let want = reference.labels()[p.readout()].unwrap_or(0);
                     assert_eq!(
                         snn.predict(&s.pixels, pseed),
@@ -1185,10 +1177,7 @@ mod tests {
             for (i, s) in test.iter().enumerate() {
                 let pseed = i as u64;
                 let _ = kernel.predict(&s.pixels, pseed);
-                let trace = reference.present_traced(&s.pixels, pseed);
-                let p = trace
-                    .outcome()
-                    .expect("a traced presentation keeps its outcome");
+                let (p, _) = reference.present_traced(&s.pixels, pseed);
                 assert!(p.winner.is_none(), "threshold must be unreachable");
                 assert_eq!(
                     kernel.sim.state.potentials, p.potentials,

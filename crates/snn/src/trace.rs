@@ -3,7 +3,6 @@
 //! fire/inhibit/refractory annotations).
 
 use crate::coding::SpikeEvent;
-use crate::network::Presentation;
 
 /// A recorded presentation: input raster, per-neuron potential series and
 /// output spikes.
@@ -15,7 +14,6 @@ pub struct PresentationTrace {
     potential_samples: Vec<(usize, u32, f64)>,
     /// `(neuron, t)` output spikes.
     fires: Vec<(usize, u32)>,
-    outcome: Option<Presentation>,
 }
 
 impl PresentationTrace {
@@ -26,7 +24,6 @@ impl PresentationTrace {
             input_spikes: Vec::new(),
             potential_samples: Vec::new(),
             fires: Vec::new(),
-            outcome: None,
         }
     }
 
@@ -45,11 +42,6 @@ impl PresentationTrace {
         self.fires.push((neuron, t));
     }
 
-    /// Attaches the final presentation outcome.
-    pub fn finish(&mut self, outcome: Presentation) {
-        self.outcome = Some(outcome);
-    }
-
     /// Number of neurons the trace covers.
     pub fn neurons(&self) -> usize {
         self.neurons
@@ -65,23 +57,9 @@ impl PresentationTrace {
         &self.potential_samples
     }
 
-    /// The potential trajectory of one neuron, time-ordered.
-    pub fn potential_of(&self, neuron: usize) -> Vec<(u32, f64)> {
-        self.potential_samples
-            .iter()
-            .filter(|(j, _, _)| *j == neuron)
-            .map(|&(_, t, v)| (t, v))
-            .collect()
-    }
-
     /// Output spikes as `(neuron, t)`.
     pub fn fires(&self) -> &[(usize, u32)] {
         &self.fires
-    }
-
-    /// The attached outcome, if [`finish`](Self::finish) was called.
-    pub fn outcome(&self) -> Option<&Presentation> {
-        self.outcome.as_ref()
     }
 
     /// Serializes the input raster as CSV (`t_ms,input`), the format the
@@ -115,10 +93,10 @@ mod tests {
         let mut params = SnnParams::for_neurons(3);
         params.initial_threshold = 600.0;
         let mut snn = SnnNetwork::new(6, 2, params, 4);
-        let trace = snn.present_traced(&[255u8; 6], 0);
+        let (outcome, trace) = snn.present_traced(&[255u8; 6], 0);
         assert!(!trace.input_spikes().is_empty());
         assert!(!trace.potential_samples().is_empty());
-        assert!(trace.outcome().is_some());
+        assert_eq!(outcome.potentials.len(), 3);
         assert_eq!(trace.neurons(), 3);
     }
 
@@ -127,10 +105,15 @@ mod tests {
         let mut params = SnnParams::for_neurons(2);
         params.initial_threshold = 1e9;
         let mut snn = SnnNetwork::new(4, 2, params, 4);
-        let trace = snn.present_traced(&[200u8; 4], 0);
-        let series = trace.potential_of(0);
+        let (_, trace) = snn.present_traced(&[200u8; 4], 0);
+        let series: Vec<u32> = trace
+            .potential_samples()
+            .iter()
+            .filter(|&&(j, _, _)| j == 0)
+            .map(|&(_, t, _)| t)
+            .collect();
         assert!(!series.is_empty());
-        assert!(series.windows(2).all(|w| w[0].0 <= w[1].0));
+        assert!(series.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
@@ -147,7 +130,7 @@ mod tests {
         let mut params = SnnParams::for_neurons(2);
         params.initial_threshold = 300.0;
         let mut snn = SnnNetwork::new(8, 2, params, 4);
-        let trace = snn.present_traced(&[255u8; 8], 0);
+        let (_, trace) = snn.present_traced(&[255u8; 8], 0);
         assert!(!trace.fires().is_empty());
     }
 }

@@ -6,7 +6,7 @@
 //! tests fully offline.
 
 use nc_snn::coding::{wot_spike_count, CodingScheme, ACTIVE_THRESHOLD};
-use nc_snn::{SnnNetwork, SnnParams, WotSnn};
+use nc_snn::{SnnNetwork, SnnParams, SpikeCalendar, SpikeEvent, WotSnn};
 use nc_substrate::rng::SplitMix64;
 
 const CASES: u64 = 32;
@@ -17,6 +17,13 @@ const ALL_SCHEMES: [CodingScheme; 4] = [
     CodingScheme::RankOrder,
     CodingScheme::TimeToFirstSpike,
 ];
+
+/// The events of one filled calendar, in `(t, input)` order.
+fn encode(scheme: CodingScheme, pixels: &[u8], params: &SnnParams, seed: u64) -> Vec<SpikeEvent> {
+    let mut calendar = SpikeCalendar::default();
+    calendar.fill(scheme, pixels, params, seed, None);
+    calendar.events().collect()
+}
 
 fn random_pixels(rng: &mut SplitMix64, n: usize) -> Vec<u8> {
     (0..n).map(|_| rng.next_u64() as u8).collect()
@@ -30,7 +37,7 @@ fn all_codes_emit_sorted_in_window_events() {
         let scheme = ALL_SCHEMES[rng.next_below(4) as usize];
         let seed = rng.next_u64();
         let params = SnnParams::for_neurons(4);
-        let events = scheme.encode(&pixels, &params, seed);
+        let events = encode(scheme, &pixels, &params, seed);
         assert!(
             events.windows(2).all(|w| w[0].t <= w[1].t),
             "case {case}: {scheme:?} events unsorted"
@@ -49,7 +56,7 @@ fn temporal_codes_emit_exactly_one_spike_per_active_pixel() {
         let params = SnnParams::for_neurons(4);
         let active = pixels.iter().filter(|&&p| p >= ACTIVE_THRESHOLD).count();
         for scheme in [CodingScheme::RankOrder, CodingScheme::TimeToFirstSpike] {
-            let events = scheme.encode(&pixels, &params, seed);
+            let events = encode(scheme, &pixels, &params, seed);
             assert_eq!(events.len(), active, "case {case}: {scheme:?}");
         }
     }
@@ -67,7 +74,7 @@ fn rate_codes_never_exceed_the_4bit_budget_per_pixel() {
         let seed = rng.next_u64();
         let params = SnnParams::for_neurons(4);
         for scheme in [CodingScheme::PoissonRate, CodingScheme::GaussianRate] {
-            let events = scheme.encode(&pixels, &params, seed);
+            let events = encode(scheme, &pixels, &params, seed);
             let mut per_pixel = vec![0u32; pixels.len()];
             for e in &events {
                 per_pixel[e.input] += 1;

@@ -34,6 +34,7 @@ pub const DEFAULT_CASES: u64 = 64;
 ///
 /// Re-raises the first case failure after printing the case index and
 /// per-case seed.
+// nc-lint: allow(R12, reason = "the check_cases harness the workspace's property tests run on")
 pub fn check_cases<F>(seed: u64, cases: u64, f: F)
 where
     F: Fn(u64, &mut SplitMix64),

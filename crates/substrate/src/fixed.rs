@@ -7,256 +7,9 @@
 //! The paper's accelerators use narrow fixed-point datapaths throughout:
 //! 8-bit synaptic weights and activations for the MLP (§4.2.1), 8-bit
 //! weights for SNNwt and 12-bit weighted spike-count products for SNNwot
-//! (§4.2.3). This module provides two layers:
-//!
-//! * [`Q8`] — an unsigned 8-bit quantity with saturating update semantics,
-//!   modeling a synaptic weight register (STDP increments/decrements of ±1
-//!   must clip at the rails, paper §4.4).
-//! * [`QFixed`] — a signed fixed-point value with a compile-time fractional
-//!   bit count, used by the quantized MLP inference path to model the
-//!   multiplier/adder-tree datapath at arbitrary widths.
-
-use std::fmt;
-
-/// An unsigned 8-bit saturating quantity: the hardware synaptic weight.
-///
-/// All mutation saturates at `0` and `255` instead of wrapping, matching
-/// the behaviour of the weight-update datapath in the STDP circuit
-/// (paper §4.4: "it applies constant increments/decrements of 1").
-///
-/// # Examples
-///
-/// ```
-/// use nc_substrate::fixed::Q8;
-///
-/// let w = Q8::from_raw(254);
-/// assert_eq!(w.saturating_add(Q8::from_raw(5)).raw(), 255);
-/// assert_eq!(Q8::from_raw(1).saturating_sub(Q8::from_raw(3)).raw(), 0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Q8(u8);
-
-impl Q8 {
-    /// The additive identity (fully depressed synapse).
-    pub const ZERO: Q8 = Q8(0);
-    /// The saturation rail (fully potentiated synapse), `w_max` in the paper.
-    pub const MAX: Q8 = Q8(u8::MAX);
-
-    /// Creates a weight from its raw 8-bit register value.
-    #[inline]
-    pub const fn from_raw(raw: u8) -> Self {
-        Q8(raw)
-    }
-
-    /// Quantizes a real value in `[0, 1]` onto the 8-bit grid, clamping
-    /// values outside that range to the rails.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use nc_substrate::fixed::Q8;
-    /// assert_eq!(Q8::from_unit(1.0).raw(), 255);
-    /// assert_eq!(Q8::from_unit(-2.0).raw(), 0);
-    /// ```
-    pub fn from_unit(x: f64) -> Self {
-        let clamped = x.clamp(0.0, 1.0);
-        Q8((clamped * 255.0).round() as u8)
-    }
-
-    /// Returns the raw 8-bit register value.
-    #[inline]
-    pub const fn raw(self) -> u8 {
-        self.0
-    }
-
-    /// Reinterprets the weight as a real value in `[0, 1]`.
-    #[inline]
-    pub fn to_unit(self) -> f64 {
-        f64::from(self.0) / 255.0
-    }
-
-    /// Saturating addition: clips at [`Q8::MAX`].
-    #[inline]
-    #[must_use]
-    pub fn saturating_add(self, rhs: Q8) -> Q8 {
-        Q8(self.0.saturating_add(rhs.0))
-    }
-
-    /// Saturating subtraction: clips at [`Q8::ZERO`].
-    #[inline]
-    #[must_use]
-    pub fn saturating_sub(self, rhs: Q8) -> Q8 {
-        Q8(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Applies a signed delta with saturation, the primitive used by the
-    /// LTP (`+1`) / LTD (`-1`) weight updates.
-    #[inline]
-    #[must_use]
-    pub fn saturating_offset(self, delta: i16) -> Q8 {
-        let v = i32::from(self.0) + i32::from(delta);
-        Q8(v.clamp(0, 255) as u8)
-    }
-}
-
-impl fmt::Display for Q8 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl From<u8> for Q8 {
-    fn from(raw: u8) -> Self {
-        Q8(raw)
-    }
-}
-
-impl From<Q8> for u8 {
-    fn from(q: Q8) -> Self {
-        q.0
-    }
-}
-
-/// A signed fixed-point value with `FRAC` fractional bits stored in `i64`.
-///
-/// This models the wider internal accumulators of the hardware datapaths
-/// (e.g. the adder tree that sums 784 products of 8-bit operands). The
-/// representation is exact for addition; multiplication rounds to nearest
-/// as a hardware multiplier followed by a truncating shift would.
-///
-/// `FRAC` must be less than 63.
-///
-/// # Examples
-///
-/// ```
-/// use nc_substrate::fixed::QFixed;
-///
-/// type Acc = QFixed<16>;
-/// let a = Acc::from_f64(1.5);
-/// let b = Acc::from_f64(-0.25);
-/// assert!(((a * b).to_f64() - -0.375).abs() < 1e-4);
-/// assert_eq!((a + b).to_f64(), 1.25);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct QFixed<const FRAC: u32>(i64);
-
-impl<const FRAC: u32> QFixed<FRAC> {
-    /// The additive identity.
-    pub const ZERO: Self = QFixed(0);
-    /// The multiplicative identity (`1.0`).
-    pub const ONE: Self = QFixed(1 << FRAC);
-
-    /// Creates a value from its raw two's-complement register contents.
-    #[inline]
-    pub const fn from_raw(raw: i64) -> Self {
-        QFixed(raw)
-    }
-
-    /// Returns the raw register contents.
-    #[inline]
-    pub const fn raw(self) -> i64 {
-        self.0
-    }
-
-    /// Quantizes a real value, rounding to the nearest representable grid
-    /// point and saturating at the `i64` rails.
-    pub fn from_f64(x: f64) -> Self {
-        let scaled = x * f64::from(1u32 << FRAC);
-        if scaled >= i64::MAX as f64 {
-            QFixed(i64::MAX)
-        } else if scaled <= i64::MIN as f64 {
-            QFixed(i64::MIN)
-        } else {
-            QFixed(scaled.round() as i64)
-        }
-    }
-
-    /// Converts back to a real value (exact: `i64` mantissas up to 2^53
-    /// round-trip through `f64`; accumulators in this crate stay far
-    /// below that).
-    #[inline]
-    pub fn to_f64(self) -> f64 {
-        self.0 as f64 / f64::from(1u32 << FRAC)
-    }
-
-    /// Saturating addition.
-    #[inline]
-    #[must_use]
-    pub fn saturating_add(self, rhs: Self) -> Self {
-        QFixed(self.0.saturating_add(rhs.0))
-    }
-
-    /// Fixed-point multiplication with round-to-nearest on the dropped
-    /// fractional bits, computed in 128-bit to avoid intermediate overflow.
-    #[inline]
-    #[must_use]
-    pub fn mul_round(self, rhs: Self) -> Self {
-        let wide = i128::from(self.0) * i128::from(rhs.0);
-        let half = 1i128 << (FRAC - 1);
-        let rounded = (wide + half) >> FRAC;
-        QFixed(rounded.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64)
-    }
-}
-
-impl<const FRAC: u32> std::ops::Add for QFixed<FRAC> {
-    type Output = Self;
-    fn add(self, rhs: Self) -> Self {
-        QFixed(self.0 + rhs.0)
-    }
-}
-
-impl<const FRAC: u32> std::ops::Sub for QFixed<FRAC> {
-    type Output = Self;
-    fn sub(self, rhs: Self) -> Self {
-        QFixed(self.0 - rhs.0)
-    }
-}
-
-impl<const FRAC: u32> std::ops::Mul for QFixed<FRAC> {
-    type Output = Self;
-    fn mul(self, rhs: Self) -> Self {
-        self.mul_round(rhs)
-    }
-}
-
-impl<const FRAC: u32> std::ops::Neg for QFixed<FRAC> {
-    type Output = Self;
-    fn neg(self) -> Self {
-        QFixed(-self.0)
-    }
-}
-
-impl<const FRAC: u32> fmt::Display for QFixed<FRAC> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_f64())
-    }
-}
-
-/// Quantizes an `f64` onto a signed `bits`-wide grid with `frac` fractional
-/// bits, returning the de-quantized value. This is the "would the hardware
-/// see the same number?" helper used by the quantized MLP path.
-///
-/// # Panics
-///
-/// Panics if `bits` is 0 or greater than 32, or if `frac >= bits`.
-///
-/// # Examples
-///
-/// ```
-/// use nc_substrate::fixed::quantize_to_grid;
-/// // 8-bit, 6 fractional bits: resolution 1/64, range [-2, 2).
-/// let q = quantize_to_grid(0.7, 8, 6);
-/// assert!((q - 0.703125).abs() < 1e-9);
-/// ```
-pub fn quantize_to_grid(x: f64, bits: u32, frac: u32) -> f64 {
-    assert!(bits > 0 && bits <= 32, "bits must be in 1..=32");
-    assert!(frac < bits, "frac must be < bits");
-    let scale = f64::from(1u32 << frac);
-    let max_raw = (1i64 << (bits - 1)) - 1;
-    let min_raw = -(1i64 << (bits - 1));
-    let raw = (x * scale).round().clamp(min_raw as f64, max_raw as f64);
-    raw / scale
-}
+//! (§4.2.3). Those datapaths keep their registers as plain integers and
+//! narrow onto them through the `sat_*` helpers below; the 8-bit MLP's
+//! activation table is [`crate::kernel::FixedActLut`].
 
 // ---------------------------------------------------------------------------
 // Audited saturating narrowing conversions.
@@ -283,8 +36,8 @@ pub fn sat_u8_round(x: f64) -> u8 {
     x.round() as u8
 }
 
-/// Saturating `i32 → u8`: clamps to the `[0, 255]` register rails, the
-/// same semantics as [`Q8::saturating_offset`] for raw values.
+/// Saturating `i32 → u8`: clamps to the `[0, 255]` register rails, as
+/// an STDP weight update of ±1 must (paper §4.4).
 #[inline]
 pub fn sat_u8_from_i32(x: i32) -> u8 {
     x.clamp(0, 255) as u8
@@ -336,77 +89,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn q8_saturates_at_rails() {
-        assert_eq!(Q8::MAX.saturating_add(Q8::from_raw(1)), Q8::MAX);
-        assert_eq!(Q8::ZERO.saturating_sub(Q8::from_raw(1)), Q8::ZERO);
-    }
-
-    #[test]
-    fn q8_offset_models_ltp_ltd() {
-        let w = Q8::from_raw(128);
-        assert_eq!(w.saturating_offset(1).raw(), 129);
-        assert_eq!(w.saturating_offset(-1).raw(), 127);
-        assert_eq!(Q8::MAX.saturating_offset(1), Q8::MAX);
-        assert_eq!(Q8::ZERO.saturating_offset(-1), Q8::ZERO);
-        assert_eq!(Q8::from_raw(3).saturating_offset(-10), Q8::ZERO);
-        // Extreme deltas must saturate, not overflow the intermediate.
-        assert_eq!(Q8::MAX.saturating_offset(i16::MAX), Q8::MAX);
-        assert_eq!(Q8::ZERO.saturating_offset(i16::MIN), Q8::ZERO);
-    }
-
-    #[test]
-    fn q8_unit_round_trip() {
-        for raw in 0..=255u8 {
-            let q = Q8::from_raw(raw);
-            assert_eq!(Q8::from_unit(q.to_unit()), q);
-        }
-    }
-
-    #[test]
-    fn qfixed_add_is_exact() {
-        type F = QFixed<12>;
-        let a = F::from_f64(3.25);
-        let b = F::from_f64(-1.125);
-        assert_eq!((a + b).to_f64(), 2.125);
-        assert_eq!((a - b).to_f64(), 4.375);
-    }
-
-    #[test]
-    fn qfixed_mul_rounds_to_nearest() {
-        type F = QFixed<8>;
-        // 0.00390625 * 0.5 = 0.001953125, which rounds to 1/256 with
-        // round-half-up at 8 fractional bits.
-        let tiny = F::from_raw(1);
-        let half = F::from_f64(0.5);
-        assert_eq!((tiny * half).raw(), 1);
-    }
-
-    #[test]
-    fn qfixed_one_is_identity() {
-        type F = QFixed<16>;
-        let x = F::from_f64(123.456);
-        assert_eq!((x * F::ONE).raw(), x.raw());
-    }
-
-    #[test]
-    fn qfixed_neg_and_ordering() {
-        type F = QFixed<16>;
-        let x = F::from_f64(1.5);
-        assert!(-x < F::ZERO);
-        assert!(x > F::ZERO);
-        assert_eq!((-x).to_f64(), -1.5);
-    }
-
-    #[test]
-    fn grid_quantization_clamps() {
-        // 8-bit, frac 6 → max representable ~ 1.984375
-        let q = quantize_to_grid(100.0, 8, 6);
-        assert!((q - 1.984375).abs() < 1e-12);
-        let q = quantize_to_grid(-100.0, 8, 6);
-        assert!((q - -2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn saturating_conversions_hold_at_the_rails() {
         assert_eq!(sat_u8_trunc(-3.7), 0);
         assert_eq!(sat_u8_trunc(254.9), 254);
@@ -435,13 +117,5 @@ mod tests {
         assert_eq!(sat_i64_round(1e300), i64::MAX);
         assert_eq!(sat_i64_round(-1e300), i64::MIN);
         assert_eq!(sat_i64_round(f64::NAN), 0);
-    }
-
-    #[test]
-    fn grid_quantization_is_idempotent() {
-        for &x in &[0.1, -0.7, 1.3, 0.0, -1.99] {
-            let q = quantize_to_grid(x, 8, 6);
-            assert_eq!(quantize_to_grid(q, 8, 6), q);
-        }
     }
 }

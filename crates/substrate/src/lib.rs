@@ -4,8 +4,8 @@
 //! in software, the low-level hardware building blocks that the paper's
 //! accelerators are made of:
 //!
-//! * [`fixed`] — saturating fixed-point arithmetic in the Q-formats used by
-//!   the 8-bit datapaths (weights, activations, potentials).
+//! * [`fixed`] — the audited saturating conversions that narrow a value
+//!   onto an 8-bit datapath register (weights, activations, potentials).
 //! * [`rng`] — the hardware random number generators: a 31-bit LFSR with
 //!   primitive polynomial `x^31 + x^3 + 1` and the central-limit-theorem
 //!   Gaussian generator built from four LFSRs (paper §4.2.2), plus a
@@ -18,20 +18,19 @@
 //!   reusable scratch buffers that make steady-state inference
 //!   allocation-free.
 //! * [`stats`] — small statistics helpers used by tests and the experiment
-//!   harness (mean, variance, histogram).
+//!   harness (running mean and variance, confusion matrix).
 //! * [`check`] — the seeded-loop property-test harness the invariant
 //!   tests are written against (std-only, deterministic replay).
 //!
 //! # Examples
 //!
 //! ```
-//! use nc_substrate::fixed::Q8;
+//! use nc_substrate::fixed::sat_u8_from_i32;
 //! use nc_substrate::rng::Lfsr31;
 //! use nc_substrate::interp::PiecewiseLinear;
 //!
-//! // Saturating 8-bit weight arithmetic as in the STDP datapath.
-//! let w = Q8::from_raw(250);
-//! assert_eq!(w.saturating_add(Q8::from_raw(10)).raw(), 255);
+//! // Saturating 8-bit weight update as in the STDP datapath.
+//! assert_eq!(sat_u8_from_i32(250 + 10), 255);
 //!
 //! // Hardware uniform random source.
 //! let mut lfsr = Lfsr31::new(0x1234_5678);
@@ -50,7 +49,6 @@ pub mod kernel;
 pub mod rng;
 pub mod stats;
 
-pub use fixed::{QFixed, Q8};
 pub use interp::PiecewiseLinear;
 pub use kernel::{FixedActLut, Scratch};
 pub use rng::{noise_seed, GaussianClt, Lfsr31, PoissonInterval, SplitMix64};

@@ -1,5 +1,5 @@
 //! Small statistics helpers used by tests, the experiment harness and the
-//! report generators (mean/variance, confusion matrices, histograms).
+//! report generators (mean/variance, confusion matrices).
 
 /// Running mean/variance accumulator (Welford's algorithm), used to
 /// summarize accuracy sweeps and spike statistics without storing samples.
@@ -134,11 +134,6 @@ impl Confusion {
         }
     }
 
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
     /// Records one `(true, predicted)` observation.
     ///
     /// # Panics
@@ -171,60 +166,6 @@ impl Confusion {
         let correct: u64 = (0..self.classes).map(|i| self.get(i, i)).sum();
         correct as f64 / total as f64
     }
-
-    /// Per-class recall: `diag / row_sum`, `None` for classes never seen.
-    pub fn recall(&self, class: usize) -> Option<f64> {
-        let row: u64 = (0..self.classes).map(|j| self.get(class, j)).sum();
-        if row == 0 {
-            None
-        } else {
-            Some(self.get(class, class) as f64 / row as f64)
-        }
-    }
-}
-
-/// Fixed-bin histogram on `[lo, hi)` with out-of-range clamping, used for
-/// spike-interval and weight-distribution diagnostics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `lo >= hi`.
-    pub fn new(bins: usize, lo: f64, hi: f64) -> Self {
-        assert!(bins > 0, "need at least one bin");
-        assert!(lo < hi, "lo must be < hi");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-        }
-    }
-
-    /// Records a sample; values outside the range land in the edge bins.
-    pub fn push(&mut self, x: f64) {
-        let n = self.bins.len();
-        let t = (x - self.lo) / (self.hi - self.lo);
-        let idx = crate::fixed::sat_usize_trunc(t * n as f64).min(n - 1);
-        self.bins[idx] += 1;
-    }
-
-    /// Bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Total samples recorded.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -250,22 +191,13 @@ mod tests {
     }
 
     #[test]
-    fn confusion_accuracy_and_recall() {
+    fn confusion_accuracy_is_the_diagonal_share() {
         let mut c = Confusion::new(2);
         c.record(0, 0);
         c.record(0, 0);
         c.record(0, 1);
         c.record(1, 1);
         assert!((c.accuracy() - 0.75).abs() < 1e-12);
-        assert!((c.recall(0).unwrap() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(c.recall(1), Some(1.0));
-    }
-
-    #[test]
-    fn confusion_unseen_class_has_no_recall() {
-        let mut c = Confusion::new(3);
-        c.record(0, 0);
-        assert_eq!(c.recall(2), None);
     }
 
     #[test]
@@ -273,15 +205,5 @@ mod tests {
     fn confusion_rejects_bad_labels() {
         let mut c = Confusion::new(2);
         c.record(0, 2);
-    }
-
-    #[test]
-    fn histogram_clamps_to_edges() {
-        let mut h = Histogram::new(4, 0.0, 4.0);
-        h.push(-10.0);
-        h.push(10.0);
-        h.push(1.5);
-        assert_eq!(h.bins(), &[1, 1, 0, 1]);
-        assert_eq!(h.total(), 3);
     }
 }
