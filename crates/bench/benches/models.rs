@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the model-level components: MLP forward/training,
 //! quantized inference, SNN presentation (event-driven LIF), STDP
-//! learning, spike coding, and the many-core mesh simulator.
+//! learning, spike coding, the many-core mesh simulator, and the digit
+//! generator every experiment and benchmark set-up starts from.
 //!
 //! These measure the *simulation* cost of each path — useful when scaling
 //! experiments — and document the event-driven-vs-dense speedup the
@@ -14,11 +15,13 @@
 
 use nc_bench::microbench::{write_record_from_args, BenchResult, Group};
 use nc_core::{ExperimentScale, FaultModel, FaultPlan, Workload};
-use nc_dataset::{digits::DigitsSpec, Difficulty};
+use nc_dataset::digits::{render_digit, DigitsSpec};
+use nc_dataset::Difficulty;
 use nc_hw::mesh::{Grid, MeshSnn};
 use nc_mlp::{Activation, Mlp, QuantizedMlp, TrainConfig, Trainer};
 use nc_snn::coding::CodingScheme;
 use nc_snn::{SnnNetwork, SnnParams, SpikeCalendar};
+use nc_substrate::rng::SplitMix64;
 
 fn data() -> (nc_dataset::Dataset, nc_dataset::Dataset) {
     DigitsSpec {
@@ -168,10 +171,35 @@ fn bench_mesh() -> Vec<BenchResult> {
     group.results().to_vec()
 }
 
+/// The synthetic digit generator at the hard difficulty perfbench draws
+/// from: one image, and the 300 training plus 4,000 test images a mesh
+/// workload's set-up generates.
+fn bench_dataset() -> Vec<BenchResult> {
+    let hard = Difficulty::hard();
+    let mut group = Group::new("dataset");
+    let mut seed = 0u64;
+    group.bench("render_digit_hard", || {
+        seed += 1;
+        let mut rng = SplitMix64::new(seed);
+        render_digit((seed % 10) as usize, &mut rng, hard)
+    });
+    group.bench("digits_300_4000_hard", || {
+        DigitsSpec {
+            train: 300,
+            test: 4000,
+            seed: 0xD161,
+            difficulty: hard,
+        }
+        .generate()
+    });
+    group.results().to_vec()
+}
+
 fn main() {
     let mut results = bench_mlp();
     results.extend(bench_snn());
     results.extend(bench_coding());
     results.extend(bench_mesh());
+    results.extend(bench_dataset());
     write_record_from_args("models", &results);
 }

@@ -5,8 +5,16 @@
 //! greyscale format the accelerators consume ("the inputs are usually
 //! n-bit values (8-bit values in our case for the pixel luminance)",
 //! paper §2.1).
+//!
+//! The stroke rasterizer walks each segment over its own bounding box,
+//! grown by the stroke's reach, and folds the segment's distance into a
+//! per-pixel minimum; one pass then maps the minima through the
+//! anti-aliasing ramp. The blur is a separable integer 3×3 box filter run
+//! in place. Both are exact: `tests/generator_hashes.rs` pins every
+//! generated split bit for bit, and `tests/raster_differential.rs` checks
+//! the rasterizer against a serial per-pixel reference on random strokes.
 
-use nc_substrate::fixed::{sat_u8_round, sat_u8_trunc};
+use nc_substrate::fixed::{sat_u8_round, sat_u8_trunc, sat_usize_trunc};
 use nc_substrate::rng::SplitMix64;
 
 /// A row-major 8-bit greyscale image.
@@ -97,44 +105,41 @@ impl GreyImage {
     /// 3×3 box blur, used to soften rasterized strokes the way optics and
     /// anti-aliased scans soften MNIST digits. Border pixels average the
     /// neighbours that exist.
+    ///
+    /// The blur is separable and exact in integers: each row's clipped
+    /// vertical 3-sums, then a horizontal 3-sum of those, divided by the
+    /// clipped neighbourhood's size. It runs in place, row by row, keeping
+    /// a copy of the row above as it was before the blur.
     pub fn blur3(&mut self) {
         let w = self.width;
-        let mut out = vec![0u8; self.pixels.len()];
-        // Interior pixels have all nine neighbours: no clipping needed.
-        if w >= 3 && self.height >= 3 {
-            let rows = self.pixels.chunks_exact(w);
-            let triples = rows.clone().zip(rows.clone().skip(1)).zip(rows.skip(2));
-            for (y, ((up, mid), down)) in triples.enumerate() {
-                let sums = up.windows(3).zip(mid.windows(3)).zip(down.windows(3));
-                let centre = (y + 1) * w + 1;
-                for (o, ((a, b), c)) in out[centre..centre + w - 2].iter_mut().zip(sums) {
-                    let sum: u32 = a.iter().chain(b).chain(c).map(|&p| u32::from(p)).sum();
-                    *o = u8::try_from(sum / 9).unwrap_or(u8::MAX);
+        let h = self.height;
+        let mut above = vec![0u8; w];
+        let mut cols = vec![0u16; w];
+        for y in 0..h {
+            let (row, below) = self.pixels[y * w..].split_at_mut(w);
+            let mut rows = 1;
+            for (c, &p) in cols.iter_mut().zip(row.iter()) {
+                *c = u16::from(p);
+            }
+            if y > 0 {
+                rows += 1;
+                for (c, &p) in cols.iter_mut().zip(&above) {
+                    *c += u16::from(p);
                 }
             }
-        }
-        for y in 0..self.height {
-            for x in 0..w {
-                if x == 0 || y == 0 || x + 1 == w || y + 1 == self.height {
-                    out[y * w + x] = self.clipped_mean3(x, y);
+            if y + 1 < h {
+                rows += 1;
+                for (c, &p) in cols.iter_mut().zip(&below[..w]) {
+                    *c += u16::from(p);
                 }
             }
-        }
-        self.pixels = out;
-    }
-
-    /// Mean of the 3×3 neighbourhood of `(x, y)` that lies inside the
-    /// image.
-    fn clipped_mean3(&self, x: usize, y: usize) -> u8 {
-        let mut sum = 0u32;
-        let mut n = 0u32;
-        for ny in y.saturating_sub(1)..(y + 2).min(self.height) {
-            for nx in x.saturating_sub(1)..(x + 2).min(self.width) {
-                sum += u32::from(self.pixels[ny * self.width + nx]);
-                n += 1;
+            above.copy_from_slice(row);
+            match rows {
+                3 => mean_row::<3>(row, &cols),
+                2 => mean_row::<2>(row, &cols),
+                _ => mean_row::<1>(row, &cols),
             }
         }
-        u8::try_from(sum / n).unwrap_or(u8::MAX)
     }
 
     /// ASCII-art rendering for debugging and the examples (darker pixels
@@ -151,6 +156,23 @@ impl GreyImage {
             s.push('\n');
         }
         s
+    }
+}
+
+/// Writes the horizontal clipped 3-means of one row's vertical sums
+/// `cols`, each of which adds `ROWS` pixels. `ROWS` is a constant so that
+/// every divisor is known at compile time and becomes a multiply.
+fn mean_row<const ROWS: u16>(row: &mut [u8], cols: &[u16]) {
+    let mean = |sum: u16, n: u16| u8::try_from(sum / (n * ROWS)).unwrap_or(u8::MAX);
+    let w = cols.len();
+    if w == 1 {
+        row[0] = mean(cols[0], 1);
+        return;
+    }
+    row[0] = mean(cols[0] + cols[1], 2);
+    row[w - 1] = mean(cols[w - 2] + cols[w - 1], 2);
+    for (o, c) in row[1..w - 1].iter_mut().zip(cols.windows(3)) {
+        *o = mean(c[0] + c[1] + c[2], 3);
     }
 }
 
@@ -248,25 +270,35 @@ fn dist_to_segment(px: f64, py: f64, a: Point, b: Point) -> f64 {
     ((px - qx).powi(2) + (py - qy).powi(2)).sqrt()
 }
 
-/// A stroke segment with its bounding box grown by the cull radius.
-struct Segment {
-    a: Point,
-    b: Point,
-    x0: f64,
-    x1: f64,
-    y0: f64,
-    y1: f64,
+/// Pixel indices `0..n` whose centres `i + 0.5` can lie in `[lo, hi]`.
+/// Rounding of `lo - 0.5` and `hi - 0.5` is monotonic, so the range holds
+/// every such index; NaN, infinite or far-off bounds clamp to the image.
+fn centre_range(lo: f64, hi: f64, n: usize) -> std::ops::Range<usize> {
+    let start = sat_usize_trunc((lo - 0.5).ceil());
+    let end = sat_usize_trunc((hi - 0.5).floor() + 1.0);
+    start.min(n)..end.min(n)
 }
 
-impl Segment {
-    fn new(a: Point, b: Point, reach: f64) -> Self {
-        Segment {
-            a,
-            b,
-            x0: a.x.min(b.x) - reach,
-            x1: a.x.max(b.x) + reach,
-            y0: a.y.min(b.y) - reach,
-            y1: a.y.max(b.y) + reach,
+/// Folds one segment's distance into `best` at every pixel centre inside
+/// the segment's bounding box grown by `reach`.
+fn splat_segment(best: &mut [f64], width: usize, a: Point, b: Point, reach: f64) {
+    let height = best.len() / width;
+    let x0 = a.x.min(b.x) - reach;
+    let x1 = a.x.max(b.x) + reach;
+    let y0 = a.y.min(b.y) - reach;
+    let y1 = a.y.max(b.y) + reach;
+    let xs = centre_range(x0, x1, width);
+    for y in centre_range(y0, y1, height) {
+        let py = y as f64 + 0.5;
+        if !(y0 <= py && py <= y1) {
+            continue;
+        }
+        let row = &mut best[y * width..(y + 1) * width];
+        for x in xs.clone() {
+            let px = x as f64 + 0.5;
+            if x0 <= px && px <= x1 {
+                row[x] = row[x].min(dist_to_segment(px, py, a, b));
+            }
         }
     }
 }
@@ -278,11 +310,13 @@ impl Segment {
 /// which mimics the anti-aliasing of scanned handwriting.
 ///
 /// Only a segment within `half + 1` pixels of a pixel centre can set its
-/// luminance. Each segment's bounding box is grown by `half + 2` (one
-/// pixel of slack over that reach, far more than any rounding in
-/// [`dist_to_segment`]), and a pixel centre outside it skips the segment.
-/// A skipped segment is farther than every distance that can light the
-/// pixel, so the image is exactly the one the all-segment minimum gives.
+/// luminance. So each segment visits only the pixel centres inside its
+/// bounding box grown by `half + 2` (one pixel of slack over that reach,
+/// far more than any rounding in [`dist_to_segment`]) and folds its
+/// distance into a per-pixel minimum; one pass then maps each minimum to
+/// luminance. A skipped segment is farther than every distance that can
+/// light the pixel, and every pixel folds its segments in stroke order, so
+/// the image is exactly the one the all-segment minimum gives.
 pub fn rasterize_strokes(
     width: usize,
     height: usize,
@@ -295,35 +329,26 @@ pub fn rasterize_strokes(
     let h = height as f64;
     let half = thickness / 2.0;
     let reach = half + 2.0;
-    let mut segments = Vec::new();
+    let mut best = vec![f64::INFINITY; width * height];
     for stroke in strokes {
         let mapped = jitter.apply(stroke, w, h);
-        segments.extend(mapped.windows(2).map(|p| Segment::new(p[0], p[1], reach)));
+        for pair in mapped.windows(2) {
+            splat_segment(&mut best, width, pair[0], pair[1], reach);
+        }
         if let [dot] = mapped[..] {
-            segments.push(Segment::new(dot, dot, reach));
+            splat_segment(&mut best, width, dot, dot, reach);
         }
     }
-    let mut live: Vec<&Segment> = Vec::with_capacity(segments.len());
-    for y in 0..height {
-        let py = y as f64 + 0.5;
-        live.clear();
-        live.extend(segments.iter().filter(|s| s.y0 <= py && py <= s.y1));
-        for x in 0..width {
-            let px = x as f64 + 0.5;
-            let mut best = f64::INFINITY;
-            for s in live.iter().filter(|s| s.x0 <= px && px <= s.x1) {
-                best = best.min(dist_to_segment(px, py, s.a, s.b));
-            }
-            // 1-pixel anti-aliasing ramp outside the stroke core.
-            let lum = if best <= half {
-                1.0
-            } else if best <= half + 1.0 {
-                1.0 - (best - half)
-            } else {
-                0.0
-            };
-            img.set(x, y, sat_u8_round(lum * 255.0));
-        }
+    for (p, &d) in img.pixels.iter_mut().zip(&best) {
+        // 1-pixel anti-aliasing ramp outside the stroke core.
+        let lum = if d <= half {
+            1.0
+        } else if d <= half + 1.0 {
+            1.0 - (d - half)
+        } else {
+            0.0
+        };
+        *p = sat_u8_round(lum * 255.0);
     }
     img
 }
@@ -404,6 +429,41 @@ mod tests {
         for y in 0..5 {
             for x in 0..5 {
                 assert_eq!(img.get(x, y), 100);
+            }
+        }
+    }
+
+    /// Mean of the 3×3 neighbourhood of `(x, y)` that lies inside `img`.
+    fn clipped_mean3(img: &GreyImage, x: usize, y: usize) -> u8 {
+        let mut sum = 0u32;
+        let mut n = 0u32;
+        for ny in y.saturating_sub(1)..(y + 2).min(img.height) {
+            for nx in x.saturating_sub(1)..(x + 2).min(img.width) {
+                sum += u32::from(img.get(nx, ny));
+                n += 1;
+            }
+        }
+        u8::try_from(sum / n).unwrap_or(u8::MAX)
+    }
+
+    #[test]
+    fn blur_is_the_clipped_nine_neighbour_mean() {
+        let mut rng = SplitMix64::new(0xB1E5);
+        let sizes = (1..=6)
+            .flat_map(|w| (1..=9).map(move |h| (w, h)))
+            .chain([(28, 28)]);
+        for (w, h) in sizes {
+            for _ in 0..4 {
+                let mut img = GreyImage::new(w, h);
+                for p in &mut img.pixels {
+                    *p = rng.next_below(256) as u8;
+                }
+                let want: Vec<u8> = (0..h)
+                    .flat_map(|y| (0..w).map(move |x| (x, y)))
+                    .map(|(x, y)| clipped_mean3(&img, x, y))
+                    .collect();
+                img.blur3();
+                assert_eq!(img.pixels(), &want[..], "{w}x{h}");
             }
         }
     }
