@@ -33,6 +33,19 @@ fn data() -> (nc_dataset::Dataset, nc_dataset::Dataset) {
     .generate()
 }
 
+/// The 300 hard training digits `perfbench`'s serving set-up trains its
+/// models on.
+fn hard_train() -> nc_dataset::Dataset {
+    DigitsSpec {
+        train: 300,
+        test: 0,
+        seed: 0x7A41,
+        difficulty: Difficulty::hard(),
+    }
+    .generate()
+    .0
+}
+
 fn bench_mlp() -> Vec<BenchResult> {
     let (train, test) = data();
     let mut group = Group::new("mlp");
@@ -61,6 +74,18 @@ fn bench_mlp() -> Vec<BenchResult> {
             ..TrainConfig::default()
         })
         .fit(&mut m, &train)
+    });
+
+    // Serving's MLP set-up: 4 BP epochs at 784-100-10 over 300 hard
+    // digits, about a third of whose pixels are 0.
+    let hard = hard_train();
+    group.bench("fit_784_100_10_300imgs", || {
+        let mut m = Mlp::new(&[784, 100, 10], Activation::sigmoid(), 1).unwrap();
+        Trainer::new(TrainConfig {
+            epochs: 4,
+            ..TrainConfig::default()
+        })
+        .fit(&mut m, &hard)
     });
     group.results().to_vec()
 }
@@ -107,6 +132,15 @@ fn bench_snn() -> Vec<BenchResult> {
         let mut s = SnnNetwork::new(784, 10, SnnParams::tuned(30), 1);
         s.set_stdp_delta(4);
         s.train_stdp(&train, 1)
+    });
+
+    // Serving's SNNwt set-up: one STDP epoch at δ 8 with 50 neurons over
+    // 300 hard digits.
+    let hard = hard_train();
+    group.bench("stdp_epoch_784_50_300imgs", || {
+        let mut s = SnnNetwork::new(784, 10, SnnParams::for_neurons(50), 1);
+        s.set_stdp_delta(8);
+        s.train_stdp(&hard, 1)
     });
     group.results().to_vec()
 }

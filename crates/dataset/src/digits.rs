@@ -9,7 +9,7 @@
 //! See `DESIGN.md` §5 for why a synthetic stand-in is used and what it
 //! preserves.
 
-use crate::image::{pt, rasterize_strokes, Jitter, Point};
+use crate::image::{pt, rasterize_strokes, GreyImage, Jitter, Point, StrokeScratch};
 use crate::{Dataset, Difficulty, Sample};
 use nc_substrate::rng::SplitMix64;
 
@@ -76,10 +76,22 @@ impl DigitsSpec {
 
 fn generate_split(n: usize, seed: u64, stream: u64, difficulty: Difficulty) -> Dataset {
     let mut rng = SplitMix64::new(seed ^ (stream.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+    // The ten templates and the render buffers serve the whole split.
+    let glyphs: Vec<Vec<Vec<Point>>> = (0..CLASSES).map(glyph).collect();
+    let mut strokes = Vec::new();
+    let mut raster = StrokeScratch::default();
     let samples: Vec<Sample> = (0..n)
         .map(|i| {
             let label = i % CLASSES;
-            let img = render_digit(label, &mut rng, difficulty);
+            let img = render(
+                &glyphs[label],
+                &mut strokes,
+                &mut rng,
+                difficulty,
+                |strokes, thickness, jitter| {
+                    raster.rasterize(SIDE, SIDE, strokes, thickness, jitter)
+                },
+            );
             Sample {
                 pixels: img.into_pixels(),
                 label,
@@ -96,28 +108,40 @@ fn generate_split(n: usize, seed: u64, stream: u64, difficulty: Difficulty) -> D
 /// # Panics
 ///
 /// Panics if `digit >= 10`.
-pub fn render_digit(
-    digit: usize,
+pub fn render_digit(digit: usize, rng: &mut SplitMix64, difficulty: Difficulty) -> GreyImage {
+    assert!(digit < CLASSES, "digit must be 0..=9");
+    render(
+        &glyph(digit),
+        &mut Vec::new(),
+        rng,
+        difficulty,
+        |strokes, thickness, jitter| rasterize_strokes(SIDE, SIDE, strokes, thickness, jitter),
+    )
+}
+
+/// Renders one jittered image of the glyph `template`: wobbles its
+/// vertices into `strokes` (reusing the buffer), samples the affine
+/// jitter and stroke thickness, rasterizes through `rasterize`, then
+/// blurs and adds noise.
+fn render(
+    template: &[Vec<Point>],
+    strokes: &mut Vec<Vec<Point>>,
     rng: &mut SplitMix64,
     difficulty: Difficulty,
-) -> crate::image::GreyImage {
-    assert!(digit < CLASSES, "digit must be 0..=9");
-    let template = glyph(digit);
+    rasterize: impl FnOnce(&[Vec<Point>], f64, Jitter) -> GreyImage,
+) -> GreyImage {
     // Per-vertex wobble proportional to stroke jitter.
     let wobble = 0.03 + 0.04 * difficulty.thickness_jitter;
-    let strokes: Vec<Vec<Point>> = template
-        .iter()
-        .map(|s| {
-            s.iter()
-                .map(|&p| {
-                    pt(
-                        p.x + rng.next_range(-wobble, wobble),
-                        p.y + rng.next_range(-wobble, wobble),
-                    )
-                })
-                .collect()
-        })
-        .collect();
+    strokes.resize_with(template.len(), Vec::new);
+    for (stroke, s) in strokes.iter_mut().zip(template) {
+        stroke.clear();
+        stroke.extend(s.iter().map(|&p| {
+            pt(
+                p.x + rng.next_range(-wobble, wobble),
+                p.y + rng.next_range(-wobble, wobble),
+            )
+        }));
+    }
     let jitter = Jitter::sample(
         rng,
         difficulty.max_shift,
@@ -126,7 +150,7 @@ pub fn render_digit(
     );
     let thickness =
         2.2 * (1.0 + rng.next_range(-difficulty.thickness_jitter, difficulty.thickness_jitter));
-    let mut img = rasterize_strokes(SIDE, SIDE, &strokes, thickness.max(0.8), jitter);
+    let mut img = rasterize(strokes, thickness.max(0.8), jitter);
     img.blur3();
     img.add_noise(difficulty.noise, rng);
     img

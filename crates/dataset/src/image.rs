@@ -234,25 +234,30 @@ impl Jitter {
     /// Maps glyph points into pixel space; the rotation's `sin_cos` is
     /// evaluated once for the whole slice.
     fn apply(&self, points: &[Point], width: f64, height: f64) -> Vec<Point> {
+        let mut mapped = Vec::new();
+        self.apply_into(points, width, height, &mut mapped);
+        mapped
+    }
+
+    /// [`Jitter::apply`] into `mapped`, replacing its contents.
+    fn apply_into(&self, points: &[Point], width: f64, height: f64, mapped: &mut Vec<Point>) {
         let (sin, cos) = self.rotation.sin_cos();
-        points
-            .iter()
-            .map(|p| {
-                // Rotate and scale about the glyph center in normalized space.
-                let cx = 0.5;
-                let cy = 0.5;
-                let dx = (p.x - cx) * self.scale;
-                let dy = (p.y - cy) * self.scale;
-                let rx = cx + dx * cos - dy * sin;
-                let ry = cy + dx * sin + dy * cos;
-                // Map into pixel space with a small margin, then translate.
-                let margin = 0.12;
-                Point {
-                    x: (margin + rx * (1.0 - 2.0 * margin)) * width + self.shift_x,
-                    y: (margin + ry * (1.0 - 2.0 * margin)) * height + self.shift_y,
-                }
-            })
-            .collect()
+        mapped.clear();
+        mapped.extend(points.iter().map(|p| {
+            // Rotate and scale about the glyph center in normalized space.
+            let cx = 0.5;
+            let cy = 0.5;
+            let dx = (p.x - cx) * self.scale;
+            let dy = (p.y - cy) * self.scale;
+            let rx = cx + dx * cos - dy * sin;
+            let ry = cy + dx * sin + dy * cos;
+            // Map into pixel space with a small margin, then translate.
+            let margin = 0.12;
+            Point {
+                x: (margin + rx * (1.0 - 2.0 * margin)) * width + self.shift_x,
+                y: (margin + ry * (1.0 - 2.0 * margin)) * height + self.shift_y,
+            }
+        }));
     }
 }
 
@@ -324,33 +329,58 @@ pub fn rasterize_strokes(
     thickness: f64,
     jitter: Jitter,
 ) -> GreyImage {
-    let mut img = GreyImage::new(width, height);
-    let w = width as f64;
-    let h = height as f64;
-    let half = thickness / 2.0;
-    let reach = half + 2.0;
-    let mut best = vec![f64::INFINITY; width * height];
-    for stroke in strokes {
-        let mapped = jitter.apply(stroke, w, h);
-        for pair in mapped.windows(2) {
-            splat_segment(&mut best, width, pair[0], pair[1], reach);
+    StrokeScratch::default().rasterize(width, height, strokes, thickness, jitter)
+}
+
+/// The buffers [`rasterize_strokes`] works in: one stroke mapped to
+/// pixel space and the per-pixel distance minimum. A generator that
+/// keeps one across images allocates only each image's pixels.
+#[derive(Debug, Default)]
+pub(crate) struct StrokeScratch {
+    mapped: Vec<Point>,
+    best: Vec<f64>,
+}
+
+impl StrokeScratch {
+    /// [`rasterize_strokes`] through these buffers.
+    pub(crate) fn rasterize(
+        &mut self,
+        width: usize,
+        height: usize,
+        strokes: &[Vec<Point>],
+        thickness: f64,
+        jitter: Jitter,
+    ) -> GreyImage {
+        let mut img = GreyImage::new(width, height);
+        let w = width as f64;
+        let h = height as f64;
+        let half = thickness / 2.0;
+        let reach = half + 2.0;
+        let StrokeScratch { mapped, best } = self;
+        best.clear();
+        best.resize(width * height, f64::INFINITY);
+        for stroke in strokes {
+            jitter.apply_into(stroke, w, h, mapped);
+            for pair in mapped.windows(2) {
+                splat_segment(best, width, pair[0], pair[1], reach);
+            }
+            if let [dot] = mapped[..] {
+                splat_segment(best, width, dot, dot, reach);
+            }
         }
-        if let [dot] = mapped[..] {
-            splat_segment(&mut best, width, dot, dot, reach);
+        for (p, &d) in img.pixels.iter_mut().zip(best.iter()) {
+            // 1-pixel anti-aliasing ramp outside the stroke core.
+            let lum = if d <= half {
+                1.0
+            } else if d <= half + 1.0 {
+                1.0 - (d - half)
+            } else {
+                0.0
+            };
+            *p = sat_u8_round(lum * 255.0);
         }
+        img
     }
-    for (p, &d) in img.pixels.iter_mut().zip(&best) {
-        // 1-pixel anti-aliasing ramp outside the stroke core.
-        let lum = if d <= half {
-            1.0
-        } else if d <= half + 1.0 {
-            1.0 - (d - half)
-        } else {
-            0.0
-        };
-        *p = sat_u8_round(lum * 255.0);
-    }
-    img
 }
 
 /// Rasterizes a filled polygon (in normalized glyph coordinates) into an

@@ -69,13 +69,13 @@ impl Model for Mlp {
                 for l in 1..sizes.len() - 1 {
                     let salt = u64::try_from(l).unwrap_or(u64::MAX);
                     let dead = dead_unit_mask(sizes[l], &plan.for_site(salt));
-                    let (fan_in, fan_out) = (sizes[l], sizes[l + 1]);
-                    let next = self.layer_weights_mut(l);
-                    for (unit, &is_dead) in dead.iter().enumerate() {
+                    let fan_out = sizes[l + 1];
+                    // A unit's outgoing weights are its row of the next
+                    // layer's input-major matrix.
+                    let rows = self.layer_weights_mut(l).chunks_exact_mut(fan_out);
+                    for (row, &is_dead) in rows.zip(&dead) {
                         if is_dead {
-                            for j in 0..fan_out {
-                                next[j * (fan_in + 1) + unit] = 0.0;
-                            }
+                            row.fill(0.0);
                         }
                     }
                 }
@@ -268,7 +268,7 @@ mod tests {
         // zero quantized outgoing column.
         let fan_in = 8;
         for unit in 0..fan_in {
-            let float_dead = (0..10).all(|j| mlp.layer_weights(1)[j * (fan_in + 1) + unit] == 0.0);
+            let float_dead = (0..10).all(|j| mlp.layer_weights(1)[unit * 10 + j] == 0.0);
             let quant_dead = (0..10).all(|j| q.layer_weights(1)[j * (fan_in + 1) + unit] == 0);
             assert_eq!(float_dead, quant_dead, "unit {unit}");
         }

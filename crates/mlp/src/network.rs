@@ -4,8 +4,11 @@
 //! output layer; the input layer does not contain neurons … A neuron j in
 //! layer l performs `y_j = f(s_j)` where `s_j = Σ_i w_ji · y_i`."
 //!
-//! Weights are stored per layer in row-major `[output][input + 1]` form;
-//! the trailing column is the bias (driven by a constant 1 input).
+//! Weights are stored per layer input-major, `[input + 1][output]`: row
+//! `i` holds input `i`'s weight to every neuron of the layer, and the
+//! last row is the bias (driven by a constant 1 input). A forward pass
+//! then adds one contiguous row per non-zero input, and a BP step
+//! updates only those rows.
 
 use crate::activation::Activation;
 use nc_substrate::rng::SplitMix64;
@@ -55,8 +58,8 @@ impl std::error::Error for MlpError {}
 pub struct Mlp {
     sizes: Vec<usize>,
     activation: Activation,
-    /// `layers[l][j * (sizes[l] + 1) + i]`: weight from input `i` of layer
-    /// `l` to its neuron `j`; index `sizes[l]` is the bias.
+    /// `layers[l][i * sizes[l + 1] + j]`: weight from input `i` of layer
+    /// `l` to its neuron `j`; row `i = sizes[l]` is the bias.
     layers: Vec<Vec<f64>>,
 }
 
@@ -85,9 +88,14 @@ impl Mlp {
         for w in sizes.windows(2) {
             let (fan_in, fan_out) = (w[0], w[1]);
             let bound = 1.0 / (slope * (fan_in as f64).sqrt());
-            let weights = (0..fan_out * (fan_in + 1))
-                .map(|_| rng.next_range(-bound, bound))
-                .collect();
+            // Drawn neuron by neuron, bias last, so a seed gives the same
+            // values it gave the row-major layout.
+            let mut weights = vec![0.0; (fan_in + 1) * fan_out];
+            for j in 0..fan_out {
+                for i in 0..=fan_in {
+                    weights[i * fan_out + j] = rng.next_range(-bound, bound);
+                }
+            }
             layers.push(weights);
         }
         Ok(Mlp {
@@ -126,8 +134,8 @@ impl Mlp {
         self.sizes[1..].iter().sum()
     }
 
-    /// Immutable access to a layer's weight matrix
-    /// (row-major `[out][in + 1]`, bias last).
+    /// Immutable access to a layer's weight matrix (input-major
+    /// `[in + 1][out]`: `w[i * fan_out + j]`, bias row last).
     ///
     /// # Panics
     ///
@@ -164,9 +172,9 @@ impl Mlp {
     ///
     /// Panics if `input.len()` does not match the input layer width.
     pub fn forward_trace(&self, input: &[f64]) -> Vec<Vec<f64>> {
-        let mut trace = Vec::new();
+        let mut trace = Trace::default();
         self.forward_into(input, &mut trace, true);
-        trace
+        trace.layers
     }
 
     /// Predicted class: index of the maximum output activation. For the
@@ -179,7 +187,7 @@ impl Mlp {
     ///
     /// Panics if `input.len()` does not match the input layer width.
     pub fn predict(&self, input: &[f64]) -> usize {
-        self.predict_into(input, &mut Vec::new())
+        self.predict_into(input, &mut Trace::default())
     }
 
     /// [`Mlp::predict`] on 8-bit pixels, through `scratch`'s reusable
@@ -189,26 +197,36 @@ impl Mlp {
         self.predict_into(&scratch.input, &mut scratch.trace)
     }
 
-    fn predict_into(&self, input: &[f64], trace: &mut Vec<Vec<f64>>) -> usize {
+    fn predict_into(&self, input: &[f64], trace: &mut Trace) -> usize {
         let potentials = self.activation == Activation::Step;
         self.forward_into(input, trace, !potentials);
         // nc-lint: allow(R5, reason = "Mlp::new rejects empty topologies, so the trace is nonempty")
-        argmax(trace.last().expect("at least one layer"))
+        argmax(trace.layers.last().expect("at least one layer"))
     }
 
-    /// The one float forward pass: fills `trace` with every layer's
-    /// activations, reusing its buffers. With `activate_output` false
-    /// the output layer keeps its pre-activation sums.
+    /// One BP update of layer `l`: `w[i][j] += steps[j] · y_i` for each
+    /// input on `active` (the layer's list from the forward pass), and
+    /// `steps[j]` added to each bias. A zero input's update is skipped:
+    /// it would add `±0.0` to a weight that is never `-0.0`.
+    pub(crate) fn add_to_active_rows(&mut self, l: usize, active: &[(usize, f64)], steps: &[f64]) {
+        let weights = &mut self.layers[l];
+        let bias_row = weights.len() - steps.len();
+        let (rows, bias) = weights.split_at_mut(bias_row);
+        add_to_rows(rows, active, steps);
+        for (w, &step) in bias.iter_mut().zip(steps) {
+            *w += step;
+        }
+    }
+
+    /// The one float forward pass, serving training and inference:
+    /// fills `trace` with every layer's activations, reusing its
+    /// buffers. With `activate_output` false the output layer keeps its
+    /// pre-activation sums.
     ///
     /// # Panics
     ///
     /// Panics if `input.len()` does not match the input layer width.
-    pub(crate) fn forward_into(
-        &self,
-        input: &[f64],
-        trace: &mut Vec<Vec<f64>>,
-        activate_output: bool,
-    ) {
+    pub(crate) fn forward_into(&self, input: &[f64], trace: &mut Trace, activate_output: bool) {
         assert_eq!(
             input.len(),
             self.sizes[0],
@@ -217,13 +235,16 @@ impl Mlp {
             self.sizes[0]
         );
         let last = self.layers.len() - 1;
-        trace.resize_with(self.layers.len(), Vec::new);
+        let Trace { layers, active } = trace;
+        layers.resize_with(self.layers.len(), Vec::new);
+        active.resize_with(self.layers.len(), Vec::new);
         for (l, weights) in self.layers.iter().enumerate() {
-            let (done, rest) = trace.split_at_mut(l);
+            let (done, rest) = layers.split_at_mut(l);
             let current = done.last().map_or(input, Vec::as_slice);
             let out = &mut rest[0];
             out.resize(self.sizes[l + 1], 0.0);
-            layer_sums(weights, current, out);
+            list_active(current, out.len(), &mut active[l]);
+            active_row_sums(weights, &active[l], out);
             if l < last || activate_output {
                 for s in out.iter_mut() {
                     *s = self.activation.eval(*s);
@@ -233,87 +254,120 @@ impl Mlp {
     }
 }
 
-/// Output rows [`layer_sums`] accumulates side by side: enough
-/// independent add chains to cover the latency of a float add.
-const ROW_BLOCK: usize = 8;
+/// Columns one block of the forward sums or of the BP update holds in
+/// registers across all the active rows: enough independent add chains
+/// to cover much of a float add's latency. Walking the rows one input at
+/// a time instead would store and reload every value per input, and on a
+/// narrow layer that round trip, not the arithmetic, sets the pace.
+const COLUMN_BLOCK: usize = 16;
 
-/// Inputs [`row_tile`] takes per step: each row's weights for this many
-/// consecutive inputs load as one contiguous run.
-const COL_STEP: usize = 4;
-
-/// One layer's pre-activation sums, `out[j] = w[j][n] + Σ_i w[j][i]·input[i]`
-/// over a row-major bias-last weight matrix (`n = input.len()`).
-///
-/// Each sum starts from the bias and adds the products `w·x` in `i`
-/// ascending order, one rounded multiply and one rounded add per term,
-/// so every output is bit-identical to the plain serial loop. Speed
-/// comes from running [`ROW_BLOCK`] rows at once (then 4, then 1 for
-/// the rows left over): their chains are independent, so the adds
-/// overlap instead of waiting on each other.
-fn layer_sums(weights: &[f64], input: &[f64], out: &mut [f64]) {
-    let row_w = input.len() + 1;
-    let mut blocks = weights.chunks_exact(ROW_BLOCK * row_w);
-    let mut outs = out.chunks_exact_mut(ROW_BLOCK);
-    for (block, sums) in (&mut blocks).zip(&mut outs) {
-        row_tile::<ROW_BLOCK>(block, input, sums);
+/// Lists a layer's non-zero inputs, `i` ascending, as `(i · fan_out,
+/// x_i)`: each input's row offset in the layer's input-major matrix,
+/// and its value. The list is written without a branch per input.
+fn list_active(input: &[f64], fan_out: usize, active: &mut Vec<(usize, f64)>) {
+    // Every slot up to `n` is written before it is read, so only the
+    // slots the last list truncated away need filling.
+    active.resize(input.len(), (0, 0.0));
+    let mut n = 0;
+    for (i, &x) in input.iter().enumerate() {
+        active[n] = (i * fan_out, x);
+        n += usize::from(x != 0.0);
     }
-    let mut quads = blocks.remainder().chunks_exact(4 * row_w);
-    let mut outs = outs.into_remainder().chunks_exact_mut(4);
-    for (block, sums) in (&mut quads).zip(&mut outs) {
-        row_tile::<4>(block, input, sums);
-    }
-    let rows = quads.remainder().chunks_exact(row_w);
-    for (row, sum) in rows.zip(outs.into_remainder().chunks_exact_mut(1)) {
-        row_tile::<1>(row, input, sum);
-    }
+    active.truncate(n);
 }
 
-/// The sums of `R` consecutive rows of [`layer_sums`]' matrix. The
-/// input advances [`COL_STEP`] at a time, and each row's weights for
-/// that step load as one contiguous run. The compiler can then
-/// transpose the `R × COL_STEP` tile in registers into one vector of
-/// `R` weights per input. Walking the rows one input at a time instead
-/// leaves it a strided gather per input, which it assembles
-/// element by element. The adds keep each row's order: bias first,
-/// then `i` ascending.
-fn row_tile<const R: usize>(block: &[f64], input: &[f64], sums: &mut [f64]) {
-    let n = input.len();
-    let row_w = n + 1;
-    let rows: [&[f64]; R] = std::array::from_fn(|k| &block[k * row_w..][..n]);
-    let mut acc: [f64; R] = std::array::from_fn(|k| block[k * row_w + n]);
-    let mut steps = input.chunks_exact(COL_STEP);
-    let mut i = 0;
-    for xs in &mut steps {
-        let tile: [[f64; COL_STEP]; R] = std::array::from_fn(|k| {
-            let w = &rows[k][i..i + COL_STEP];
-            std::array::from_fn(|t| w[t])
-        });
-        for (t, &x) in xs.iter().enumerate() {
-            for (a, w) in acc.iter_mut().zip(&tile) {
-                *a += w[t] * x;
+/// One layer's pre-activation sums over an input-major weight matrix:
+/// each `out[j]` starts at the bias row's `w[n][j]`, then each input `i`
+/// on the [`list_active`] list adds `w[i][j] · x_i`, `i` ascending, one
+/// rounded multiply and one rounded add per term. The columns go in
+/// blocks of [`COLUMN_BLOCK`], then 4 and 1 for the columns left over.
+///
+/// Skipping a zero input is exact for finite weights: its term is
+/// `±0.0`, and adding `±0.0` changes a sum only when the sum is `-0.0`.
+/// No sum here is: a rounded add returns `-0.0` only from two `-0.0`
+/// operands, and neither a bias nor a weight starts as `-0.0`, so none
+/// becomes one in training either.
+fn active_row_sums(weights: &[f64], active: &[(usize, f64)], out: &mut [f64]) {
+    let (rows, bias) = weights.split_at(weights.len() - out.len());
+    let mut col = sum_columns::<COLUMN_BLOCK>(rows, active, bias, out, 0);
+    col = sum_columns::<4>(rows, active, bias, out, col);
+    sum_columns::<1>(rows, active, bias, out, col);
+}
+
+/// [`active_row_sums`] from column `col` on, in blocks of `C` columns
+/// while a whole block fits; returns the first column left.
+fn sum_columns<const C: usize>(
+    rows: &[f64],
+    active: &[(usize, f64)],
+    bias: &[f64],
+    out: &mut [f64],
+    mut col: usize,
+) -> usize {
+    while col + C <= out.len() {
+        let mut acc: [f64; C] = std::array::from_fn(|k| bias[col + k]);
+        for &(start, x) in active {
+            let w = &rows[start + col..start + col + C];
+            for (a, &w) in acc.iter_mut().zip(w) {
+                *a += w * x;
             }
         }
-        i += COL_STEP;
+        out[col..col + C].copy_from_slice(&acc);
+        col += C;
     }
-    for (&x, i) in steps.remainder().iter().zip(i..) {
-        for (a, row) in acc.iter_mut().zip(&rows) {
-            *a += row[i] * x;
+    col
+}
+
+/// Adds `steps[j] · y_i` to `w[i][j]` for each `(i · fan_out, y_i)` on
+/// `active`, `fan_out = steps.len()`, in column blocks as
+/// [`active_row_sums`] goes, each block's steps held in registers.
+fn add_to_rows(rows: &mut [f64], active: &[(usize, f64)], steps: &[f64]) {
+    let mut col = add_to_columns::<COLUMN_BLOCK>(rows, active, steps, 0);
+    col = add_to_columns::<4>(rows, active, steps, col);
+    add_to_columns::<1>(rows, active, steps, col);
+}
+
+/// [`add_to_rows`] from column `col` on, in blocks of `C` columns while
+/// a whole block fits; returns the first column left.
+fn add_to_columns<const C: usize>(
+    rows: &mut [f64],
+    active: &[(usize, f64)],
+    steps: &[f64],
+    mut col: usize,
+) -> usize {
+    while col + C <= steps.len() {
+        let block: [f64; C] = std::array::from_fn(|k| steps[col + k]);
+        for &(start, y) in active {
+            let w = &mut rows[start + col..start + col + C];
+            for (w, &step) in w.iter_mut().zip(&block) {
+                *w += step * y;
+            }
         }
+        col += C;
     }
-    sums.copy_from_slice(&acc);
+    col
+}
+
+/// The buffers of one float forward pass: every layer's activations,
+/// as [`Mlp::forward_trace`] returns them, and every layer's non-zero
+/// inputs, which the BP step reuses to update only their rows.
+#[derive(Debug, Default)]
+pub(crate) struct Trace {
+    /// Every layer's outputs, hidden layers first.
+    pub(crate) layers: Vec<Vec<f64>>,
+    /// Per layer, its non-zero inputs as [`list_active`] lists them.
+    pub(crate) active: Vec<Vec<(usize, f64)>>,
 }
 
 /// Reusable buffers for the float forward pass: the input rescaled to
-/// `[0, 1]` and one activation vector per layer. Grown on first use, so
-/// a caller that keeps one across presentations allocates nothing in
-/// the steady state (the float counterpart of
-/// `nc_substrate::kernel::Scratch`).
+/// `[0, 1]` and the [`Trace`]. Grown on first use, so a caller that
+/// keeps one across presentations allocates nothing in the steady state
+/// (the float counterpart of `nc_substrate::kernel::Scratch`).
 #[derive(Debug, Default)]
 pub(crate) struct ForwardScratch {
     /// The current presentation, as `[0, 1]` luminances.
     pub(crate) input: Vec<f64>,
-    /// Every layer's outputs, as [`Mlp::forward_trace`] returns them.
-    pub(crate) trace: Vec<Vec<f64>>,
+    /// The forward pass's outputs and working list.
+    pub(crate) trace: Trace,
 }
 
 impl ForwardScratch {

@@ -113,9 +113,13 @@ impl QuantizedMlp {
             // grid that still represents the largest weight.
             let e = sat_i32_trunc((max_raw / max_abs).log2().floor());
             let scale = 2f64.powi(e);
+            // The float master is input-major; the datapath reads each
+            // neuron's row `[in + 1]`, so transpose while quantizing.
+            let (fan_in, fan_out) = (sizes[l], sizes[l + 1]);
             layers.push(
-                w.iter()
-                    .map(|&x| sat_i8_round((x * scale).clamp(-max_raw, max_raw)))
+                (0..fan_out)
+                    .flat_map(|j| (0..=fan_in).map(move |i| w[i * fan_out + j]))
+                    .map(|x| sat_i8_round((x * scale).clamp(-max_raw, max_raw)))
                     .collect(),
             );
             scales.push(e);
@@ -447,7 +451,10 @@ mod tests {
             let q = QuantizedMlp::from_mlp(&mlp);
             for l in 0..sizes.len() - 1 {
                 let scale = 2f64.powi(q.scales[l]);
-                for (qw, fw) in q.layer_weights(l).iter().zip(mlp.layer_weights(l)) {
+                let (fan_in, fan_out) = (sizes[l], sizes[l + 1]);
+                for (k, qw) in q.layer_weights(l).iter().enumerate() {
+                    let (j, i) = (k / (fan_in + 1), k % (fan_in + 1));
+                    let fw = mlp.layer_weights(l)[i * fan_out + j];
                     let back = f64::from(*qw) / scale;
                     assert!(
                         (back - fw).abs() <= 0.5 / scale + 1e-12,

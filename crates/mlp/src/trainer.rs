@@ -9,7 +9,7 @@
 //! protocol ("this process is repeated multiple times until the target
 //! error is achieved or the allocated learning time has elapsed").
 
-use crate::network::{ForwardScratch, Mlp};
+use crate::network::{ForwardScratch, Mlp, Trace};
 use nc_dataset::Dataset;
 use nc_obs::{EpochMetrics, Recorder};
 use nc_substrate::rng::SplitMix64;
@@ -146,7 +146,8 @@ impl Trainer {
                 train_accuracy: correct as f64 / n,
             };
             if recorder.enabled() {
-                // Per-sample SGD touches every weight once per sample.
+                // Per-sample SGD updates every weight once per sample; the
+                // updates of zero inputs add nothing and are skipped.
                 let updates = (mlp.num_weights() * data.len()) as u64;
                 recorder.record_epoch(
                     "mlp",
@@ -168,7 +169,7 @@ impl Trainer {
     /// One BP step on a single sample; returns `(squared error, correct)`.
     /// Exposed so the SNN+BP hybrid can reuse the identical update rule.
     pub fn step(&self, mlp: &mut Mlp, input: &[f64], label: usize) -> (f64, bool) {
-        self.step_with(mlp, input, label, &mut Vec::new(), &mut Vec::new())
+        self.step_with(mlp, input, label, &mut Trace::default(), &mut Vec::new())
     }
 
     /// [`Trainer::step`] with the caller's activation and gradient
@@ -178,11 +179,15 @@ impl Trainer {
         mlp: &mut Mlp,
         input: &[f64],
         label: usize,
-        trace: &mut Vec<Vec<f64>>,
+        trace: &mut Trace,
         deltas: &mut Vec<Vec<f64>>,
     ) -> (f64, bool) {
         let activation = mlp.activation();
         mlp.forward_into(input, trace, true);
+        let Trace {
+            layers: trace,
+            active,
+        } = &*trace;
         let last = trace.len() - 1;
         let output = &trace[last];
         let (off, on) = self.config.targets;
@@ -201,38 +206,32 @@ impl Trainer {
         }
 
         // Hidden-layer gradients, back to front:
-        // δ_j = f'(s_j) · Σ_k δ_k · w_kj, each sum accumulated k
-        // ascending, one weight row at a time.
+        // δ_i = f'(s_i) · Σ_k δ_k · w_ik, each sum accumulated k
+        // ascending along input i's row of the next layer.
         for l in (0..last).rev() {
             let (head, tail) = deltas.split_at_mut(l + 1);
             let (d, next_deltas) = (&mut head[l], &tail[0]);
-            let y = &trace[l];
+            let rows = mlp.layer_weights(l + 1).chunks_exact(next_deltas.len());
             d.clear();
-            d.resize(y.len(), 0.0);
-            let next_rows = mlp.layer_weights(l + 1).chunks_exact(y.len() + 1);
-            for (&dk, row) in next_deltas.iter().zip(next_rows) {
-                for (sum, &w) in d.iter_mut().zip(row) {
-                    *sum += dk * w;
+            d.extend(rows.zip(&trace[l]).map(|(row, &y)| {
+                let mut sum = 0.0;
+                for (&w, &dk) in row.iter().zip(next_deltas) {
+                    sum += dk * w;
                 }
-            }
-            for (sum, &yj) in d.iter_mut().zip(y) {
-                *sum *= activation.derivative_from_output(yj);
-            }
+                sum * activation.derivative_from_output(y)
+            }));
         }
 
-        // Weight updates: w += η · δ_j · y_i (bias input is 1).
+        // Weight updates: w_ij += (η · δ_j) · y_i, bias input 1, over
+        // the rows of the inputs the forward pass found non-zero. A zero
+        // input's update would add ±0.0 to a weight that is never -0.0,
+        // which leaves the weight as it is.
         let eta = self.config.learning_rate;
-        for (l, layer_deltas) in deltas.iter().enumerate() {
-            let prev: &[f64] = if l == 0 { input } else { &trace[l - 1] };
-            let fan_in = prev.len();
-            let weights = mlp.layer_weights_mut(l);
-            for (row, &dj) in weights.chunks_exact_mut(fan_in + 1).zip(layer_deltas) {
-                let step = eta * dj;
-                for (w, &y) in row.iter_mut().zip(prev) {
-                    *w += step * y;
-                }
-                row[fan_in] += step; // bias
+        for ((l, steps), rows) in deltas.iter_mut().enumerate().zip(active) {
+            for d in steps.iter_mut() {
+                *d *= eta;
             }
+            mlp.add_to_active_rows(l, rows, steps);
         }
         (sq_err, correct_label)
     }

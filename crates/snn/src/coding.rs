@@ -70,75 +70,103 @@ impl CodingScheme {
 /// Pixels below this luminance are silent under the temporal codes.
 pub const ACTIVE_THRESHOLD: u8 = 32;
 
-fn poisson_rate(
-    pixels: &[u8],
-    params: &SnnParams,
-    seed: u64,
-    gen_fault: Option<&FaultPlan>,
-    events: &mut Vec<SpikeEvent>,
-) {
-    let mut sm = SplitMix64::new(seed);
-    for (input, &p) in pixels.iter().enumerate() {
-        let rate = params.rate_per_ms(p);
-        if rate <= 0.0 {
-            continue;
-        }
-        let gen_seed = sm.next_seed32();
-        let pixel = u64::try_from(input).unwrap_or(u64::MAX);
-        let mut gen = match gen_fault.and_then(|plan| stuck_tap_for(plan, pixel)) {
-            Some(stuck) => PoissonInterval::with_stuck_tap(gen_seed, stuck),
-            None => PoissonInterval::new(gen_seed),
+/// A rate code's per-pixel spike-interval generator: the source the
+/// rate codes' one stream loop, [`rate_code`], draws each train from.
+trait IntervalSource {
+    /// The next spike's time in ms, or `None` once the train leaves the
+    /// `period`-ms window.
+    fn next_spike(&mut self, period: u32) -> Option<u32>;
+}
+
+/// The Poisson code's generator: exponential intervals, accumulated in
+/// float milliseconds.
+struct PoissonTrain {
+    gen: PoissonInterval,
+    rate: f64,
+    t: f64,
+}
+
+impl PoissonTrain {
+    /// The generator of a pixel spiking at `rate` per ms, seeded from
+    /// the code's seed stream, with its `x^3` tap stuck at `stuck` when
+    /// the fault plan makes it faulty.
+    fn for_pixel(seeds: &mut SplitMix64, rate: f64, stuck: Option<bool>) -> Self {
+        let seed = seeds.next_seed32();
+        let gen = match stuck {
+            Some(stuck) => PoissonInterval::with_stuck_tap(seed, stuck),
+            None => PoissonInterval::new(seed),
         };
-        let mut t = 0.0f64;
-        loop {
-            let dt = gen.sample_interval(rate);
-            t += dt;
-            if !t.is_finite() || t >= f64::from(params.t_period) {
-                break;
-            }
-            events.push(SpikeEvent {
-                t: sat_u32_trunc(t),
-                input,
-            });
+        PoissonTrain { gen, rate, t: 0.0 }
+    }
+}
+
+impl IntervalSource for PoissonTrain {
+    #[inline]
+    fn next_spike(&mut self, period: u32) -> Option<u32> {
+        self.t += self.gen.sample_interval(self.rate);
+        (self.t.is_finite() && self.t < f64::from(period)).then(|| sat_u32_trunc(self.t))
+    }
+}
+
+/// The hardware code's generator: interval counters decremented every
+/// cycle, reloaded from the CLT generator, in whole milliseconds. Mean
+/// `1/rate` with std `mean/3` keeps intervals positive within the
+/// generator's bounded support.
+struct GaussianTrain {
+    gen: GaussianClt,
+    mean: f64,
+    std: f64,
+    t: u64,
+}
+
+impl GaussianTrain {
+    /// As [`PoissonTrain::for_pixel`].
+    fn for_pixel(seeds: &mut SplitMix64, rate: f64, stuck: Option<bool>) -> Self {
+        let seed = seeds.next_u64();
+        let gen = match stuck {
+            Some(stuck) => GaussianClt::with_stuck_tap(seed, stuck),
+            None => GaussianClt::new(seed),
+        };
+        let mean = 1.0 / rate;
+        GaussianTrain {
+            gen,
+            mean,
+            std: mean / 3.0,
+            t: 0,
         }
     }
 }
 
-fn gaussian_rate(
+impl IntervalSource for GaussianTrain {
+    #[inline]
+    fn next_spike(&mut self, period: u32) -> Option<u32> {
+        self.t += u64::from(self.gen.sample_interval_ms(self.mean, self.std));
+        (self.t < u64::from(period)).then(|| u32::try_from(self.t).unwrap_or(u32::MAX))
+    }
+}
+
+/// The rate codes' one stream loop: each pixel with a non-zero rate, in
+/// ascending order, gets a generator from `source` (which draws its seed
+/// from `seeds`) and emits its spikes in time order until one falls
+/// outside the window.
+fn rate_code<S: IntervalSource>(
     pixels: &[u8],
     params: &SnnParams,
-    seed: u64,
+    mut seeds: SplitMix64,
     gen_fault: Option<&FaultPlan>,
     events: &mut Vec<SpikeEvent>,
+    source: fn(&mut SplitMix64, f64, Option<bool>) -> S,
 ) {
-    let mut sm = SplitMix64::new(seed ^ 0x6A05_5150);
     for (input, &p) in pixels.iter().enumerate() {
         let rate = params.rate_per_ms(p);
         if rate <= 0.0 {
             continue;
         }
-        // Interval counters decremented every cycle, reloaded from the
-        // CLT generator; mean = 1/rate, std = mean/3 keeps intervals
-        // positive within the generator's bounded support.
-        let mean = 1.0 / rate;
-        let std = mean / 3.0;
-        let gen_seed = sm.next_u64();
         let pixel = u64::try_from(input).unwrap_or(u64::MAX);
-        let mut gen = match gen_fault.and_then(|plan| stuck_tap_for(plan, pixel)) {
-            Some(stuck) => GaussianClt::with_stuck_tap(gen_seed, stuck),
-            None => GaussianClt::new(gen_seed),
-        };
-        let mut t = 0u64;
-        loop {
-            let dt = gen.sample_interval_ms(mean, std);
-            t += u64::from(dt);
-            if t >= u64::from(params.t_period) {
-                break;
-            }
-            events.push(SpikeEvent {
-                t: u32::try_from(t).unwrap_or(u32::MAX),
-                input,
-            });
+        let stuck = gen_fault.and_then(|plan| stuck_tap_for(plan, pixel));
+        let mut gen = source(&mut seeds, rate, stuck);
+        while let Some(t) = gen.next_spike(params.t_period) {
+            events.push(SpikeEvent { t, input });
         }
     }
 }
@@ -229,12 +257,22 @@ impl SpikeCalendar {
     ) {
         self.raw.clear();
         match scheme {
-            CodingScheme::PoissonRate => {
-                poisson_rate(pixels, params, seed, gen_fault, &mut self.raw)
-            }
-            CodingScheme::GaussianRate => {
-                gaussian_rate(pixels, params, seed, gen_fault, &mut self.raw)
-            }
+            CodingScheme::PoissonRate => rate_code(
+                pixels,
+                params,
+                SplitMix64::new(seed),
+                gen_fault,
+                &mut self.raw,
+                PoissonTrain::for_pixel,
+            ),
+            CodingScheme::GaussianRate => rate_code(
+                pixels,
+                params,
+                SplitMix64::new(seed ^ 0x6A05_5150),
+                gen_fault,
+                &mut self.raw,
+                GaussianTrain::for_pixel,
+            ),
             CodingScheme::RankOrder => rank_order(pixels, params, &mut self.raw),
             CodingScheme::TimeToFirstSpike => time_to_first_spike(pixels, params, &mut self.raw),
         }

@@ -643,19 +643,20 @@ impl SnnNetwork {
     ///
     /// [`StdpRule`]: crate::stdp_rules::StdpRule
     fn apply_stdp(&mut self, neuron: usize, fire_t: u32, last_input_spike: &[u32]) {
-        let n = self.params.neurons;
+        let (n, t_ltp) = (self.params.neurons, self.params.t_ltp);
         let row = &mut self.weights[neuron * self.inputs..(neuron + 1) * self.inputs];
-        for (i, w) in row.iter_mut().enumerate() {
-            let ts = last_input_spike[i];
+        self.stdp_rule.update_row(row, last_input_spike, |ts| {
             let dt = fire_t.saturating_sub(ts);
-            if ts != NEVER && dt <= self.params.t_ltp {
-                *w = self.stdp_rule.potentiate(*w, dt);
-            } else {
-                *w = self.stdp_rule.depress(*w);
-            }
-            // Keep the column-major mirror coherent without a full
-            // rebuild: one row changes per output spike.
-            self.weights_t[i * n + neuron] = f64::from(*w);
+            ((ts != NEVER) & (dt <= t_ltp)).then_some(dt)
+        });
+        // Keep the column-major mirror coherent without a full rebuild:
+        // one row changes per output spike.
+        for (m, &w) in self.weights_t[neuron..]
+            .iter_mut()
+            .step_by(n)
+            .zip(row.iter())
+        {
+            *m = f64::from(w);
         }
     }
 
@@ -840,6 +841,72 @@ mod tests {
         assert!(snn.weight(0, 1) > w_before[1]);
         assert!(snn.weight(0, 2) < w_before[2], "silent synapse must shrink");
         assert!(snn.weight(0, 3) < w_before[3]);
+    }
+
+    #[test]
+    fn row_stdp_update_matches_the_per_synapse_rule() {
+        use crate::stdp_rules::StdpRule;
+        let params = tiny_params(3);
+        let t_ltp = params.t_ltp;
+        let fire_t = t_ltp + 40;
+        // Never spiked, spiked at the fire, at the window's edge (LTP),
+        // just outside it (LTD), and at time 0.
+        let edges = [NEVER, fire_t, fire_t - t_ltp, fire_t - t_ltp - 1, 0];
+        let rails = [0u8, 1, 128, 254, 255];
+        let mut rng = SplitMix64::new(0x57D9);
+        let mut cases: Vec<(u8, u32)> = rails
+            .iter()
+            .flat_map(|&w| edges.iter().map(move |&ts| (w, ts)))
+            .collect();
+        cases.extend((0..200).map(|_| {
+            let w = u8::try_from(rng.next_below(256)).unwrap();
+            let ts = match rng.next_below(4) {
+                0 => NEVER,
+                _ => u32::try_from(rng.next_below(u64::from(fire_t) + 1)).unwrap(),
+            };
+            (w, ts)
+        }));
+        let (weights, spikes): (Vec<u8>, Vec<u32>) = cases.into_iter().unzip();
+        let inputs = weights.len();
+        for rule in [
+            StdpRule::Additive { delta: 1 },
+            StdpRule::Additive { delta: 8 },
+            StdpRule::Additive { delta: i16::MAX },
+            StdpRule::Multiplicative { rate: 0.1 },
+            StdpRule::Multiplicative { rate: 1.0 },
+            StdpRule::Exponential {
+                delta: 20.0,
+                tau: 10.0,
+            },
+        ] {
+            let mut snn = SnnNetwork::new(inputs, 2, params, 3);
+            snn.set_stdp_rule(rule.clone());
+            snn.weights[inputs..2 * inputs].copy_from_slice(&weights);
+            snn.rebuild_weights_t();
+            let before = snn.weights.clone();
+            snn.apply_stdp(1, fire_t, &spikes);
+            for (i, (&w, &ts)) in weights.iter().zip(&spikes).enumerate() {
+                let dt = fire_t.saturating_sub(ts);
+                let want = if ts != NEVER && dt <= t_ltp {
+                    rule.potentiate(w, dt)
+                } else {
+                    rule.depress(w)
+                };
+                assert_eq!(snn.weight(1, i), want, "{rule:?}: w {w}, spike {ts}");
+            }
+            for j in [0, 2] {
+                let row = j * inputs..(j + 1) * inputs;
+                assert_eq!(snn.weights[row.clone()], before[row], "{rule:?}: row {j}");
+            }
+            for (i, &w) in snn.weights.iter().enumerate() {
+                let (j, input) = (i / inputs, i % inputs);
+                assert_eq!(
+                    snn.weights_t[input * 3 + j],
+                    f64::from(w),
+                    "{rule:?}: mirror"
+                );
+            }
+        }
     }
 
     #[test]

@@ -75,11 +75,8 @@ impl StdpRule {
     /// between the synapse's last input spike and the output spike.
     pub fn potentiate(&self, w: u8, dt_ms: u32) -> u8 {
         match *self {
-            StdpRule::Additive { delta } => sat_u8_from_i32(i32::from(w) + i32::from(delta)),
-            StdpRule::Multiplicative { rate } => {
-                let headroom = 255.0 - f64::from(w);
-                sat_u8_round(f64::from(w) + rate * headroom)
-            }
+            StdpRule::Additive { delta } => additive(w, i32::from(delta)),
+            StdpRule::Multiplicative { rate } => soft_potentiate(w, rate),
             StdpRule::Exponential { delta, tau } => {
                 let dw = delta * (-f64::from(dt_ms) / tau).exp();
                 sat_u8_round(f64::from(w) + dw)
@@ -90,9 +87,52 @@ impl StdpRule {
     /// The depressed weight after an LTD event.
     pub fn depress(&self, w: u8) -> u8 {
         match *self {
-            StdpRule::Additive { delta } => sat_u8_from_i32(i32::from(w) - i32::from(delta)),
-            StdpRule::Multiplicative { rate } => sat_u8_round(f64::from(w) * (1.0 - rate)),
+            StdpRule::Additive { delta } => additive(w, -i32::from(delta)),
+            StdpRule::Multiplicative { rate } => soft_depress(w, rate),
             StdpRule::Exponential { delta, .. } => sat_u8_round(f64::from(w) - delta),
+        }
+    }
+
+    /// Updates one neuron's synapse row after its output spike: synapse
+    /// `i` is potentiated when `since(last_spike[i])` gives the time
+    /// since its input spiked, and depressed when it gives `None`.
+    ///
+    /// The rule is matched once per row, and each synapse gets exactly
+    /// what [`StdpRule::potentiate`] or [`StdpRule::depress`] gives it.
+    /// The additive and multiplicative magnitudes do not depend on the
+    /// spike time, so their loops compute both outcomes and select one,
+    /// without a branch; only the exponential rule branches, and calls
+    /// `exp` for its potentiated synapses alone.
+    #[inline]
+    pub(crate) fn update_row(
+        &self,
+        row: &mut [u8],
+        last_spike: &[u32],
+        since: impl Fn(u32) -> Option<u32>,
+    ) {
+        let synapses = row.iter_mut().zip(last_spike);
+        match *self {
+            StdpRule::Additive { delta } => {
+                let delta = i32::from(delta);
+                for (w, &ts) in synapses {
+                    let (up, down) = (additive(*w, delta), additive(*w, -delta));
+                    *w = if since(ts).is_some() { up } else { down };
+                }
+            }
+            StdpRule::Multiplicative { rate } => {
+                for (w, &ts) in synapses {
+                    let (up, down) = (soft_potentiate(*w, rate), soft_depress(*w, rate));
+                    *w = if since(ts).is_some() { up } else { down };
+                }
+            }
+            StdpRule::Exponential { .. } => {
+                for (w, &ts) in synapses {
+                    *w = match since(ts) {
+                        Some(dt) => self.potentiate(*w, dt),
+                        None => self.depress(*w),
+                    };
+                }
+            }
         }
     }
 
@@ -108,6 +148,25 @@ impl StdpRule {
             StdpRule::Exponential { .. } => StdpUpdateUnit::InterpolatedAdder,
         }
     }
+}
+
+/// `w + delta`, saturated at the 8-bit rails.
+#[inline]
+fn additive(w: u8, delta: i32) -> u8 {
+    sat_u8_from_i32(i32::from(w) + delta)
+}
+
+/// `w + rate·(255 − w)`, rounded.
+#[inline]
+fn soft_potentiate(w: u8, rate: f64) -> u8 {
+    let headroom = 255.0 - f64::from(w);
+    sat_u8_round(f64::from(w) + rate * headroom)
+}
+
+/// `w·(1 − rate)`, rounded.
+#[inline]
+fn soft_depress(w: u8, rate: f64) -> u8 {
+    sat_u8_round(f64::from(w) * (1.0 - rate))
 }
 
 impl Default for StdpRule {
