@@ -19,6 +19,7 @@ use nc_dataset::digits::{render_digit, DigitsSpec};
 use nc_dataset::Difficulty;
 use nc_hw::mesh::{Grid, MeshSnn};
 use nc_mlp::{Activation, Mlp, QuantizedMlp, TrainConfig, Trainer};
+use nc_snn::bp_hybrid::{BpSnn, BpSnnConfig};
 use nc_snn::coding::CodingScheme;
 use nc_snn::{SnnNetwork, SnnParams, SpikeCalendar};
 use nc_substrate::rng::SplitMix64;
@@ -141,6 +142,17 @@ fn bench_snn() -> Vec<BenchResult> {
         let mut s = SnnNetwork::new(784, 10, SnnParams::for_neurons(50), 1);
         s.set_stdp_delta(8);
         s.train_stdp(&hard, 1)
+    });
+    // Table 3's SNN+BP geometry: one BP epoch at 784→300 over the same
+    // 300 hard digits, most of whose spike counts are 0.
+    group.bench("bp_epoch_784_300_300imgs", || {
+        let mut b = BpSnn::new(784, 10, SnnParams::tuned(300), 1);
+        let config = BpSnnConfig {
+            epochs: 1,
+            ..BpSnnConfig::default()
+        };
+        b.fit(&hard, &config);
+        b
     });
     group.results().to_vec()
 }

@@ -6,9 +6,10 @@
 //!
 //! * which functions a file defines, and inside which `impl`/`trait`;
 //! * which functions each body *references* (free calls, `Type::assoc`
-//!   paths, `.method(...)` calls), with the argument token text the
-//!   seed-discipline rule inspects, and which `Type::name` paths it names
-//!   without calling them;
+//!   paths, `.method(...)` calls, each with or without a turbofish, and
+//!   `<T as Trait>::f(...)`, resolved by method name), with the argument
+//!   token text the seed-discipline rule inspects, and which
+//!   `Type::name` paths it names without calling them;
 //! * which functions are declared plain `pub` (R12's candidates);
 //! * where locks are acquired (`Mutex::lock`, `RwLock::read/write`, the
 //!   workspace's `lock_or_recover` helper) and which locks are already
@@ -620,6 +621,48 @@ fn matching_paren(code: &[&Token], open: usize, end: usize) -> usize {
     end.saturating_sub(1)
 }
 
+/// Index of the angle bracket matching the `<` or `>` at `from`, walking
+/// forward from a `<` and back from a `>` within `lo..hi`; the `>` of a
+/// `->` is no bracket. `None` past a statement or block boundary.
+fn matching_angle(code: &[&Token], from: usize, lo: usize, hi: usize) -> Option<usize> {
+    let forward = is_punct(code, from, '<');
+    let mut depth = 0i32;
+    let mut i = from;
+    while (lo..hi).contains(&i) {
+        let delta = match code[i].kind {
+            TokenKind::Punct('<') => 1,
+            TokenKind::Punct('>') if !is_punct(code, i.wrapping_sub(1), '-') => -1,
+            TokenKind::Punct(';' | '{' | '}') => return None,
+            _ => 0,
+        };
+        depth += if forward { delta } else { -delta };
+        if depth == 0 {
+            return (i != from).then_some(i);
+        }
+        i = if forward { i + 1 } else { i.wrapping_sub(1) };
+    }
+    None
+}
+
+/// The path segment in front of the `::` that ends at `at`, as the call
+/// resolver reads it: `Type` and `Type::<T>` both name `Type`. A
+/// qualified self type, `<T as Trait>`, names its impl only through the
+/// method, so the call resolves by method name: `(None, true)`.
+fn path_qualifier(code: &[&Token], start: usize, at: usize) -> (Option<String>, bool) {
+    if !is_punct(code, at, '>') {
+        return (ident_at(code, at).map(str::to_string), false);
+    }
+    match matching_angle(code, at, start, at + 1) {
+        Some(lt)
+            if lt >= start + 3 && is_punct(code, lt - 1, ':') && is_punct(code, lt - 2, ':') =>
+        {
+            (ident_at(code, lt - 3).map(str::to_string), false)
+        }
+        Some(_) => (None, true),
+        None => (None, false),
+    }
+}
+
 /// An active lock guard during the body scan.
 struct Guard {
     lock: String,
@@ -737,16 +780,33 @@ fn scan_body(
                     i += 2;
                     continue;
                 }
-                // A call? `name (` with an optional path/method prefix.
-                if is_punct(code, i + 1, '(') && !NON_CALL_KEYWORDS.contains(&name) {
-                    let is_method = i > start && is_punct(code, i - 1, '.');
+                // A call? `name (` or the turbofish `name::<T> (`, with an
+                // optional path/method prefix.
+                let open = if is_punct(code, i + 1, ':')
+                    && is_punct(code, i + 2, ':')
+                    && is_punct(code, i + 3, '<')
+                {
+                    matching_angle(code, i + 3, start, end).map_or(i + 1, |close| close + 1)
+                } else {
+                    i + 1
+                };
+                if is_punct(code, open, '(') && !NON_CALL_KEYWORDS.contains(&name) {
+                    let (qualifier, qualified_self) = if i >= start + 2
+                        && is_punct(code, i - 1, ':')
+                        && is_punct(code, i - 2, ':')
+                    {
+                        path_qualifier(code, start, i.wrapping_sub(3))
+                    } else {
+                        (None, false)
+                    };
+                    let is_method = qualified_self || (i > start && is_punct(code, i - 1, '.'));
                     // `.lock()` always acquires; `.read()`/`.write()` only
                     // count in files that actually use an `RwLock` (plain
                     // IO methods share the names).
                     if is_method
                         && (name == "lock" || (has_rwlock && (name == "read" || name == "write")))
                     {
-                        let close = matching_paren(code, i + 1, end);
+                        let close = matching_paren(code, open, end);
                         let lock = lock_name_backward(code, start, i - 1, owner);
                         record_acquisition(
                             lock,
@@ -763,14 +823,6 @@ fn scan_body(
                         i = close + 1;
                         continue;
                     }
-                    let qualifier = if i >= start + 2
-                        && is_punct(code, i - 1, ':')
-                        && is_punct(code, i - 2, ':')
-                    {
-                        ident_at(code, i.wrapping_sub(3)).map(str::to_string)
-                    } else {
-                        None
-                    };
                     if let Some((q, n)) = qualifier.as_deref().zip(Some(name)) {
                         if ALLOC_PATHS.contains(&(q, n)) {
                             def.allocs.push(AllocSite {
@@ -785,8 +837,8 @@ fn scan_body(
                             line: tok.line,
                         });
                     }
-                    let close = matching_paren(code, i + 1, end);
-                    let args = call_args(code, i + 1, close);
+                    let close = matching_paren(code, open, end);
+                    let args = call_args(code, open, close);
                     let mut held: Vec<String> = guards.iter().map(|g| g.lock.clone()).collect();
                     held.sort();
                     held.dedup();
@@ -799,7 +851,7 @@ fn scan_body(
                         args,
                     });
                     // Scan *inside* the argument list too (nested calls).
-                    i += 2;
+                    i = open + 1;
                     continue;
                 }
                 // `Type::name` not followed by a call, macro bang or
@@ -1087,6 +1139,33 @@ mod tests {
         assert_eq!(helper.args, vec!["rng next_u64"]);
         let run = calls.iter().find(|c| c.name == "run_jobs").unwrap();
         assert!(run.is_method);
+    }
+
+    #[test]
+    fn turbofish_calls_are_recorded() {
+        let m = model(
+            "
+            fn f(x: &[f64], out: &mut [f64]) {
+                let col = sum_columns::<16>(x, out, 0);
+                let v = Vec::<Vec<u8>>::with_capacity(col);
+                x.iter().map(|&y| y as u64).sum::<u64>();
+                let g = <Gauge as Probe<fn() -> u8>>::read(seed);
+                let b = a < c && d > e;
+            }
+            ",
+        );
+        let calls = &m.fns[0].calls;
+        let find = |name: &str| calls.iter().find(|c| c.name == name).unwrap();
+        let free = find("sum_columns");
+        assert_eq!((free.qualifier.as_deref(), free.is_method), (None, false));
+        assert_eq!(free.args, vec!["x", "out", "#"]);
+        assert_eq!(find("with_capacity").qualifier.as_deref(), Some("Vec"));
+        assert_eq!(m.fns[0].allocs[0].what, "Vec::with_capacity");
+        assert!(find("sum").is_method);
+        let read = find("read");
+        assert_eq!((read.qualifier.as_deref(), read.is_method), (None, true));
+        assert_eq!(read.args, vec!["seed"]);
+        assert_eq!(calls.len(), 6, "{calls:#?}");
     }
 
     #[test]

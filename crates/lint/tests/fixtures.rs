@@ -364,3 +364,47 @@ fn reach_clean_corpus_produces_no_findings() {
     assert_eq!(report.suppressions_total, 1);
     assert_eq!(report.suppressions_used, 1);
 }
+
+// ---------------------------------------------------------------------
+// Turbofish corpora: turbofish_violations/ reaches a clock from a batch
+// root through each generic call form (`f::<T>(`, `Type::<T>::f(`,
+// `x.m::<T>(`, `<T as Trait>::f(`); turbofish_clean/ reaches every
+// `pub fn` only through those forms, and calls std methods with a
+// turbofish next to same-named workspace functions that read the clock.
+
+#[test]
+fn every_turbofish_call_form_carries_the_determinism_taint() {
+    let report = lint("turbofish_violations");
+    assert_eq!(count(&report, RuleId::R8), 4, "{report:#?}");
+    assert_eq!(report.findings.len(), 4, "{report:#?}");
+    let chain = |line: u32| {
+        findings_for(&report, RuleId::R8)
+            .iter()
+            .find(|f| f.file == "crates/bench/src/generic.rs" && f.line == line)
+            .map(|f| f.message.clone())
+            .unwrap_or_default()
+    };
+    assert!(
+        chain(7).contains("Mlp::evaluate_batch → sum_columns"),
+        "{report:#?}"
+    );
+    assert!(
+        chain(16).contains("Mlp::evaluate_batch → Block::fill"),
+        "{report:#?}"
+    );
+    assert!(
+        chain(26).contains("Mlp::evaluate_batch → Meter::tally"),
+        "{report:#?}"
+    );
+    assert!(
+        chain(40).contains("Mlp::evaluate_batch → Gauge::read"),
+        "{report:#?}"
+    );
+}
+
+#[test]
+fn turbofish_calls_reach_their_targets_and_std_ones_add_no_edge() {
+    let report = lint("turbofish_clean");
+    assert!(report.is_clean(), "{report:#?}");
+    assert_eq!(report.files_scanned, 4);
+}

@@ -8,9 +8,11 @@
 //! `i` holds input `i`'s weight to every neuron of the layer, and the
 //! last row is the bias (driven by a constant 1 input). A forward pass
 //! then adds one contiguous row per non-zero input, and a BP step
-//! updates only those rows.
+//! updates only those rows, both through the float kernel in
+//! [`nc_substrate::kernel`] that the SNN+BP hybrid shares.
 
 use crate::activation::Activation;
+use nc_substrate::kernel::{active_row_sums, list_active};
 use nc_substrate::rng::SplitMix64;
 
 /// Errors constructing an [`Mlp`].
@@ -204,20 +206,6 @@ impl Mlp {
         argmax(trace.layers.last().expect("at least one layer"))
     }
 
-    /// One BP update of layer `l`: `w[i][j] += steps[j] · y_i` for each
-    /// input on `active` (the layer's list from the forward pass), and
-    /// `steps[j]` added to each bias. A zero input's update is skipped:
-    /// it would add `±0.0` to a weight that is never `-0.0`.
-    pub(crate) fn add_to_active_rows(&mut self, l: usize, active: &[(usize, f64)], steps: &[f64]) {
-        let weights = &mut self.layers[l];
-        let bias_row = weights.len() - steps.len();
-        let (rows, bias) = weights.split_at_mut(bias_row);
-        add_to_rows(rows, active, steps);
-        for (w, &step) in bias.iter_mut().zip(steps) {
-            *w += step;
-        }
-    }
-
     /// The one float forward pass, serving training and inference:
     /// fills `trace` with every layer's activations, reusing its
     /// buffers. With `activate_output` false the output layer keeps its
@@ -241,10 +229,16 @@ impl Mlp {
         for (l, weights) in self.layers.iter().enumerate() {
             let (done, rest) = layers.split_at_mut(l);
             let current = done.last().map_or(input, Vec::as_slice);
+            let bias_row = current.len() * self.sizes[l + 1];
             let out = &mut rest[0];
-            out.resize(self.sizes[l + 1], 0.0);
-            list_active(current, out.len(), &mut active[l]);
-            active_row_sums(weights, &active[l], out);
+            out.clear();
+            out.extend_from_slice(&weights[bias_row..]);
+            let list = &mut active[l];
+            list.resize(current.len() + 1, (0, 0.0));
+            let n = list_active(current, out.len(), list);
+            list[n] = (bias_row, 1.0);
+            list.truncate(n + 1);
+            active_row_sums(weights, &list[..n], out);
             if l < last || activate_output {
                 for s in out.iter_mut() {
                     *s = self.activation.eval(*s);
@@ -254,99 +248,6 @@ impl Mlp {
     }
 }
 
-/// Columns one block of the forward sums or of the BP update holds in
-/// registers across all the active rows: enough independent add chains
-/// to cover much of a float add's latency. Walking the rows one input at
-/// a time instead would store and reload every value per input, and on a
-/// narrow layer that round trip, not the arithmetic, sets the pace.
-const COLUMN_BLOCK: usize = 16;
-
-/// Lists a layer's non-zero inputs, `i` ascending, as `(i · fan_out,
-/// x_i)`: each input's row offset in the layer's input-major matrix,
-/// and its value. The list is written without a branch per input.
-fn list_active(input: &[f64], fan_out: usize, active: &mut Vec<(usize, f64)>) {
-    // Every slot up to `n` is written before it is read, so only the
-    // slots the last list truncated away need filling.
-    active.resize(input.len(), (0, 0.0));
-    let mut n = 0;
-    for (i, &x) in input.iter().enumerate() {
-        active[n] = (i * fan_out, x);
-        n += usize::from(x != 0.0);
-    }
-    active.truncate(n);
-}
-
-/// One layer's pre-activation sums over an input-major weight matrix:
-/// each `out[j]` starts at the bias row's `w[n][j]`, then each input `i`
-/// on the [`list_active`] list adds `w[i][j] · x_i`, `i` ascending, one
-/// rounded multiply and one rounded add per term. The columns go in
-/// blocks of [`COLUMN_BLOCK`], then 4 and 1 for the columns left over.
-///
-/// Skipping a zero input is exact for finite weights: its term is
-/// `±0.0`, and adding `±0.0` changes a sum only when the sum is `-0.0`.
-/// No sum here is: a rounded add returns `-0.0` only from two `-0.0`
-/// operands, and neither a bias nor a weight starts as `-0.0`, so none
-/// becomes one in training either.
-fn active_row_sums(weights: &[f64], active: &[(usize, f64)], out: &mut [f64]) {
-    let (rows, bias) = weights.split_at(weights.len() - out.len());
-    let mut col = sum_columns::<COLUMN_BLOCK>(rows, active, bias, out, 0);
-    col = sum_columns::<4>(rows, active, bias, out, col);
-    sum_columns::<1>(rows, active, bias, out, col);
-}
-
-/// [`active_row_sums`] from column `col` on, in blocks of `C` columns
-/// while a whole block fits; returns the first column left.
-fn sum_columns<const C: usize>(
-    rows: &[f64],
-    active: &[(usize, f64)],
-    bias: &[f64],
-    out: &mut [f64],
-    mut col: usize,
-) -> usize {
-    while col + C <= out.len() {
-        let mut acc: [f64; C] = std::array::from_fn(|k| bias[col + k]);
-        for &(start, x) in active {
-            let w = &rows[start + col..start + col + C];
-            for (a, &w) in acc.iter_mut().zip(w) {
-                *a += w * x;
-            }
-        }
-        out[col..col + C].copy_from_slice(&acc);
-        col += C;
-    }
-    col
-}
-
-/// Adds `steps[j] · y_i` to `w[i][j]` for each `(i · fan_out, y_i)` on
-/// `active`, `fan_out = steps.len()`, in column blocks as
-/// [`active_row_sums`] goes, each block's steps held in registers.
-fn add_to_rows(rows: &mut [f64], active: &[(usize, f64)], steps: &[f64]) {
-    let mut col = add_to_columns::<COLUMN_BLOCK>(rows, active, steps, 0);
-    col = add_to_columns::<4>(rows, active, steps, col);
-    add_to_columns::<1>(rows, active, steps, col);
-}
-
-/// [`add_to_rows`] from column `col` on, in blocks of `C` columns while
-/// a whole block fits; returns the first column left.
-fn add_to_columns<const C: usize>(
-    rows: &mut [f64],
-    active: &[(usize, f64)],
-    steps: &[f64],
-    mut col: usize,
-) -> usize {
-    while col + C <= steps.len() {
-        let block: [f64; C] = std::array::from_fn(|k| steps[col + k]);
-        for &(start, y) in active {
-            let w = &mut rows[start + col..start + col + C];
-            for (w, &step) in w.iter_mut().zip(&block) {
-                *w += step * y;
-            }
-        }
-        col += C;
-    }
-    col
-}
-
 /// The buffers of one float forward pass: every layer's activations,
 /// as [`Mlp::forward_trace`] returns them, and every layer's non-zero
 /// inputs, which the BP step reuses to update only their rows.
@@ -354,7 +255,8 @@ fn add_to_columns<const C: usize>(
 pub(crate) struct Trace {
     /// Every layer's outputs, hidden layers first.
     pub(crate) layers: Vec<Vec<f64>>,
-    /// Per layer, its non-zero inputs as [`list_active`] lists them.
+    /// Per layer, its non-zero inputs as [`list_active`] lists them,
+    /// then the bias row's entry `(fan_in · fan_out, 1.0)`.
     pub(crate) active: Vec<Vec<(usize, f64)>>,
 }
 

@@ -21,12 +21,16 @@
 //! update rule `w ← w + η·δ·x` of §2.1 applied to the spiking layer.
 //! Shadow weights are real-valued during training (BP is an offline
 //! algorithm; the paper trains in C++ and deploys only the feed-forward
-//! path in hardware).
+//! path in hardware). They are stored input-major, and the forward sums
+//! and the update run on the float MLP's kernel in
+//! [`nc_substrate::kernel`], which visits only the rows of inputs that
+//! spiked.
 
 use crate::coding::wot_spike_count;
 use crate::params::SnnParams;
 use nc_dataset::Dataset;
 use nc_obs::{EpochMetrics, Recorder};
+use nc_substrate::kernel::{active_row_sums, add_to_rows, list_active};
 use nc_substrate::rng::SplitMix64;
 
 /// Training configuration for the SNN+BP hybrid.
@@ -73,8 +77,9 @@ pub struct BpSnn {
     inputs: usize,
     classes: usize,
     neurons: usize,
-    /// Real-valued shadow weights, `[neuron][input + 1]`; the trailing
-    /// entry is the neuron's (negated, learnable) firing-threshold bias.
+    /// Real-valued shadow weights, input-major `[input + 1][neuron]`;
+    /// the last row holds each neuron's (negated, learnable)
+    /// firing-threshold bias.
     weights: Vec<f64>,
     /// Normalization constant `N_max` for spike counts.
     n_max: f64,
@@ -92,9 +97,14 @@ impl BpSnn {
         params.validate();
         let mut rng = SplitMix64::new(seed);
         let bound = 1.0 / (inputs as f64).sqrt();
-        let weights = (0..params.neurons * (inputs + 1))
-            .map(|_| rng.next_range(-bound, bound))
-            .collect();
+        // Drawn neuron by neuron, bias last, so a seed gives the values
+        // it gave the row-major layout.
+        let mut weights = vec![0.0; (inputs + 1) * params.neurons];
+        for j in 0..params.neurons {
+            for i in 0..=inputs {
+                weights[i * params.neurons + j] = rng.next_range(-bound, bound);
+            }
+        }
         BpSnn {
             inputs,
             classes,
@@ -119,49 +129,51 @@ impl BpSnn {
         neuron % self.classes
     }
 
-    /// Normalized spike-count inputs `x_i = N_i / N_max` (bias slot last).
-    fn rate_inputs(&self, pixels: &[u8]) -> Vec<f64> {
-        let mut x: Vec<f64> = pixels
-            .iter()
-            .map(|&p| f64::from(wot_spike_count(p)) / self.n_max)
-            .collect();
-        x.push(1.0); // bias input
-        x
-    }
-
-    /// Per-neuron drives `Σ_i x_i·w_ji` (including the threshold bias).
-    fn drives(&self, x: &[f64]) -> Vec<f64> {
-        (0..self.neurons)
-            .map(|j| {
-                let row = &self.weights[j * (self.inputs + 1)..(j + 1) * (self.inputs + 1)];
-                row.iter().zip(x).map(|(w, v)| w * v).sum()
-            })
-            .collect()
-    }
-
     /// Per-class softmax probabilities over the mean-pooled class drives.
     ///
     /// # Panics
     ///
     /// Panics if `pixels.len()` does not match the input count.
     pub fn class_scores(&self, pixels: &[u8]) -> Vec<f64> {
-        assert_eq!(pixels.len(), self.inputs, "pixel count mismatch");
-        let x = self.rate_inputs(pixels);
-        softmax(&self.pool(&self.drives(&x)))
+        let mut scratch = Scratch::default();
+        self.forward(pixels, &mut scratch);
+        scratch.scores
     }
 
-    /// Mean drive per class pool.
-    fn pool(&self, s: &[f64]) -> Vec<f64> {
-        let mut sums = vec![0.0; self.classes];
-        let mut counts = vec![0usize; self.classes];
-        for (j, &v) in s.iter().enumerate() {
-            sums[self.class_of(j)] += v;
-            counts[self.class_of(j)] += 1;
+    /// The size of class `c`'s pool: `neurons / classes`, plus one for
+    /// each of the first `neurons % classes` classes.
+    fn pool_size(&self, c: usize) -> usize {
+        self.neurons / self.classes + usize::from(c < self.neurons % self.classes)
+    }
+
+    /// Fills `s`: the non-zero `x_i = N_i / N_max` listed, bias last,
+    /// each drive summed over them from `0.0` (a dense `.sum()` from
+    /// `-0.0` differs only in the sign of a zero drive, which pooling
+    /// reads as `0.0`), and the softmax of the mean drive per pool.
+    fn forward(&self, pixels: &[u8], s: &mut Scratch) {
+        assert_eq!(pixels.len(), self.inputs, "pixel count mismatch");
+        let rate = |&p: &u8| f64::from(wot_spike_count(p)) / self.n_max;
+        s.x.clear();
+        s.x.extend(pixels.iter().map(rate));
+        s.active.resize(self.inputs + 1, (0, 0.0));
+        let n = list_active(&s.x, self.neurons, &mut s.active);
+        s.active[n] = (self.inputs * self.neurons, 1.0);
+        s.active.truncate(n + 1);
+        s.drives.clear();
+        s.drives.resize(self.neurons, 0.0);
+        active_row_sums(&self.weights, &s.active, &mut s.drives);
+        s.scores.clear();
+        s.scores.resize(self.classes, 0.0);
+        for (j, &d) in s.drives.iter().enumerate() {
+            s.scores[self.class_of(j)] += d;
         }
-        sums.iter()
-            .zip(&counts)
-            .map(|(&v, &c)| if c == 0 { 0.0 } else { v / c as f64 })
-            .collect()
+        for (c, z) in s.scores.iter_mut().enumerate() {
+            *z /= self.pool_size(c).max(1) as f64;
+        }
+        let m = s.scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        s.scores.iter_mut().for_each(|z| *z = (*z - m).exp());
+        let sum: f64 = s.scores.iter().sum();
+        s.scores.iter_mut().for_each(|z| *z /= sum);
     }
 
     /// Predicted class: argmax of the class scores.
@@ -171,13 +183,7 @@ impl BpSnn {
     /// Panics if `pixels.len()` does not match the input count.
     pub fn predict(&self, pixels: &[u8]) -> usize {
         let scores = self.class_scores(pixels);
-        let mut best = 0;
-        for (c, &v) in scores.iter().enumerate().skip(1) {
-            if v > scores[best] {
-                best = c;
-            }
-        }
-        best
+        (1..scores.len()).fold(0, |best, c| if scores[c] > scores[best] { c } else { best })
     }
 
     /// Trains with softmax cross-entropy over the class pools.
@@ -201,6 +207,7 @@ impl BpSnn {
         assert_eq!(data.num_classes(), self.classes, "class count mismatch");
         let mut order: Vec<usize> = (0..data.len()).collect();
         let mut rng = SplitMix64::new(config.seed);
+        let mut scratch = Scratch::default();
         for epoch in 0..config.epochs {
             for i in (1..order.len()).rev() {
                 let j = rng.next_index(i + 1);
@@ -208,7 +215,7 @@ impl BpSnn {
             }
             for &idx in &order {
                 let s = &data.samples()[idx];
-                self.step(&s.pixels, s.label, config.learning_rate);
+                self.step_with(&s.pixels, s.label, config.learning_rate, &mut scratch);
             }
             if recorder.enabled() {
                 // Each BP step updates every shadow weight once.
@@ -234,35 +241,35 @@ impl BpSnn {
     ///
     /// Panics if the geometry does not match.
     pub fn step(&mut self, pixels: &[u8], label: usize, eta: f64) {
-        assert_eq!(pixels.len(), self.inputs, "pixel count mismatch");
+        self.step_with(pixels, label, eta, &mut Scratch::default());
+    }
+
+    /// [`BpSnn::step`] through the caller's reused buffers.
+    fn step_with(&mut self, pixels: &[u8], label: usize, eta: f64, s: &mut Scratch) {
+        self.forward(pixels, s);
         assert!(label < self.classes, "label out of range");
-        let x = self.rate_inputs(pixels);
-        let p = softmax(&self.pool(&self.drives(&x)));
-        let mut pool_sizes = vec![0usize; self.classes];
-        for j in 0..self.neurons {
-            pool_sizes[self.class_of(j)] += 1;
-        }
         // dL/dz_c = p_c − 1{c = label}; dz_c/ds_j = 1/|pool_c| for j ∈ c.
-        for j in 0..self.neurons {
+        // Each listed row moves by −η·g_j·x_i, which rounds as w −= η·g_j·x_i.
+        for (j, step) in s.drives.iter_mut().enumerate() {
             let c = self.class_of(j);
-            let g = (p[c] - if c == label { 1.0 } else { 0.0 }) / pool_sizes[c] as f64;
-            if g == 0.0 {
-                continue;
-            }
-            let scale = eta * g;
-            let row = &mut self.weights[j * (self.inputs + 1)..(j + 1) * (self.inputs + 1)];
-            for (w, v) in row.iter_mut().zip(&x) {
-                *w -= scale * v;
-            }
+            let g = (s.scores[c] - if c == label { 1.0 } else { 0.0 }) / self.pool_size(c) as f64;
+            *step = -(eta * g);
         }
+        add_to_rows(&mut self.weights, &s.active, &s.drives);
     }
 }
 
-fn softmax(z: &[f64]) -> Vec<f64> {
-    let m = z.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = z.iter().map(|&v| (v - m).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.iter().map(|&e| e / sum).collect()
+/// The buffers of one forward pass and BP step, reused across samples.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The rate inputs `x_i`.
+    x: Vec<f64>,
+    /// The non-zero `x_i` as [`list_active`] lists them, then the bias.
+    active: Vec<(usize, f64)>,
+    /// Per-neuron drives; the BP step overwrites them with the steps.
+    drives: Vec<f64>,
+    /// The class scores.
+    scores: Vec<f64>,
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Shared hot-path kernels for the narrow-integer datapaths.
+//! Shared hot-path kernels for the narrow-integer datapaths and float BP.
 //!
 //! The paper's accelerators are fast because their inner loops are tiny
 //! integer pipelines: 8-bit multiplies feeding a wide adder tree (§4.1,
@@ -18,6 +18,9 @@
 //!   leaves the integer domain.
 //! * [`Scratch`] — the reusable layer buffers a network owns, so the
 //!   steady-state forward pass performs no heap allocation.
+//! * [`list_active`], [`active_row_sums`] and [`add_to_rows`] — the
+//!   float MLP's and the SNN+BP hybrid's forward sums and BP update,
+//!   over only the rows of an input-major matrix with non-zero inputs.
 //!
 //! # Integer rescale derivation
 //!
@@ -300,6 +303,91 @@ impl FixedActLut {
             >> FRAC;
         u8::try_from(y.clamp(0, 255)).unwrap_or(u8::MAX)
     }
+}
+
+/// Columns one block of [`active_row_sums`] or [`add_to_rows`] holds in
+/// registers across all the listed rows: enough independent add chains
+/// to cover much of a float add's latency, where a walk one input at a
+/// time would store and reload every value per input.
+const COLUMN_BLOCK: usize = 16;
+
+/// Writes the non-zero entries of `input`, `i` ascending, to the front
+/// of `active` as `(i · stride, x_i)` (the row offset in an input-major
+/// matrix `stride` columns wide, and the value) without a branch per
+/// input, and returns how many. `active` must be as long as `input`.
+pub fn list_active(input: &[f64], stride: usize, active: &mut [(usize, f64)]) -> usize {
+    let mut n = 0;
+    for (i, &x) in input.iter().enumerate() {
+        active[n] = (i * stride, x);
+        n += usize::from(x != 0.0);
+    }
+    n
+}
+
+/// Adds `w[i][j] · x_i` onto `out[j]` for each `(i · out.len(), x_i)`
+/// on a [`list_active`] list, `i` ascending, one rounded multiply and
+/// add per term, from the start the caller put in `out` (a bias, or
+/// `0.0`); in column blocks of [`COLUMN_BLOCK`], then 4 and 1.
+///
+/// Skipping a zero input is exact for finite weights: its `±0.0` term
+/// changes only a `-0.0` sum, and a rounded add gives `-0.0` only from
+/// two `-0.0` operands, which neither a start nor a weight ever is.
+pub fn active_row_sums(rows: &[f64], active: &[(usize, f64)], out: &mut [f64]) {
+    let mut col = sum_columns::<COLUMN_BLOCK>(rows, active, out, 0);
+    col = sum_columns::<4>(rows, active, out, col);
+    sum_columns::<1>(rows, active, out, col);
+}
+
+/// [`active_row_sums`] from column `col` on, in blocks of `C` columns
+/// while a whole block fits; returns the first column left.
+fn sum_columns<const C: usize>(
+    rows: &[f64],
+    active: &[(usize, f64)],
+    out: &mut [f64],
+    mut col: usize,
+) -> usize {
+    while col + C <= out.len() {
+        let mut acc: [f64; C] = std::array::from_fn(|k| out[col + k]);
+        for &(start, x) in active {
+            let w = &rows[start + col..start + col + C];
+            for (a, &w) in acc.iter_mut().zip(w) {
+                *a += w * x;
+            }
+        }
+        out[col..col + C].copy_from_slice(&acc);
+        col += C;
+    }
+    col
+}
+
+/// The BP update: adds `steps[j] · y_i` to `w[i][j]` for each `(i ·
+/// steps.len(), y_i)` on `active`, in column blocks as
+/// [`active_row_sums`] goes.
+pub fn add_to_rows(rows: &mut [f64], active: &[(usize, f64)], steps: &[f64]) {
+    let mut col = add_to_columns::<COLUMN_BLOCK>(rows, active, steps, 0);
+    col = add_to_columns::<4>(rows, active, steps, col);
+    add_to_columns::<1>(rows, active, steps, col);
+}
+
+/// [`add_to_rows`] from column `col` on, in blocks of `C` columns while
+/// a whole block fits; returns the first column left.
+fn add_to_columns<const C: usize>(
+    rows: &mut [f64],
+    active: &[(usize, f64)],
+    steps: &[f64],
+    mut col: usize,
+) -> usize {
+    while col + C <= steps.len() {
+        let block: [f64; C] = std::array::from_fn(|k| steps[col + k]);
+        for &(start, y) in active {
+            let w = &mut rows[start + col..start + col + C];
+            for (w, &step) in w.iter_mut().zip(&block) {
+                *w += step * y;
+            }
+        }
+        col += C;
+    }
+    col
 }
 
 #[cfg(test)]

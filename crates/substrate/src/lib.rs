@@ -14,9 +14,9 @@
 //!   the hardware uses for both the sigmoid (`f(x) = a_i·x + b_i`, paper
 //!   §4.2.1) and the exponential leak of the LIF neuron (paper §4.4).
 //! * [`kernel`] — the shared hot-path kernels: blocked integer GEMM with
-//!   i64 adder-tree semantics, the fixed-point activation table, and the
-//!   reusable scratch buffers that make steady-state inference
-//!   allocation-free.
+//!   i64 adder-tree semantics, the fixed-point activation table, the
+//!   scratch that keeps inference allocation-free, and the float BP
+//!   kernel that skips zero inputs.
 //! * [`stats`] — small statistics helpers used by tests and the experiment
 //!   harness (running mean and variance, confusion matrix).
 //! * [`check`] — the seeded-loop property-test harness the invariant
