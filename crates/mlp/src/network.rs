@@ -233,12 +233,10 @@ impl Mlp {
             let out = &mut rest[0];
             out.clear();
             out.extend_from_slice(&weights[bias_row..]);
-            let list = &mut active[l];
-            list.resize(current.len() + 1, (0, 0.0));
-            let n = list_active(current, out.len(), list);
-            list[n] = (bias_row, 1.0);
-            list.truncate(n + 1);
-            active_row_sums(weights, &list[..n], out);
+            active[l].resize(current.len() + 1, (0, 0.0));
+            let n = list_active(current.iter().copied(), out.len(), &mut active[l]);
+            active[l].truncate(n + 1);
+            active_row_sums(weights, &active[l][..n], out);
             if l < last || activate_output {
                 for s in out.iter_mut() {
                     *s = self.activation.eval(*s);

@@ -21,10 +21,8 @@
 //! update rule `w ← w + η·δ·x` of §2.1 applied to the spiking layer.
 //! Shadow weights are real-valued during training (BP is an offline
 //! algorithm; the paper trains in C++ and deploys only the feed-forward
-//! path in hardware). They are stored input-major, and the forward sums
-//! and the update run on the float MLP's kernel in
-//! [`nc_substrate::kernel`], which visits only the rows of inputs that
-//! spiked.
+//! path in hardware). They are stored input-major and trained on the
+//! float MLP's zero-skipping kernel in [`nc_substrate::kernel`].
 
 use crate::coding::wot_spike_count;
 use crate::params::SnnParams;
@@ -153,11 +151,8 @@ impl BpSnn {
     fn forward(&self, pixels: &[u8], s: &mut Scratch) {
         assert_eq!(pixels.len(), self.inputs, "pixel count mismatch");
         let rate = |&p: &u8| f64::from(wot_spike_count(p)) / self.n_max;
-        s.x.clear();
-        s.x.extend(pixels.iter().map(rate));
         s.active.resize(self.inputs + 1, (0, 0.0));
-        let n = list_active(&s.x, self.neurons, &mut s.active);
-        s.active[n] = (self.inputs * self.neurons, 1.0);
+        let n = list_active(pixels.iter().map(rate), self.neurons, &mut s.active);
         s.active.truncate(n + 1);
         s.drives.clear();
         s.drives.resize(self.neurons, 0.0);
@@ -183,7 +178,13 @@ impl BpSnn {
     /// Panics if `pixels.len()` does not match the input count.
     pub fn predict(&self, pixels: &[u8]) -> usize {
         let scores = self.class_scores(pixels);
-        (1..scores.len()).fold(0, |best, c| if scores[c] > scores[best] { c } else { best })
+        let mut best = 0;
+        for (c, &v) in scores.iter().enumerate().skip(1) {
+            if v > scores[best] {
+                best = c;
+            }
+        }
+        best
     }
 
     /// Trains with softmax cross-entropy over the class pools.
@@ -262,9 +263,8 @@ impl BpSnn {
 /// The buffers of one forward pass and BP step, reused across samples.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// The rate inputs `x_i`.
-    x: Vec<f64>,
-    /// The non-zero `x_i` as [`list_active`] lists them, then the bias.
+    /// The non-zero inputs `x_i`, then the bias, as [`list_active`]
+    /// lists them.
     active: Vec<(usize, f64)>,
     /// Per-neuron drives; the BP step overwrites them with the steps.
     drives: Vec<f64>,

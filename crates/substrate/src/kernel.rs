@@ -311,16 +311,19 @@ impl FixedActLut {
 /// time would store and reload every value per input.
 const COLUMN_BLOCK: usize = 16;
 
-/// Writes the non-zero entries of `input`, `i` ascending, to the front
-/// of `active` as `(i · stride, x_i)` (the row offset in an input-major
-/// matrix `stride` columns wide, and the value) without a branch per
-/// input, and returns how many. `active` must be as long as `input`.
-pub fn list_active(input: &[f64], stride: usize, active: &mut [(usize, f64)]) -> usize {
-    let mut n = 0;
-    for (i, &x) in input.iter().enumerate() {
-        active[n] = (i * stride, x);
-        n += usize::from(x != 0.0);
+/// Lists at the front of `list` the rows of an input-major matrix
+/// `cols` wide that a pass over `x` visits, without a branch per input:
+/// `(i · cols, x_i)` for each non-zero `x_i`, `i` ascending, then the
+/// bias row's `(len · cols, 1.0)`. `list` needs one slot more than `x`
+/// has inputs; returns the count before the bias entry.
+pub fn list_active(x: impl Iterator<Item = f64>, cols: usize, list: &mut [(usize, f64)]) -> usize {
+    let (mut n, mut row) = (0, 0);
+    for v in x {
+        list[n] = (row, v);
+        n += usize::from(v != 0.0);
+        row += cols;
     }
+    list[n] = (row, 1.0);
     n
 }
 
