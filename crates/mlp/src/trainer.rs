@@ -168,7 +168,8 @@ impl Trainer {
     }
 
     /// One BP step on a single sample; returns `(squared error, correct)`.
-    /// The models bench times it as `mlp/bp_step_784_100_10`.
+    /// The models bench times it (`mlp/bp_step_784_100_10`); the SNN+BP
+    /// hybrid shares its float kernel (`nc_substrate::kernel`), not it.
     pub fn step(&self, mlp: &mut Mlp, input: &[f64], label: usize) -> (f64, bool) {
         self.step_with(mlp, input, label, &mut Trace::default(), &mut Vec::new())
     }

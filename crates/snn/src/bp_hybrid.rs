@@ -219,7 +219,7 @@ impl BpSnn {
                 self.step_with(&s.pixels, s.label, config.learning_rate, &mut scratch);
             }
             if recorder.enabled() {
-                // Each BP step updates every shadow weight once.
+                // Nominally every shadow weight per step; zero inputs' rows are skipped.
                 recorder.record_epoch(
                     "snn.bp",
                     &EpochMetrics {
