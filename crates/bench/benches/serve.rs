@@ -58,9 +58,6 @@ const CHAOS_SEED: u64 = 0xC4A0_BEAC;
 /// Seed for the chaos burst's transient-fault plan.
 const CHAOS_BURST_SEED: u64 = 0xC4A0_B125;
 
-/// Retry-supervision seed for the chaos replay.
-const CHAOS_RETRY_SEED: u64 = 0x50AC_C4A0;
-
 fn smoke() -> bool {
     std::env::var_os("NC_BENCH_SMOKE").is_some()
 }
@@ -197,11 +194,10 @@ fn chaotic_once(threads: usize, snaps: &[Arc<ModelSnapshot>], test: &Dataset) ->
         engine,
         ServeConfig {
             batch_window: 8,
-            supervision: Supervision::with_retries(1, CHAOS_RETRY_SEED),
+            supervision: Supervision { max_retries: 3 },
             resilience: ResilienceConfig {
                 queue_limit: Some(48),
                 deadline_ticks: Some(4),
-                batch_retries: 1,
                 ..ResilienceConfig::default()
             },
             chaos: Some(chaos),

@@ -121,76 +121,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Per-job failure policy for [`Engine::run_jobs_supervised`].
 ///
-/// Retries are *deterministic*: each attempt of each job gets a fresh
-/// seed derived purely from `(retry_seed, job index, attempt index)`,
-/// so a retried schedule is reproducible at any thread count and no
-/// wall clock is consulted anywhere.
+/// Retries are *deterministic*: a job's attempts are numbered
+/// `0..=max_retries` and the worker sees the index, so a retried
+/// schedule is reproducible at any thread count and no wall clock is
+/// consulted anywhere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Supervision {
     /// Extra attempts after the first (0 = fail fast on first panic).
     pub max_retries: u32,
-    /// Root seed the per-attempt seeds are derived from.
-    pub retry_seed: u64,
-    /// Maximum `Job::samples` a single job may declare; jobs over
-    /// budget are refused *before running* — a deterministic stand-in
-    /// for a wall-clock deadline, measured in work instead of time.
-    pub sample_budget: Option<u64>,
-}
-
-impl Supervision {
-    /// A policy with `max_retries` deterministic retries derived from
-    /// `retry_seed`, and no sample budget.
-    pub fn with_retries(max_retries: u32, retry_seed: u64) -> Self {
-        Supervision {
-            max_retries,
-            retry_seed,
-            sample_budget: None,
-        }
-    }
-
-    /// The seed for one attempt of one job — a pure function of the
-    /// policy and the `(job, attempt)` pair, so any schedule (and any
-    /// thread count) derives the same seed for the same retry.
-    pub fn attempt_seed(&self, job: usize, attempt: u32) -> u64 {
-        let job = u64::try_from(job).unwrap_or(u64::MAX);
-        let mut sm = nc_substrate::rng::SplitMix64::new(
-            self.retry_seed
-                .wrapping_add(job.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .wrapping_add(u64::from(attempt).wrapping_mul(0xBF58_476D_1CE4_E5B9)),
-        );
-        sm.next_u64()
-    }
-
-    /// The same policy with its `retry_seed` re-derived for one retry
-    /// *round* — a pure function of `(policy, salt)`, used by layers
-    /// that stack their own bounded retries on top of the engine's
-    /// (nc-serve's batch retry rounds) so each round draws decorrelated
-    /// attempt seeds without consulting a clock.
-    #[must_use]
-    pub fn jittered(&self, salt: u64) -> Supervision {
-        let mut sm = nc_substrate::rng::SplitMix64::new(
-            self.retry_seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        // Burn one word so a salt equal to another policy's seed still
-        // diverges immediately (the FaultPlan::stream idiom).
-        let first = sm.next_u64();
-        Supervision {
-            max_retries: self.max_retries,
-            retry_seed: first,
-            sample_budget: self.sample_budget,
-        }
-    }
-}
-
-/// One attempt of a supervised job, passed to the worker closure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Attempt {
-    /// 0 for the first try, 1.. for retries.
-    pub index: u32,
-    /// The attempt's derived seed (see [`Supervision::attempt_seed`]).
-    /// Workers that re-randomize per retry should mix this into their
-    /// job-owned seeds; workers that don't can ignore it.
-    pub seed: u64,
 }
 
 /// Caches generated datasets so each `(workload, scale)` pair is
@@ -393,53 +331,37 @@ impl Engine {
         I: Send,
         O: Send,
     {
-        self.run_pool(jobs, |_, _, _, payload| work(payload))
+        self.run_pool(jobs, |_, payload| work(payload))
     }
 
     /// Like [`Engine::run_jobs`], but *supervised*: each job runs under
     /// [`catch_unwind`], panics are contained to the job that raised
-    /// them, and the per-job [`Supervision`] policy governs bounded
-    /// deterministic retries and an optional sample budget. Returns one
-    /// `Result` per job, in job order — sibling jobs always complete
-    /// even when one fails every attempt.
+    /// them, and the per-job [`Supervision`] policy bounds the
+    /// deterministic retries. Returns one `Result` per job, in job
+    /// order — sibling jobs always complete even when one fails every
+    /// attempt.
     ///
     /// The worker takes the payload by reference (it may be consulted
-    /// again on retry) plus the [`Attempt`] descriptor carrying the
-    /// deterministically derived per-attempt seed. Panic and retry
-    /// counts are reported to the recorder as `engine.panics` /
-    /// `engine.retries`.
+    /// again on retry) plus the attempt index (0 for the first try).
+    /// Panic and retry counts are reported to the recorder as
+    /// `engine.panics` / `engine.retries`.
     ///
     /// [`catch_unwind`]: std::panic::catch_unwind
     pub fn run_jobs_supervised<I, O>(
         &self,
         jobs: Vec<Job<I>>,
         supervision: Supervision,
-        work: impl Fn(&I, Attempt) -> O + Sync,
+        work: impl Fn(&I, u32) -> O + Sync,
     ) -> Vec<Result<O, Error>>
     where
         I: Send + Sync,
         O: Send,
     {
-        self.run_pool(jobs, |index, label, samples, payload| {
-            // Deterministic pre-flight: a job over the sample budget is
-            // refused without running, at any thread count.
-            if let Some(budget) = supervision.sample_budget {
-                if samples > budget {
-                    return Err(Error::BudgetExceeded {
-                        job: label.to_string(),
-                        samples,
-                        budget,
-                    });
-                }
-            }
+        self.run_pool(jobs, |label, payload| {
             let mut attempt = 0;
             loop {
-                let descriptor = Attempt {
-                    index: attempt,
-                    seed: supervision.attempt_seed(index, attempt),
-                };
                 match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    work(&payload, descriptor)
+                    work(&payload, attempt)
                 })) {
                     Ok(output) => return Ok(output),
                     Err(panic) => {
@@ -459,17 +381,13 @@ impl Engine {
     }
 
     /// The scoped pool behind both `run_jobs` variants: calls
-    /// `run_one(index, label, samples, payload)` once per job — inline
-    /// and in order when one worker suffices, otherwise on
-    /// `min(threads, n)` scoped workers claiming jobs from a shared
-    /// queue — then records the batch's [`JobStat`]s and returns the
-    /// outputs, both in job order. A panic in `run_one` propagates to
-    /// the caller once every worker has stopped.
-    fn run_pool<I, O>(
-        &self,
-        jobs: Vec<Job<I>>,
-        run_one: impl Fn(usize, &str, u64, I) -> O + Sync,
-    ) -> Vec<O>
+    /// `run_one(label, payload)` once per job — inline and in order
+    /// when one worker suffices, otherwise on `min(threads, n)` scoped
+    /// workers claiming jobs from a shared queue — then records the
+    /// batch's [`JobStat`]s and returns the outputs, both in job order.
+    /// A panic in `run_one` propagates to the caller once every worker
+    /// has stopped.
+    fn run_pool<I, O>(&self, jobs: Vec<Job<I>>, run_one: impl Fn(&str, I) -> O + Sync) -> Vec<O>
     where
         I: Send,
         O: Send,
@@ -496,7 +414,7 @@ impl Engine {
                 self.recorder.add("engine.jobs", 1);
                 // nc-lint: allow(R3, reason = "wall-clock span feeds JobStat reporting only")
                 let started = Instant::now();
-                let output = run_one(index, &label, samples, payload);
+                let output = run_one(&label, payload);
                 (output, started.elapsed())
             };
             let stat = JobStat {
@@ -879,7 +797,6 @@ impl Model for StepDeployedMlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn builder_defaults_are_sane() {
@@ -1137,8 +1054,8 @@ mod tests {
     }
 
     #[test]
-    fn retry_seeds_are_deterministic_and_thread_count_invariant() {
-        let supervision = Supervision::with_retries(3, 0xDECAF);
+    fn retries_are_deterministic_and_thread_count_invariant() {
+        let supervision = Supervision { max_retries: 3 };
         let run = |threads| {
             let engine = Engine::builder()
                 .threads(threads)
@@ -1146,42 +1063,15 @@ mod tests {
                 .build();
             let jobs: Vec<Job<u64>> = (0..8).map(|i| Job::new(format!("r{i}"), 1, i)).collect();
             engine.run_jobs_supervised(jobs, supervision, |_, attempt| {
-                assert!(attempt.index >= 2, "deterministically flaky");
-                attempt.seed
+                assert!(attempt >= 2, "deterministically flaky");
+                attempt
             })
         };
         let sequential = run(1);
         let parallel = run(4);
         assert_eq!(sequential, parallel);
-        // Each job succeeded on attempt 2 with the seed any schedule
-        // derives from (retry_seed, job, attempt) alone.
-        for (job, r) in sequential.iter().enumerate() {
-            assert_eq!(*r.as_ref().unwrap(), supervision.attempt_seed(job, 2));
-            assert_ne!(
-                supervision.attempt_seed(job, 2),
-                supervision.attempt_seed(job, 1),
-                "retries must re-derive, not reuse"
-            );
-        }
-    }
-
-    #[test]
-    fn jittered_policies_reseed_deterministically_and_keep_limits() {
-        let base = Supervision {
-            max_retries: 2,
-            retry_seed: 0xDECAF,
-            sample_budget: Some(64),
-        };
-        let round1 = base.jittered(1);
-        assert_eq!(round1, base.jittered(1), "pure function of (policy, salt)");
-        assert_ne!(round1.retry_seed, base.retry_seed);
-        assert_ne!(round1.retry_seed, base.jittered(2).retry_seed);
-        assert_eq!(round1.max_retries, base.max_retries);
-        assert_eq!(round1.sample_budget, base.sample_budget);
-        // Attempt seeds from distinct rounds decorrelate per job.
-        for job in 0..8 {
-            assert_ne!(round1.attempt_seed(job, 0), base.attempt_seed(job, 0));
-        }
+        // Each job failed attempts 0 and 1 and succeeded on attempt 2.
+        assert!(sequential.iter().all(|r| *r == Ok(2)), "{sequential:?}");
     }
 
     #[test]
@@ -1194,7 +1084,7 @@ mod tests {
             .build();
         let jobs = vec![Job::new("doomed", 1, ())];
         let out =
-            engine.run_jobs_supervised(jobs, Supervision::with_retries(2, 9), |(), _| -> u32 {
+            engine.run_jobs_supervised(jobs, Supervision { max_retries: 2 }, |(), _| -> u32 {
                 panic!("always fails")
             });
         assert!(matches!(
@@ -1208,31 +1098,6 @@ mod tests {
             "1 try + 2 retries"
         );
         assert_eq!(snap.counters.get("engine.retries"), Some(&2));
-    }
-
-    #[test]
-    fn over_budget_jobs_are_refused_before_running() {
-        let engine = Engine::sequential(ExperimentScale::Tiny);
-        let ran = AtomicUsize::new(0);
-        let supervision = Supervision {
-            sample_budget: Some(10),
-            ..Supervision::default()
-        };
-        let jobs = vec![Job::new("small", 5, 1u32), Job::new("huge", 50, 2u32)];
-        let out = engine.run_jobs_supervised(jobs, supervision, |&x, _| {
-            ran.fetch_add(1, Ordering::Relaxed);
-            x
-        });
-        assert_eq!(out[0], Ok(1));
-        assert_eq!(
-            out[1],
-            Err(Error::BudgetExceeded {
-                job: String::from("huge"),
-                samples: 50,
-                budget: 10,
-            })
-        );
-        assert_eq!(ran.load(Ordering::Relaxed), 1, "refused job must not run");
     }
 
     #[test]

@@ -25,16 +25,6 @@ pub enum Error {
         /// The last attempt's panic message.
         payload: String,
     },
-    /// A supervised job declared more samples than its budget allows;
-    /// the job was refused deterministically, before running.
-    BudgetExceeded {
-        /// The refused job's label.
-        job: String,
-        /// Samples the job declared.
-        samples: u64,
-        /// The supervision policy's per-job sample budget.
-        budget: u64,
-    },
 }
 
 impl std::fmt::Display for Error {
@@ -47,14 +37,6 @@ impl std::fmt::Display for Error {
             Error::JobPanicked { job, payload } => {
                 write!(f, "job `{job}` panicked: {payload}")
             }
-            Error::BudgetExceeded {
-                job,
-                samples,
-                budget,
-            } => write!(
-                f,
-                "job `{job}` declared {samples} samples, over the {budget}-sample budget"
-            ),
         }
     }
 }
@@ -114,11 +96,6 @@ mod tests {
             Error::JobPanicked {
                 job: "j".into(),
                 payload: "boom".into(),
-            },
-            Error::BudgetExceeded {
-                job: "j".into(),
-                samples: 10,
-                budget: 5,
             },
         ] {
             assert!(!e.to_string().is_empty());

@@ -32,11 +32,12 @@ impl Workload {
 
     /// Generates `(train, test)` at the given scale.
     ///
-    /// Each workload's difficulty is chosen so the MLP lands near the
-    /// paper's operating point: digits use [`Difficulty::hard`] (MLP
-    /// ≈97% vs the paper's 97.65% — the default jitter saturates at
-    /// 100%), shapes use the default (paper MPEG-7 MLP: 99.7%), spoken
-    /// uses hard (paper SAD MLP: 91.35%).
+    /// Digits and spoken use [`Difficulty::hard`], shapes the default.
+    /// At standard scale the MLP reads 99.62% on the hard digits
+    /// (`table3 --scale standard`; paper MNIST: 97.65%), and 100% at
+    /// the default jitter, so no setting puts it at the paper's
+    /// figure. EXPERIMENTS.md gives the jitter decomposition of
+    /// Table 3 and the §4.5 accuracies of shapes and spoken.
     pub fn generate(&self, scale: ExperimentScale) -> (Dataset, Dataset) {
         let (train, test) = scale.sizes();
         let difficulty = match self {

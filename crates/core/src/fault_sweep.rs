@@ -59,8 +59,6 @@ pub struct FaultSweep {
     /// Root seed: initialization seeds and per-cell injection seeds are
     /// derived from it.
     pub seed: u64,
-    /// Failure policy for the cell jobs.
-    pub supervision: Supervision,
 }
 
 impl FaultSweep {
@@ -81,7 +79,6 @@ impl FaultSweep {
             mlp_hidden: 20,
             snn_neurons: 50,
             seed: 0xFA_017,
-            supervision: Supervision::default(),
         }
     }
 
@@ -191,7 +188,7 @@ impl Experiment for FaultSweep {
         let recorder = engine.recorder_handle();
         let results = engine.run_jobs_supervised(
             jobs,
-            self.supervision,
+            Supervision::default(),
             move |(spec, budget, plan): &(ModelSpec, FitBudget, FaultPlan), _attempt| {
                 let run = || -> Result<f64, Error> {
                     let mut model = spec.build()?;

@@ -49,8 +49,8 @@ pub mod robustness;
 pub mod sweeps;
 
 pub use engine::{
-    Attempt, DatasetCache, Engine, EngineBuilder, Experiment, Job, JobStat, ModelSpec,
-    StepDeployedMlp, Supervision,
+    DatasetCache, Engine, EngineBuilder, Experiment, Job, JobStat, ModelSpec, StepDeployedMlp,
+    Supervision,
 };
 pub use error::Error;
 pub use experiment::{AccuracyComparison, AccuracyResults, ExperimentScale, Workload};

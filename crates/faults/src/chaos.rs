@@ -130,8 +130,8 @@ impl ChaosPlan {
     }
 
     /// Whether a batch containing `item`, drained at virtual `tick` on
-    /// supervised `attempt` (0-based, counted across serve-level retry
-    /// rounds), panics. Pure in all three arguments.
+    /// supervised `attempt` (0-based), panics. Pure in all three
+    /// arguments.
     pub fn should_panic(&self, item: u64, tick: u64, attempt: u32) -> bool {
         tick < self.panic_until_tick && attempt < self.panic_attempts && self.panics_item(item)
     }

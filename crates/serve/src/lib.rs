@@ -80,7 +80,7 @@ mod snapshot;
 
 pub use coalescer::{presentation_seed, CoalescedRequest, Coalescer, SealedBatch, Ticket};
 pub use loadgen::{run_load, LoadOutcome, LoadPlan};
-pub use resilience::{BreakerConfig, ResilienceConfig, ServeEvent, DEFAULT_SERVE_RETRY_SEED};
+pub use resilience::{BreakerConfig, ResilienceConfig, ServeEvent};
 pub use server::{Response, ServeConfig, Server};
 pub use snapshot::ModelSnapshot;
 

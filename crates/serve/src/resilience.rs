@@ -1,6 +1,6 @@
 //! Server-side resilience policy: bounded admission, virtual-time
-//! deadlines, serve-level retry rounds, and the per-model circuit
-//! breaker.
+//! deadlines, and the per-model circuit breaker. Retries belong to the
+//! engine's [`Supervision`](nc_core::Supervision).
 //!
 //! Everything here is driven by the server's **virtual clock** (a tick
 //! counter advanced by the caller, never a wall clock — lint rule R3)
@@ -54,14 +54,10 @@ impl Default for BreakerConfig {
     }
 }
 
-/// Default root seed for serve-level retry jitter (overridable via
-/// [`ResilienceConfig::retry_seed`]).
-pub const DEFAULT_SERVE_RETRY_SEED: u64 = 0x5E51_1E27;
-
 /// The server's resilience policy. The default disables every defense,
 /// so a server without an explicit policy behaves exactly as before
 /// the resilience layer existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResilienceConfig {
     /// Maximum requests in flight before admission sheds
     /// ([`ServeError::Shed`]); `None` = unbounded.
@@ -72,28 +68,8 @@ pub struct ResilienceConfig {
     /// at seal and at (possibly chaos-delayed) completion; `None` = no
     /// deadline.
     pub deadline_ticks: Option<u64>,
-    /// Serve-level retry rounds for batches that failed every engine
-    /// attempt (each round re-runs under a [`Supervision::jittered`]
-    /// policy; 0 = no serve-level retries).
-    ///
-    /// [`Supervision::jittered`]: nc_core::Supervision::jittered
-    pub batch_retries: u32,
-    /// Root seed the per-round jittered retry policies derive from.
-    pub retry_seed: u64,
     /// Per-model circuit breaking; `None` disables the breaker.
     pub breaker: Option<BreakerConfig>,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
-            queue_limit: None,
-            deadline_ticks: None,
-            batch_retries: 0,
-            retry_seed: DEFAULT_SERVE_RETRY_SEED,
-            breaker: None,
-        }
-    }
 }
 
 /// One entry in the server's deterministic resilience trace. Events
@@ -133,16 +109,6 @@ pub enum ServeEvent {
         batch: u64,
         /// `true` when the batch was already expired at seal time.
         at_seal: bool,
-    },
-    /// A batch that failed every engine attempt was re-run in a
-    /// serve-level retry round.
-    BatchRetried {
-        /// Virtual tick of the retry.
-        tick: u64,
-        /// The batch's sequence number.
-        batch: u64,
-        /// 1-based retry round.
-        round: u32,
     },
     /// Replicas were lost to panics while running a batch; the pool
     /// rebuilds them bit-identically on the next checkout.
@@ -281,7 +247,7 @@ impl Breaker {
 
     /// Feeds one batch outcome for this model back into the machine.
     /// `tickets` identifies the probe; `ok` is whether the batch
-    /// produced predictions after every retry layer.
+    /// produced predictions after every supervised attempt.
     pub(crate) fn on_batch(&mut self, ok: bool, tickets: &[u64], now: u64) -> Option<BreakerFlip> {
         let config = self.config?;
         if let Some(probe) = self.probe {
@@ -401,7 +367,6 @@ mod tests {
         let resilience = ResilienceConfig::default();
         assert_eq!(resilience.queue_limit, None);
         assert_eq!(resilience.deadline_ticks, None);
-        assert_eq!(resilience.batch_retries, 0);
         assert_eq!(resilience.breaker, None);
         let breaker = BreakerConfig::default();
         assert_eq!(breaker.failure_threshold, 3);

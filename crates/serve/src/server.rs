@@ -1,7 +1,7 @@
 //! The in-process serving front end: validate → admit (shed / breaker
 //! / deadline-stamp) → coalesce → execute on the engine's supervised
-//! jobs (plus serve-level retry rounds) → respond, emitting the
-//! deterministic [`ServeEvent`] trace along the way.
+//! jobs → respond, emitting the deterministic [`ServeEvent`] trace
+//! along the way.
 
 use crate::coalescer::{presentation_seed, Coalescer, SealedBatch, Ticket};
 use crate::resilience::{Admission, Breaker, BreakerFlip, ResilienceConfig, ServeEvent};
@@ -26,10 +26,10 @@ pub struct ServeConfig {
     /// least 1; see [`Coalescer`] for why it is not a time window).
     pub batch_window: usize,
     /// Supervision policy batches execute under: panic isolation always,
-    /// plus deterministic retries / sample budget as configured.
+    /// plus `max_retries` deterministic retries.
     pub supervision: Supervision,
-    /// Admission control, deadlines, serve-level retries, and circuit
-    /// breaking. The default disables all of them.
+    /// Admission control, deadlines, and circuit breaking. The default
+    /// disables all of them.
     pub resilience: ResilienceConfig,
     /// Optional seeded chaos schedule (replica panics, slow batches,
     /// poisoned responses, transient-fault bursts) — the test harness
@@ -99,20 +99,16 @@ struct BatchMeta {
     tickets: Vec<(Ticket, u64, Option<u64>)>,
 }
 
-/// One job's payload: the shared snapshot, the (shared) batch to
-/// classify, and the chaos context the worker consults. `slot` indexes
-/// the drain-local replica-loss accumulators.
+/// One job's payload: the shared snapshot, the batch to classify, and
+/// the chaos context the worker consults. `slot` indexes the
+/// drain-local replica-loss accumulators.
 struct BatchPayload {
     snapshot: Arc<ModelSnapshot>,
-    batch: Arc<SealedBatch>,
+    batch: SealedBatch,
     slot: usize,
     now: u64,
     burst: Option<FaultPlan>,
     chaos: Option<ChaosPlan>,
-    /// Global attempt offset: serve-level retry round `r` runs engine
-    /// attempts `r * (max_retries + 1) ..`, so the chaos plan's
-    /// `panic_attempts` counts across rounds.
-    attempt_base: u32,
 }
 
 /// The in-process inference server. Thread-safe: any thread may
@@ -198,7 +194,7 @@ impl Server {
     }
 
     /// Takes the resilience event trace accumulated so far (shed,
-    /// degraded, deadline, retry, quarantine, burst, poison, breaker
+    /// degraded, deadline, quarantine, burst, poison, breaker
     /// transitions), in emission order. Emission order is deterministic
     /// — events are only appended by `submit`/`drain` calls, in a fixed
     /// order within each — so the trace is part of the bit-identical
@@ -329,8 +325,7 @@ impl Server {
     /// responses; returns how many requests completed (including
     /// requests answered with an error). Batches run as supervised
     /// jobs: a panicking batch is caught (and retried per the config's
-    /// [`Supervision`], then per the resilience policy's serve-level
-    /// retry rounds), its requests answer with
+    /// [`Supervision`]), its requests answer with
     /// [`ServeError::BatchFailed`], and sibling batches complete.
     /// Under a chaos plan this is also where scheduled panics, slow
     /// batches, response poison, and transient-fault bursts strike.
@@ -344,13 +339,12 @@ impl Server {
         }
         let recorder = self.engine.recorder();
         let chaos = self.config.chaos;
-        let resilience = self.config.resilience;
         let mut events: Vec<ServeEvent> = Vec::new();
 
         // Seal-time deadline enforcement: requests already expired when
         // their batch seals answer immediately and never run.
         let mut responses: Vec<Response> = Vec::new();
-        let mut batches: Vec<Arc<SealedBatch>> = Vec::new();
+        let mut batches: Vec<SealedBatch> = Vec::new();
         for mut batch in sealed {
             let (expired, live): (Vec<_>, Vec<_>) = batch
                 .requests
@@ -378,7 +372,7 @@ impl Server {
             }
             if !live.is_empty() {
                 batch.requests = live;
-                batches.push(Arc::new(batch));
+                batches.push(batch);
             }
         }
 
@@ -408,72 +402,29 @@ impl Server {
         // quarantine accounting is exact at any thread count.
         let losses: Vec<AtomicU32> = (0..batches.len()).map(|_| AtomicU32::new(0)).collect();
 
-        let make_jobs = |selection: &[usize], attempt_base: u32| -> Vec<Job<BatchPayload>> {
-            selection
-                .iter()
-                .map(|&slot| {
-                    let batch = &batches[slot];
-                    Job::new(
-                        format!("serve/batch{}", batch.seq),
-                        u64::try_from(batch.requests.len()).unwrap_or(u64::MAX),
-                        BatchPayload {
-                            snapshot: Arc::clone(&self.snapshots[batch.model]),
-                            batch: Arc::clone(batch),
-                            slot,
-                            now,
-                            burst: storm.map(|plan| plan.for_site(batch.seq)),
-                            chaos,
-                            attempt_base,
-                        },
-                    )
-                })
-                .collect()
-        };
-        let worker = |payload: &BatchPayload, attempt: nc_core::Attempt| {
-            run_batch(payload, attempt, &losses)
-        };
-
-        // Round 0 under the configured supervision, then bounded
-        // serve-level retry rounds for batches that failed every
-        // attempt, each under a jittered re-derivation of the policy.
-        let all_slots: Vec<usize> = (0..batches.len()).collect();
-        let mut results = self.engine.run_jobs_supervised(
-            make_jobs(&all_slots, 0),
-            self.config.supervision,
-            worker,
-        );
-        let attempts_per_round = self.config.supervision.max_retries + 1;
-        for round in 1..=resilience.batch_retries {
-            let failed: Vec<usize> = results
-                .iter()
-                .enumerate()
-                .filter_map(|(slot, r)| r.is_err().then_some(slot))
-                .collect();
-            if failed.is_empty() {
-                break;
-            }
-            for &slot in &failed {
-                events.push(ServeEvent::BatchRetried {
-                    tick: now,
-                    batch: metas[slot].seq,
-                    round,
+        let jobs = batches
+            .into_iter()
+            .enumerate()
+            .map(|(slot, batch)| {
+                Job::new(
+                    format!("serve/batch{}", batch.seq),
+                    u64::try_from(batch.requests.len()).unwrap_or(u64::MAX),
+                    BatchPayload {
+                        snapshot: Arc::clone(&self.snapshots[batch.model]),
+                        burst: storm.map(|plan| plan.for_site(batch.seq)),
+                        batch,
+                        slot,
+                        now,
+                        chaos,
+                    },
+                )
+            })
+            .collect();
+        let results =
+            self.engine
+                .run_jobs_supervised(jobs, self.config.supervision, |payload, attempt| {
+                    run_batch(payload, attempt, &losses)
                 });
-                recorder.add("serve.retried", 1);
-            }
-            let jittered = Supervision {
-                retry_seed: resilience.retry_seed,
-                ..self.config.supervision
-            }
-            .jittered(u64::from(round));
-            let retry_results = self.engine.run_jobs_supervised(
-                make_jobs(&failed, round.saturating_mul(attempts_per_round)),
-                jittered,
-                worker,
-            );
-            for (&slot, result) in failed.iter().zip(retry_results) {
-                results[slot] = result;
-            }
-        }
 
         // Pull every finished stopwatch out in one short critical
         // section, then read the clock and file metrics with the lock
@@ -679,7 +630,7 @@ impl Server {
 /// rebuilds bit-identically from the snapshot recipe.
 fn run_batch(
     payload: &BatchPayload,
-    attempt: nc_core::Attempt,
+    attempt: u32,
     losses: &[AtomicU32],
 ) -> Result<Vec<usize>, ServeError> {
     let snapshot = &payload.snapshot;
@@ -688,13 +639,12 @@ fn run_batch(
         slab.push(&request.pixels, presentation_seed(request.item), 0)
             .map_err(|e| ServeError::Build(e.to_string()))?;
     }
-    let global_attempt = payload.attempt_base.saturating_add(attempt.index);
     let chaos_strikes = payload.chaos.as_ref().is_some_and(|plan| {
         payload
             .batch
             .requests
             .iter()
-            .any(|r| plan.should_panic(r.item, payload.now, global_attempt))
+            .any(|r| plan.should_panic(r.item, payload.now, attempt))
     });
     let mut replica = match &payload.burst {
         Some(plan) => snapshot.burst_replica(plan)?,

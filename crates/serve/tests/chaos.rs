@@ -80,11 +80,10 @@ fn chaotic_load(threads: usize) -> LoadOutcome {
     };
     let config = ServeConfig {
         batch_window: 4,
-        supervision: Supervision::with_retries(1, 0x50AC),
+        supervision: Supervision { max_retries: 3 },
         resilience: ResilienceConfig {
             queue_limit: Some(4),
             deadline_ticks: Some(4),
-            batch_retries: 1,
             ..ResilienceConfig::default()
         },
         chaos: Some(chaos),
@@ -206,7 +205,7 @@ fn item_keyed_chaos_outcomes_are_arrival_order_invariant() {
     let outcomes_for = |order: &[u64]| -> Vec<(u64, Result<usize, ServeError>)> {
         let config = ServeConfig {
             batch_window: 3,
-            supervision: Supervision::with_retries(1, 0x50AC),
+            supervision: Supervision { max_retries: 1 },
             chaos: Some(chaos),
             ..ServeConfig::default()
         };
@@ -255,7 +254,7 @@ fn breaker_cycle_walks_a_pinned_event_trace() {
     };
     let config = ServeConfig {
         batch_window: 1,
-        supervision: Supervision::with_retries(0, 0x50AC),
+        supervision: Supervision { max_retries: 0 },
         resilience: ResilienceConfig {
             breaker: Some(BreakerConfig {
                 failure_threshold: 2,
@@ -373,7 +372,7 @@ fn open_breaker_degrades_to_the_fallback_model() {
     // tick here, so only the primary's batch fails.
     let config = ServeConfig {
         batch_window: 1,
-        supervision: Supervision::with_retries(0, 0x50AC),
+        supervision: Supervision { max_retries: 0 },
         resilience: ResilienceConfig {
             breaker: Some(BreakerConfig {
                 failure_threshold: 1,
@@ -433,7 +432,7 @@ fn quarantined_replicas_rebuild_bit_identically() {
     let run = |chaos: Option<ChaosPlan>, snap: &Arc<ModelSnapshot>| -> (Vec<Response>, u32) {
         let config = ServeConfig {
             batch_window: 2,
-            supervision: Supervision::with_retries(1, 0x50AC),
+            supervision: Supervision { max_retries: 1 },
             chaos,
             ..ServeConfig::default()
         };

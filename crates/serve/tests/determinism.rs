@@ -223,7 +223,7 @@ fn poisoned_batch_fails_alone_and_the_server_survives() {
     }));
     let config = ServeConfig {
         batch_window: 2,
-        supervision: Supervision::with_retries(1, 0xF00D),
+        supervision: Supervision { max_retries: 1 },
         resilience: ResilienceConfig {
             queue_limit: Some(4),
             ..ResilienceConfig::default()

@@ -96,7 +96,7 @@ fn soak(tier: &SoakTier) {
             engine,
             ServeConfig {
                 batch_window: 8,
-                supervision: Supervision::with_retries(1, 0x50AC),
+                supervision: Supervision { max_retries: 1 },
                 ..ServeConfig::default()
             },
             vec![Arc::clone(snapshot)],

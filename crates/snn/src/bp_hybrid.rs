@@ -177,14 +177,13 @@ impl BpSnn {
     ///
     /// Panics if `pixels.len()` does not match the input count.
     pub fn predict(&self, pixels: &[u8]) -> usize {
-        let scores = self.class_scores(pixels);
-        let mut best = 0;
-        for (c, &v) in scores.iter().enumerate().skip(1) {
-            if v > scores[best] {
-                best = c;
-            }
-        }
-        best
+        first_max(&self.class_scores(pixels))
+    }
+
+    /// [`BpSnn::predict`] through the caller's reused buffers.
+    pub(crate) fn predict_with(&self, pixels: &[u8], s: &mut Scratch) -> usize {
+        self.forward(pixels, s);
+        first_max(&s.scores)
     }
 
     /// Trains with softmax cross-entropy over the class pools.
@@ -260,9 +259,20 @@ impl BpSnn {
     }
 }
 
+/// The index of the first maximal score (0 for an empty slice).
+fn first_max(scores: &[f64]) -> usize {
+    let mut best = 0;
+    for (c, &v) in scores.iter().enumerate().skip(1) {
+        if v > scores[best] {
+            best = c;
+        }
+    }
+    best
+}
+
 /// The buffers of one forward pass and BP step, reused across samples.
 #[derive(Debug, Default)]
-struct Scratch {
+pub(crate) struct Scratch {
     /// The non-zero inputs `x_i`, then the bias, as [`list_active`]
     /// lists them.
     active: Vec<(usize, f64)>,

@@ -3,10 +3,10 @@
 //! timing-free SNNwot readout, plus the SNN+BP diagnostic hybrid —
 //! scheduled as independent jobs by the experiment engine.
 
-use crate::bp_hybrid::{BpSnn, BpSnnConfig};
+use crate::bp_hybrid::{BpSnn, BpSnnConfig, Scratch};
 use crate::network::SnnNetwork;
 use crate::wot::WotSnn;
-use nc_dataset::model::{check_fit_inputs, FitBudget, Model, ModelError};
+use nc_dataset::model::{check_fit_inputs, EvalBatch, FitBudget, Model, ModelError};
 use nc_dataset::Dataset;
 use nc_faults::FaultPlan;
 use nc_obs::{Recorder, Span};
@@ -117,6 +117,15 @@ impl Model for BpSnn {
 
     fn predict(&mut self, pixels: &[u8], _presentation_seed: u64) -> usize {
         BpSnn::predict(self, pixels)
+    }
+
+    fn predict_batch(&mut self, batch: &EvalBatch<'_>, out: &mut Vec<usize>) {
+        out.clear();
+        out.reserve(batch.len());
+        let mut scratch = Scratch::default();
+        for i in 0..batch.len() {
+            out.push(self.predict_with(batch.item(i), &mut scratch));
+        }
     }
 }
 

@@ -10,6 +10,7 @@ use neurocmp::hw::sim::{FoldedMlpSim, SnnWtSim, WotDatapathSim};
 use neurocmp::mlp::{Activation, Mlp, QuantizedMlp, TrainConfig, Trainer};
 use neurocmp::snn::{CodingScheme, SnnNetwork, SnnParams, WotSnn};
 use neurocmp::substrate::check::check_cases;
+use neurocmp::substrate::rng::SplitMix64;
 
 fn task() -> (neurocmp::dataset::Dataset, neurocmp::dataset::Dataset) {
     DigitsSpec {
@@ -21,8 +22,72 @@ fn task() -> (neurocmp::dataset::Dataset, neurocmp::dataset::Dataset) {
     .generate()
 }
 
+/// Random images of `width` pixels: an all-dark and an all-255 image
+/// first, then six of random density.
+fn random_images(width: usize, rng: &mut SplitMix64) -> Vec<Vec<u8>> {
+    let mut images = vec![vec![0; width], vec![255; width]];
+    for _ in 0..6 {
+        let density = 1 + rng.next_index(256);
+        images.push(
+            (0..width)
+                .map(|_| {
+                    if rng.next_index(256) < density {
+                        rng.next_index(256) as u8
+                    } else {
+                        0
+                    }
+                })
+                .collect(),
+        );
+    }
+    images
+}
+
+/// The folded MLP datapath at `ni` must read out `predict_u8` on every
+/// image, in one chunk cycle per `ni` inputs plus one activation cycle
+/// per layer.
+fn check_folded_mlp(q: &mut QuantizedMlp, images: &[Vec<u8>], ni: usize, context: &str) {
+    let cycles: u64 = q
+        .sizes()
+        .windows(2)
+        .map(|w| w[0].div_ceil(ni) as u64 + 1)
+        .sum();
+    let runs: Vec<(usize, u64)> = {
+        let mut sim = FoldedMlpSim::new(q, ni);
+        images
+            .iter()
+            .map(|pixels| {
+                let outcome = sim.run(pixels);
+                (outcome.winner, outcome.cycles)
+            })
+            .collect()
+    };
+    for (k, (pixels, (winner, spent))) in images.iter().zip(runs).enumerate() {
+        assert_eq!(
+            winner,
+            q.predict_u8(pixels),
+            "{context}: chunked accumulation must not change the result (ni={ni}, image {k})"
+        );
+        assert_eq!(spent, cycles, "{context}: cycle count (ni={ni})");
+    }
+}
+
+/// The SNNwot datapath at `ni` must read out the model's winner on
+/// every image.
+fn check_wot(wot: &WotSnn, images: &[Vec<u8>], ni: usize, context: &str) {
+    let sim = WotDatapathSim::new(wot, ni);
+    for (k, pixels) in images.iter().enumerate() {
+        assert_eq!(
+            sim.run(pixels).winner,
+            wot.winner(pixels),
+            "{context}: ni={ni} image {k}"
+        );
+    }
+}
+
 #[test]
 fn quantized_mlp_and_folded_datapath_are_bit_identical() {
+    // The trained digit network...
     let (train, test) = task();
     let mut mlp = Mlp::new(&[784, 20, 10], Activation::sigmoid(), 2).unwrap();
     Trainer::new(TrainConfig {
@@ -31,38 +96,64 @@ fn quantized_mlp_and_folded_datapath_are_bit_identical() {
     })
     .fit(&mut mlp, &train);
     let mut q = QuantizedMlp::from_mlp(&mlp);
+    let images: Vec<Vec<u8>> = test.iter().map(|s| s.pixels.clone()).collect();
     for ni in [1usize, 3, 7, 16, 100] {
-        let mut winners = Vec::new();
-        {
-            let mut sim = FoldedMlpSim::new(&q, ni);
-            for s in test.iter() {
-                winners.push(sim.run(&s.pixels).winner);
-            }
-        }
-        for (s, winner) in test.iter().zip(winners) {
-            assert_eq!(
-                winner,
-                q.predict_u8(&s.pixels),
-                "chunked accumulation must not change the result (ni={ni})"
+        check_folded_mlp(&mut q, &images, ni, "trained 784-20-10");
+    }
+    // ...and random untrained topologies of 1-3 weight layers.
+    check_cases(0xF01D_3A7A, 128, |case, rng| {
+        let layers = 1 + rng.next_index(3);
+        let sizes: Vec<usize> = (0..=layers).map(|_| 1 + rng.next_index(64)).collect();
+        let activation = if rng.next_index(4) == 0 {
+            Activation::Step
+        } else {
+            Activation::sigmoid_slope(rng.next_range(0.25, 16.0))
+        };
+        let mut q = QuantizedMlp::untrained(&sizes, activation, rng.next_u64()).unwrap();
+        let images = random_images(sizes[0], rng);
+        let width = sizes[..layers].iter().copied().max().unwrap();
+        for _ in 0..3 {
+            let ni = 1 + rng.next_index(width + 3);
+            check_folded_mlp(
+                &mut q,
+                &images,
+                ni,
+                &format!("case {case}: {sizes:?} {activation:?}"),
             );
         }
-    }
+    });
 }
 
 #[test]
 fn wot_model_and_datapath_are_bit_identical() {
+    // The trained digit network...
     let (train, test) = task();
     let mut snn = SnnNetwork::new(784, 10, SnnParams::tuned(20), 2);
     snn.set_stdp_delta(6);
     snn.train_stdp(&train, 2);
     snn.self_label(&train);
     let wot = WotSnn::from_network(&snn);
+    let images: Vec<Vec<u8>> = test.iter().map(|s| s.pixels.clone()).collect();
     for ni in [1usize, 5, 16] {
-        let sim = WotDatapathSim::new(&wot, ni);
-        for s in test.iter() {
-            assert_eq!(sim.run(&s.pixels).winner, wot.winner(&s.pixels), "ni={ni}");
-        }
+        check_wot(&wot, &images, ni, "trained 784x20");
     }
+    // ...and random untrained networks, whose weights span 100..=200.
+    check_cases(0x0707_DA7A, 128, |case, rng| {
+        let inputs = 1 + rng.next_index(64);
+        let neurons = 1 + rng.next_index(64);
+        let snn = SnnNetwork::new(inputs, 10, SnnParams::for_neurons(neurons), rng.next_u64());
+        let wot = WotSnn::from_network(&snn);
+        let images = random_images(inputs, rng);
+        for _ in 0..3 {
+            let ni = 1 + rng.next_index(inputs + 3);
+            check_wot(
+                &wot,
+                &images,
+                ni,
+                &format!("case {case}: {inputs}x{neurons}"),
+            );
+        }
+    });
 }
 
 /// The presentation seeds of one image: the SNNwt datapath must draw the
