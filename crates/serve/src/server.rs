@@ -908,20 +908,32 @@ mod tests {
             },
             ..ServeConfig::default()
         };
-        let server = Server::new(engine(1), config, vec![snapshot("q", 1)]).unwrap();
+        let snap = snapshot("q", 1);
+        let server = Server::new(engine(1), config, vec![Arc::clone(&snap)]).unwrap();
         let t = server.submit("q", &test.samples()[0].pixels, 0).unwrap();
         // Admitted at tick 0 with deadline 2; the queue sits unflushed
-        // until tick 3 — expired before it ever ran.
-        for _ in 0..3 {
+        // until tick 3 — expired before it ever ran. A second request
+        // joins the same partial window at tick 2 (deadline 4), so the
+        // batch seals partly expired and partly live.
+        for _ in 0..2 {
             server.advance_tick();
         }
+        let live = server.submit("q", &test.samples()[1].pixels, 1).unwrap();
+        server.advance_tick();
         server.flush();
-        assert_eq!(server.drain(), 1);
+        assert_eq!(server.drain(), 2);
         let response = server.take_response(t).unwrap();
         assert_eq!(
             response.outcome,
             Err(ServeError::DeadlineMissed { deadline: 2, at: 3 })
         );
+        // The live request runs alone and answers exactly as the
+        // snapshot's model does on its own pixels and seed.
+        let mut replica = snap.replica().unwrap();
+        let expected = replica.predict(&test.samples()[1].pixels, presentation_seed(1));
+        let response = server.take_response(live).unwrap();
+        assert_eq!(response.outcome, Ok(expected));
+        assert_eq!(response.batch, 0);
         let events = server.take_events();
         assert_eq!(
             events,

@@ -64,12 +64,13 @@ fn engine(threads: usize) -> Arc<Engine> {
 }
 
 /// Every chaos channel and every defense at once, at a given engine
-/// thread count.
-fn chaotic_load(threads: usize) -> LoadOutcome {
+/// thread count, with a struck item panicking on its first
+/// `panic_attempts` attempts (of the four `max_retries: 3` allows).
+fn chaotic_load(threads: usize, panic_attempts: u32) -> LoadOutcome {
     let (train, test) = data();
     let chaos = ChaosPlan {
         panic_rate: 0.25,
-        panic_attempts: 1,
+        panic_attempts,
         delay_rate: 0.5,
         max_delay_ticks: 6,
         poison_rate: 0.2,
@@ -105,25 +106,44 @@ fn chaotic_load(threads: usize) -> LoadOutcome {
 
 #[test]
 fn full_outcome_trace_is_bit_identical_across_thread_counts() {
-    let single = chaotic_load(1);
-    let pooled = chaotic_load(4);
-    // The whole outcome — counters and the ordered event trace — must
-    // match, not just the totals.
-    assert_eq!(single, pooled);
+    // One attempt heals on the first retry; three reach the last retry
+    // `max_retries: 3` allows, so every retry attempt runs.
+    for panic_attempts in [1, 3] {
+        let single = chaotic_load(1, panic_attempts);
+        let pooled = chaotic_load(4, panic_attempts);
+        // The whole outcome — counters and the ordered event trace —
+        // must match, not just the totals.
+        assert_eq!(single, pooled, "panic_attempts {panic_attempts}");
 
-    // And the chaos actually fired: every channel shows up in the run.
-    assert!(single.shed > 0, "queue limit never shed: {single:?}");
-    assert!(
-        single.deadline_missed > 0,
-        "no deadline ever missed: {single:?}"
-    );
-    assert!(single.completed + single.failed == 64, "{single:?}");
-    let has = |pred: fn(&ServeEvent) -> bool| single.events.iter().any(pred);
-    assert!(has(|e| matches!(e, ServeEvent::Poisoned { .. })));
-    assert!(has(|e| matches!(e, ServeEvent::Burst { .. })));
-    assert!(has(|e| matches!(e, ServeEvent::ReplicaQuarantined { .. })));
-    assert!(has(|e| matches!(e, ServeEvent::Shed { .. })));
-    assert!(has(|e| matches!(e, ServeEvent::DeadlineMissed { .. })));
+        // And the chaos actually fired: every channel shows up in the
+        // run.
+        assert!(single.shed > 0, "queue limit never shed: {single:?}");
+        assert!(
+            single.deadline_missed > 0,
+            "no deadline ever missed: {single:?}"
+        );
+        assert!(single.completed + single.failed == 64, "{single:?}");
+        let has = |pred: fn(&ServeEvent) -> bool| single.events.iter().any(pred);
+        assert!(has(|e| matches!(e, ServeEvent::Poisoned { .. })));
+        assert!(has(|e| matches!(e, ServeEvent::Burst { .. })));
+        assert!(has(|e| matches!(e, ServeEvent::Shed { .. })));
+        assert!(has(|e| matches!(e, ServeEvent::DeadlineMissed { .. })));
+        // Every struck batch loses one replica per panicking attempt
+        // and then heals within the retry budget.
+        let lost: Vec<u32> = single
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                ServeEvent::ReplicaQuarantined { lost, .. } => Some(*lost),
+                _ => None,
+            })
+            .collect();
+        assert!(!lost.is_empty(), "no replica was ever lost: {single:?}");
+        assert!(
+            lost.iter().all(|&l| l == panic_attempts),
+            "panic_attempts {panic_attempts}: {lost:?}"
+        );
+    }
 }
 
 #[test]
@@ -418,13 +438,21 @@ fn open_breaker_degrades_to_the_fallback_model() {
 
 #[test]
 fn quarantined_replicas_rebuild_bit_identically() {
+    // One panicking attempt healed by one retry, and three healed by
+    // the last of three retries.
+    for (panic_attempts, max_retries) in [(1, 1), (3, 3)] {
+        quarantined_replicas_rebuild_bit_identically_at(panic_attempts, max_retries);
+    }
+}
+
+fn quarantined_replicas_rebuild_bit_identically_at(panic_attempts: u32, max_retries: u32) {
     let (train, test) = data();
     // Every batch drained before tick 4 loses its replica to a panic on
-    // the first attempt; the engine's retry reruns it on a freshly
-    // rebuilt replica.
+    // each of its first `panic_attempts` attempts; the engine's retries
+    // rerun it on freshly rebuilt replicas.
     let chaos = ChaosPlan {
         panic_rate: 1.0,
-        panic_attempts: 1,
+        panic_attempts,
         panic_until_tick: 4,
         ..ChaosPlan::quiet(0xC4A0_0005)
     };
@@ -432,7 +460,7 @@ fn quarantined_replicas_rebuild_bit_identically() {
     let run = |chaos: Option<ChaosPlan>, snap: &Arc<ModelSnapshot>| -> (Vec<Response>, u32) {
         let config = ServeConfig {
             batch_window: 2,
-            supervision: Supervision { max_retries: 1 },
+            supervision: Supervision { max_retries },
             chaos,
             ..ServeConfig::default()
         };
