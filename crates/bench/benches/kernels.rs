@@ -21,7 +21,7 @@
 use nc_bench::microbench::{write_record_from_args, BenchResult, Group};
 use nc_bench::{baseline_from_args, baseline_per_sec, load_baseline};
 use nc_dataset::model::Model;
-use nc_dataset::{digits::DigitsSpec, Difficulty, PixelSlab};
+use nc_dataset::{digits::DigitsSpec, Difficulty, RequestSlab};
 use nc_mlp::{Activation, Mlp, QuantizedMlp};
 use nc_snn::{SnnNetwork, SnnParams};
 
@@ -62,7 +62,7 @@ fn bench_all() -> Vec<BenchResult> {
         });
         // The same network through the batched GEMM kernel, 32 images
         // per tile (one iteration = 32 forward passes).
-        let slab = PixelSlab::from_dataset(&test);
+        let slab = RequestSlab::from_dataset(&test);
         let mut out = Vec::new();
         group.bench("quantized_forward_batch32", || {
             out.clear();
@@ -96,7 +96,7 @@ fn bench_all() -> Vec<BenchResult> {
         // inference that stops at the first fire).
         let mut eval_snn = fig3_network(&train);
         eval_snn.self_label(&train);
-        let slab = PixelSlab::from_dataset(&test);
+        let slab = RequestSlab::from_dataset(&test);
         group.bench("fig3_evaluate_50imgs", || {
             eval_snn.evaluate_batch(&slab.batch())
         });

@@ -462,7 +462,7 @@ impl Engine {
         let recorder = Arc::clone(&self.recorder);
         // One contiguous evaluation slab shared by every job: the models
         // score through the batched kernel path, not per-sample dispatch.
-        let slab = Arc::new(nc_dataset::PixelSlab::from_dataset(&data.1));
+        let slab = Arc::new(nc_dataset::RequestSlab::from_dataset(&data.1));
         self.run_jobs(jobs, move |(spec, budget): (ModelSpec, FitBudget)| {
             let mut model = spec.build()?;
             model.fit_observed(&data.0, &budget, recorder.as_ref())?;

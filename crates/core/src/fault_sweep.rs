@@ -184,7 +184,7 @@ impl Experiment for FaultSweep {
         }
 
         let shared = Arc::clone(&data);
-        let slab = Arc::new(nc_dataset::PixelSlab::from_dataset(&data.1));
+        let slab = Arc::new(nc_dataset::RequestSlab::from_dataset(&data.1));
         let recorder = engine.recorder_handle();
         let results = engine.run_jobs_supervised(
             jobs,

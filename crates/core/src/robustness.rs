@@ -93,11 +93,11 @@ impl Experiment for RobustnessSweep {
         }
         // Corrupt once into contiguous evaluation slabs, shared
         // read-only across the three jobs.
-        let noisy: Vec<Arc<nc_dataset::PixelSlab>> = self
+        let noisy: Vec<Arc<nc_dataset::RequestSlab>> = self
             .noise_levels
             .iter()
             .map(|&n| {
-                Arc::new(nc_dataset::PixelSlab::from_dataset(&corrupt(
+                Arc::new(nc_dataset::RequestSlab::from_dataset(&corrupt(
                     test,
                     n,
                     noise_seed(n),

@@ -1,6 +1,6 @@
 //! Cross-family regression: for every model the experiment engine
 //! schedules, the batched evaluation path (`evaluate_batch` over a
-//! contiguous [`PixelSlab`] view, and `evaluate`, which scores through
+//! contiguous [`RequestSlab`] view, and `evaluate`, which scores through
 //! it) must be bit-identical to the serial `predict` loop it replaced —
 //! same confusion matrix, same per-image predictions, same seeds. The batched paths are allowed to reorder
 //! arithmetic only where the result is provably bit-equal (integer
@@ -9,7 +9,7 @@
 
 use nc_core::StepDeployedMlp;
 use nc_dataset::model::{FitBudget, Model, EVAL_PRESENTATION_SEED_BASE};
-use nc_dataset::{digits::DigitsSpec, Dataset, Difficulty, PixelSlab};
+use nc_dataset::{digits::DigitsSpec, Dataset, Difficulty, RequestSlab};
 use nc_mlp::{Activation, Mlp, QuantizedMlp};
 use nc_snn::bp_hybrid::BpSnn;
 use nc_snn::{SnnNetwork, SnnParams, WotSnn};
@@ -53,7 +53,7 @@ fn fitted_models(train: &Dataset) -> Vec<Box<dyn Model>> {
 #[test]
 fn batched_evaluation_matches_the_serial_predict_loop() {
     let (train, test) = data();
-    let slab = PixelSlab::from_dataset(&test);
+    let slab = RequestSlab::from_dataset(&test);
     for model in &mut fitted_models(&train) {
         // The serial reference: exactly the pre-batch evaluate loop.
         let mut serial = Vec::with_capacity(test.len());
@@ -90,7 +90,7 @@ fn tiled_batches_preserve_per_item_seeds() {
     // Splitting the slab into tiles must not change any prediction: the
     // per-item presentation seed rides with the item, not the tile.
     let (train, test) = data();
-    let slab = PixelSlab::from_dataset(&test);
+    let slab = RequestSlab::from_dataset(&test);
     for model in &mut fitted_models(&train) {
         let mut whole = Vec::new();
         model.predict_batch(&slab.batch(), &mut whole);

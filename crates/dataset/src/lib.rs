@@ -45,7 +45,7 @@ pub mod shapes;
 pub mod spoken;
 
 pub use image::GreyImage;
-pub use model::{EvalBatch, FitBudget, Model, ModelError, PixelSlab, RequestSlab};
+pub use model::{EvalBatch, FitBudget, Model, ModelError, RequestSlab};
 
 /// One labeled example: a flattened 8-bit image plus its class label.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

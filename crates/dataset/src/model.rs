@@ -127,58 +127,16 @@ impl std::error::Error for ModelError {}
 /// [`Model::evaluate_batch`] saw.
 pub const EVAL_PRESENTATION_SEED_BASE: u64 = 0xE7A1_0000;
 
-/// The owned backing store of an [`EvalBatch`]: every sample's pixels
-/// copied once into a single contiguous slab, plus the labels and
-/// geometry. Built from a [`Dataset`] (whose samples each own their own
-/// pixel vector) so batched kernels can consume one flat `&[u8]` with a
-/// fixed stride instead of chasing a pointer per image.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PixelSlab {
-    pixels: Vec<u8>,
-    labels: Vec<usize>,
-    stride: usize,
-    num_classes: usize,
-}
-
-impl PixelSlab {
-    /// Copies `test` into contiguous storage. `stride` becomes the
-    /// dataset's input dimension; samples are laid out back to back in
-    /// dataset order.
-    pub fn from_dataset(test: &Dataset) -> PixelSlab {
-        let stride = test.input_dim();
-        let mut pixels = Vec::with_capacity(stride * test.len());
-        let mut labels = Vec::with_capacity(test.len());
-        for s in test.iter() {
-            pixels.extend_from_slice(&s.pixels);
-            labels.push(s.label);
-        }
-        PixelSlab {
-            pixels,
-            labels,
-            stride,
-            num_classes: test.num_classes(),
-        }
-    }
-
-    /// The batch view over the whole slab, with item `i` carrying the
-    /// shared evaluation seed [`EVAL_PRESENTATION_SEED_BASE`]` | i`.
-    pub fn batch(&self) -> EvalBatch<'_> {
-        EvalBatch {
-            pixels: &self.pixels,
-            labels: &self.labels,
-            seeds: None,
-            stride: self.stride,
-            num_classes: self.num_classes,
-            first_index: 0,
-        }
-    }
-}
-
-/// The owned backing store of a *request* batch: pixels pushed one image
-/// at a time (a serving admission queue's coalesced tile) rather than
-/// copied wholesale from a [`Dataset`]. Unlike [`PixelSlab`], every item
-/// carries an **explicit** presentation seed — a served request must
-/// replay the exact seed its item had in the offline evaluation stream
+/// The owned backing store of an [`EvalBatch`]: images back to back in
+/// one contiguous pixel slab, each with its label and its presentation
+/// seed, so batched kernels consume one flat `&[u8]` with a fixed
+/// stride instead of chasing a pointer per image.
+///
+/// Offline scoring copies a whole [`Dataset`] in at once
+/// ([`RequestSlab::from_dataset`]); a serving admission queue pushes
+/// one request at a time ([`RequestSlab::push`]). Either way every item
+/// carries an explicit seed: a served request must replay the seed its
+/// item had in the offline evaluation stream
 /// (`EVAL_PRESENTATION_SEED_BASE | item_index`), which is generally not
 /// its position in the coalesced batch.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -203,6 +161,20 @@ impl RequestSlab {
         }
     }
 
+    /// Copies `test` into one slab in dataset order, image `i` carrying
+    /// the shared evaluation seed [`EVAL_PRESENTATION_SEED_BASE`]` | i`.
+    pub fn from_dataset(test: &Dataset) -> RequestSlab {
+        let mut slab = RequestSlab::new(test.input_dim(), test.num_classes());
+        slab.pixels.reserve(slab.stride * test.len());
+        for (i, s) in test.iter().enumerate() {
+            slab.pixels.extend_from_slice(&s.pixels);
+            slab.labels.push(s.label);
+            slab.seeds
+                .push(EVAL_PRESENTATION_SEED_BASE | u64::try_from(i).unwrap_or(u64::MAX));
+        }
+        slab
+    }
+
     /// Appends one image with its presentation seed and (possibly
     /// unknown, conventionally 0) ground-truth label, returning its
     /// position in the slab.
@@ -224,6 +196,26 @@ impl RequestSlab {
         Ok(self.seeds.len() - 1)
     }
 
+    /// Keeps only the items `keep` accepts (called once per item with
+    /// its position, in order), closing the gaps so the kept items stay
+    /// in order with their seeds and labels.
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let stride = self.stride;
+        let mut kept = 0;
+        for k in 0..self.len() {
+            if keep(k) {
+                self.pixels
+                    .copy_within(k * stride..(k + 1) * stride, kept * stride);
+                self.seeds[kept] = self.seeds[k];
+                self.labels[kept] = self.labels[k];
+                kept += 1;
+            }
+        }
+        self.pixels.truncate(kept * stride);
+        self.seeds.truncate(kept);
+        self.labels.truncate(kept);
+    }
+
     /// Number of images pushed.
     pub fn len(&self) -> usize {
         self.seeds.len()
@@ -234,16 +226,14 @@ impl RequestSlab {
         self.seeds.is_empty()
     }
 
-    /// The batch view over the slab, with every item carrying the seed
-    /// it was pushed with.
+    /// The batch view over the slab, with every item carrying its seed.
     pub fn batch(&self) -> EvalBatch<'_> {
         EvalBatch {
             pixels: &self.pixels,
             labels: &self.labels,
-            seeds: Some(&self.seeds),
+            seeds: &self.seeds,
             stride: self.stride,
             num_classes: self.num_classes,
-            first_index: 0,
         }
     }
 }
@@ -255,23 +245,19 @@ impl RequestSlab {
 /// [`Model::predict_batch`]/[`Model::evaluate_batch`] take instead of a
 /// `&Dataset`.
 ///
-/// Seeds are positional by default: item `i` of a batch whose first item
-/// is global index `f` is presented with seed
-/// [`EVAL_PRESENTATION_SEED_BASE`]` | (f + i)`, so splitting a batch
-/// into kernel-sized [`EvalBatch::tiles`] changes nothing about which
-/// seed any image sees. A [`RequestSlab`]-built batch instead carries an
-/// explicit seed per item (a coalesced serving batch holds items from
-/// arbitrary stream positions); tiling slices the seed table alongside
-/// the pixels, so the invariant — every image keeps its seed — holds on
-/// both paths.
+/// Every item carries the seed its [`RequestSlab`] holds for it (for a
+/// dataset, [`EVAL_PRESENTATION_SEED_BASE`]` | i` at position `i`; for a
+/// coalesced serving batch, the seed of each request's stream item).
+/// [`EvalBatch::tiles`] slices the seeds alongside the pixels and
+/// labels, so splitting a batch into kernel-sized tiles changes nothing
+/// about which seed any image sees.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalBatch<'a> {
     pixels: &'a [u8],
     labels: &'a [usize],
-    seeds: Option<&'a [u64]>,
+    seeds: &'a [u64],
     stride: usize,
     num_classes: usize,
-    first_index: usize,
 }
 
 impl<'a> EvalBatch<'a> {
@@ -313,17 +299,13 @@ impl<'a> EvalBatch<'a> {
         self.labels[i]
     }
 
-    /// Image `i`'s presentation seed: the explicit per-item seed when
-    /// the batch carries a seed table ([`RequestSlab`]), otherwise the
-    /// positional convention.
+    /// Image `i`'s presentation seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
     pub fn seed(&self, i: usize) -> u64 {
-        match self.seeds {
-            Some(seeds) => seeds[i],
-            None => {
-                EVAL_PRESENTATION_SEED_BASE
-                    | u64::try_from(self.first_index + i).unwrap_or(u64::MAX)
-            }
-        }
+        self.seeds[i]
     }
 
     /// Splits the batch into consecutive sub-batches of at most `tile`
@@ -336,19 +318,16 @@ impl<'a> EvalBatch<'a> {
         assert!(tile > 0, "tile size must be positive");
         let stride = self.stride;
         let num_classes = self.num_classes;
-        let first = self.first_index;
-        let seeds = self.seeds;
         self.pixels
             .chunks(stride.max(1) * tile)
             .zip(self.labels.chunks(tile))
-            .enumerate()
-            .map(move |(k, (pixels, labels))| EvalBatch {
+            .zip(self.seeds.chunks(tile))
+            .map(move |((pixels, labels), seeds)| EvalBatch {
                 pixels,
                 labels,
-                seeds: seeds.map(|s| &s[k * tile..k * tile + labels.len()]),
+                seeds,
                 stride,
                 num_classes,
-                first_index: first + k * tile,
             })
     }
 }
@@ -392,16 +371,16 @@ pub trait Model: Send {
     }
 
     /// Scores on `test`, producing the shared confusion matrix: the
-    /// whole set as one [`PixelSlab`] through [`Model::evaluate_batch`],
-    /// the path the experiment engine scores through, so every caller
-    /// gets the same predictions and seeds.
+    /// whole set as one [`RequestSlab::from_dataset`] slab through
+    /// [`Model::evaluate_batch`], the path the experiment engine scores
+    /// through, so every caller gets the same predictions and seeds.
     ///
     /// # Panics
     ///
     /// Panics if `test`'s geometry does not match the model's input
     /// width (through [`Model::predict`]'s contract).
     fn evaluate(&mut self, test: &Dataset) -> Confusion {
-        self.evaluate_batch(&PixelSlab::from_dataset(test).batch())
+        self.evaluate_batch(&RequestSlab::from_dataset(test).batch())
     }
 
     /// Classifies one image. `presentation_seed` drives any
@@ -587,7 +566,7 @@ mod tests {
         )
         .unwrap();
         let mut model = SeedEcho { seen: Vec::new() };
-        let slab = PixelSlab::from_dataset(&ds);
+        let slab = RequestSlab::from_dataset(&ds);
         let mut out = Vec::new();
         model.predict_batch(&slab.batch(), &mut out);
         assert_eq!(out, vec![0, 0]);
@@ -618,7 +597,7 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let slab = PixelSlab::from_dataset(&ds);
+        let slab = RequestSlab::from_dataset(&ds);
         let batch = slab.batch();
         assert_eq!(batch.len(), 5);
         assert_eq!(batch.item(0).len(), 4);

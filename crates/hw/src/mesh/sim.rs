@@ -415,11 +415,6 @@ impl MeshSnn {
         self.grid
     }
 
-    /// The compiled partition.
-    pub fn partition(&self) -> &Partition {
-        &self.partition
-    }
-
     /// The routing fabric.
     pub fn fabric(&self) -> &Fabric {
         &self.fabric

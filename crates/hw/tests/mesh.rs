@@ -101,9 +101,11 @@ fn mesh_unlocks_networks_beyond_one_core() {
     // bit-exact on a 4x4.
     let mut net = test_net(32, 320, CodingScheme::GaussianRate, 11);
     let mut mesh = MeshSnn::compile(&net, Grid::new(4, 4));
-    assert!(mesh.partition().num_clusters() > 1);
-    assert!(mesh
-        .partition()
+    // `compile` partitions over the grid's cores, so the partition is
+    // recomputable.
+    let partition = partition_snn(&net, Grid::new(4, 4).cores());
+    assert!(partition.num_clusters() > 1);
+    assert!(partition
         .clusters()
         .iter()
         .all(|c| c.len() <= MAX_CLUSTER_NEURONS));
@@ -191,13 +193,15 @@ fn saturated_dead_links_isolate_the_ingress_core() {
     assert!(p.cost.dropped_packets > 0);
     assert_eq!(p.cost.hops, 0, "all first hops are dead");
     // Only neurons hosted on core 0 can ever fire.
-    // `compile_faulty` places greedily, so the placement is recomputable.
-    let placement = place_greedy(mesh.partition(), Grid::new(2, 2));
+    // `compile_faulty` partitions over the grid's cores and places
+    // greedily, so the partition and placement are recomputable.
+    let partition = partition_snn(&net, Grid::new(2, 2).cores());
+    let placement = place_greedy(&partition, Grid::new(2, 2));
     let locals: &[usize] = {
-        let cluster = (0..mesh.partition().num_clusters())
+        let cluster = (0..partition.num_clusters())
             .find(|&c| placement.core_of(c) == 0)
             .unwrap_or(0);
-        &mesh.partition().clusters()[cluster]
+        &partition.clusters()[cluster]
     };
     for &(_, j) in &p.fires {
         assert!(locals.contains(&j), "neuron {j} fired without input");

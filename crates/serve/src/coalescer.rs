@@ -7,8 +7,13 @@
 //! window, the sealed-batch sequence is a pure function of the admission
 //! sequence — the property `tests/determinism.rs` checks across worker
 //! thread counts.
+//!
+//! Admission is also where a request's pixels are copied, once: straight
+//! into its model's pending [`RequestSlab`], which the sealed batch then
+//! carries to the model's `predict_batch` unchanged.
 
 use nc_dataset::model::EVAL_PRESENTATION_SEED_BASE;
+use nc_dataset::RequestSlab;
 
 /// A request's identity from admission to response: dense, monotone
 /// admission order (ticket `n` is the `n`-th request the coalescer ever
@@ -35,8 +40,6 @@ pub struct CoalescedRequest {
     /// [`presentation_seed`]) and, in conformance tests, the offline
     /// dataset position.
     pub item: u64,
-    /// The image.
-    pub pixels: Vec<u8>,
     /// Absolute virtual-tick deadline (admission tick + the policy's
     /// `deadline_ticks`), or `None` when the server enforces none. The
     /// server checks it at seal and again at (possibly chaos-delayed)
@@ -45,7 +48,7 @@ pub struct CoalescedRequest {
 }
 
 /// A batch sealed for execution: one model, at most `window` requests,
-/// in admission order.
+/// in admission order, and their images.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SealedBatch {
     /// Seal-order sequence number, monotone across all models.
@@ -54,6 +57,9 @@ pub struct SealedBatch {
     pub model: usize,
     /// The requests, in admission order.
     pub requests: Vec<CoalescedRequest>,
+    /// The requests' images and presentation seeds: slab item `k` is
+    /// request `k`'s pixels with seed `presentation_seed(item)`.
+    pub slab: RequestSlab,
 }
 
 /// The admission queue. Not thread-safe by itself — the [`Server`]
@@ -64,46 +70,59 @@ pub struct SealedBatch {
 #[derive(Debug)]
 pub struct Coalescer {
     window: usize,
+    /// Each model's `(input_dim, num_classes)`, the shape of its slabs.
+    shapes: Vec<(usize, usize)>,
     pending: Vec<Vec<CoalescedRequest>>,
+    /// Each model's pending slab, item `k` being pending request `k`.
+    slabs: Vec<RequestSlab>,
     sealed: Vec<SealedBatch>,
     next_ticket: u64,
     next_seq: u64,
 }
 
 impl Coalescer {
-    /// An empty queue over `models` snapshots sealing at `window`
-    /// requests per batch (`window` is clamped to at least 1).
-    pub fn new(models: usize, window: usize) -> Coalescer {
+    /// An empty queue over one snapshot per `(input_dim, num_classes)`
+    /// in `models`, sealing at `window` requests per batch (`window` is
+    /// clamped to at least 1).
+    pub fn new(models: &[(usize, usize)], window: usize) -> Coalescer {
         Coalescer {
             window: window.max(1),
-            pending: (0..models).map(|_| Vec::new()).collect(),
+            shapes: models.to_vec(),
+            pending: models.iter().map(|_| Vec::new()).collect(),
+            slabs: models
+                .iter()
+                .map(|&(input_dim, num_classes)| RequestSlab::new(input_dim, num_classes))
+                .collect(),
             sealed: Vec::new(),
             next_ticket: 0,
             next_seq: 0,
         }
     }
 
-    /// Admits one request for model index `model`, sealing that model's
-    /// pending batch if it reaches the window.
+    /// Admits one request for model index `model`, copying `pixels`
+    /// and the item's [`presentation_seed`] into the model's pending
+    /// slab, and seals that model's pending batch if it reaches the
+    /// window.
     ///
     /// # Panics
     ///
-    /// Panics if `model` is out of range — the server validates names
-    /// before admission.
+    /// Panics if `model` is out of range or `pixels` is not the model's
+    /// `input_dim` long — the server validates both before admission.
     pub fn admit(
         &mut self,
         model: usize,
         item: u64,
-        pixels: Vec<u8>,
+        pixels: &[u8],
         deadline: Option<u64>,
     ) -> Ticket {
+        let pushed = self.slabs[model].push(pixels, presentation_seed(item), 0);
+        assert!(pushed.is_ok(), "pixels must be the model's input_dim long");
         let ticket = Ticket(self.next_ticket);
         self.next_ticket += 1;
         self.pending[model].push(CoalescedRequest {
             ticket,
             model,
             item,
-            pixels,
             deadline,
         });
         if self.pending[model].len() >= self.window {
@@ -116,11 +135,17 @@ impl Coalescer {
         if self.pending[model].is_empty() {
             return;
         }
+        let (input_dim, num_classes) = self.shapes[model];
         let requests = std::mem::take(&mut self.pending[model]);
+        let slab = std::mem::replace(
+            &mut self.slabs[model],
+            RequestSlab::new(input_dim, num_classes),
+        );
         self.sealed.push(SealedBatch {
             seq: self.next_seq,
             model,
             requests,
+            slab,
         });
         self.next_seq += 1;
     }
@@ -145,11 +170,11 @@ mod tests {
 
     #[test]
     fn window_seals_exactly_on_the_count() {
-        let mut c = Coalescer::new(2, 3);
+        let mut c = Coalescer::new(&[(1, 1); 2], 3);
         for i in 0..5u64 {
-            c.admit(0, i, vec![0], None);
+            c.admit(0, i, &[0], None);
         }
-        c.admit(1, 100, vec![1], None);
+        c.admit(1, 100, &[1], None);
         // Model 0 sealed once at 3; 2 + 1 requests still pending.
         assert_eq!(c.pending.iter().map(Vec::len).sum::<usize>(), 3);
         let sealed = c.take_sealed();
@@ -162,10 +187,10 @@ mod tests {
 
     #[test]
     fn flush_seals_partials_in_model_order() {
-        let mut c = Coalescer::new(3, 8);
-        c.admit(2, 0, vec![], None);
-        c.admit(0, 1, vec![], None);
-        c.admit(2, 2, vec![], None);
+        let mut c = Coalescer::new(&[(0, 1); 3], 8);
+        c.admit(2, 0, &[], None);
+        c.admit(0, 1, &[], None);
+        c.admit(2, 2, &[], None);
         c.flush();
         let sealed = c.take_sealed();
         assert_eq!(
@@ -181,25 +206,25 @@ mod tests {
 
     #[test]
     fn tickets_are_dense_and_monotone_across_models() {
-        let mut c = Coalescer::new(4, 1);
-        let tickets: Vec<u64> = (0..8).map(|i| c.admit(i % 4, 0, vec![], None).0).collect();
+        let mut c = Coalescer::new(&[(0, 1); 4], 1);
+        let tickets: Vec<u64> = (0..8).map(|i| c.admit(i % 4, 0, &[], None).0).collect();
         assert_eq!(tickets, (0..8).collect::<Vec<u64>>());
         assert_eq!(c.take_sealed().len(), 8);
     }
 
     #[test]
     fn zero_window_is_clamped_to_one() {
-        let mut c = Coalescer::new(1, 0);
+        let mut c = Coalescer::new(&[(0, 1)], 0);
         assert_eq!(c.window, 1);
-        c.admit(0, 0, vec![], None);
+        c.admit(0, 0, &[], None);
         assert_eq!(c.take_sealed().len(), 1);
     }
 
     #[test]
     fn deadlines_ride_through_sealing_untouched() {
-        let mut c = Coalescer::new(1, 2);
-        c.admit(0, 0, vec![], Some(7));
-        c.admit(0, 1, vec![], None);
+        let mut c = Coalescer::new(&[(0, 1)], 2);
+        c.admit(0, 0, &[], Some(7));
+        c.admit(0, 1, &[], None);
         let sealed = c.take_sealed();
         assert_eq!(sealed[0].requests[0].deadline, Some(7));
         assert_eq!(sealed[0].requests[1].deadline, None);

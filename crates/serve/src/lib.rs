@@ -16,18 +16,21 @@
 //!   correctness.
 //! * [`Coalescer`] — the admission queue. Requests are ticketed in
 //!   arrival order and coalesced per model into [`SealedBatch`]es of at
-//!   most [`ServeConfig::batch_window`] items. The window is counted in
-//!   requests, not wall-clock time, so batch composition is a pure
-//!   function of the admission sequence — the serving determinism
-//!   contract.
+//!   most [`ServeConfig::batch_window`] items. Admission copies each
+//!   request's pixels once, with its presentation seed
+//!   (`EVAL_PRESENTATION_SEED_BASE | item`), into its model's pending
+//!   [`RequestSlab`](nc_dataset::RequestSlab); the sealed batch carries
+//!   that slab. The window is counted in requests, not wall-clock time,
+//!   so batch composition is a pure function of the admission sequence
+//!   — the serving determinism contract.
 //! * [`Server`] — ties the two together: [`Server::submit`] validates
 //!   and admits, [`Server::drain`] executes every sealed batch on the
 //!   engine's supervised-job machinery ([`Engine::run_jobs_supervised`]
-//!   panic isolation + deterministic retries), building one
-//!   [`RequestSlab`](nc_dataset::RequestSlab) per batch so predictions
-//!   flow through the same `predict_batch`/GEMM path offline evaluation
-//!   uses, with the same per-item presentation seeds
-//!   (`EVAL_PRESENTATION_SEED_BASE | item`). Served predictions are
+//!   panic isolation + deterministic retries), handing each batch's
+//!   slab to `predict_batch` as it is, retries included, so
+//!   predictions flow through the same `predict_batch`/GEMM path
+//!   offline evaluation uses, with the same per-item presentation
+//!   seeds. Served predictions are
 //!   therefore *bit-equal* to offline `evaluate_batch` — the conformance
 //!   suite in `tests/conformance.rs` holds this across arrival orders,
 //!   batch windows, and thread counts.

@@ -3,12 +3,11 @@
 //! jobs → respond, emitting the deterministic [`ServeEvent`] trace
 //! along the way.
 
-use crate::coalescer::{presentation_seed, Coalescer, SealedBatch, Ticket};
+use crate::coalescer::{CoalescedRequest, Coalescer, SealedBatch, Ticket};
 use crate::resilience::{Admission, Breaker, BreakerFlip, ResilienceConfig, ServeEvent};
 use crate::snapshot::ModelSnapshot;
 use crate::ServeError;
 use nc_core::{ChaosPlan, Engine, FaultPlan, Job, Supervision};
-use nc_dataset::RequestSlab;
 use nc_obs::Stopwatch;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -89,28 +88,6 @@ struct ServerState {
     in_flight: usize,
 }
 
-/// Alignment metadata for one dispatched batch, kept *outside* the job
-/// payloads: `run_jobs_supervised` consumes payloads and returns only
-/// outputs, so ticket/item bookkeeping rides alongside, zipped back by
-/// job index.
-struct BatchMeta {
-    seq: u64,
-    model: usize,
-    tickets: Vec<(Ticket, u64, Option<u64>)>,
-}
-
-/// One job's payload: the shared snapshot, the batch to classify, and
-/// the chaos context the worker consults. `slot` indexes the
-/// drain-local replica-loss accumulators.
-struct BatchPayload {
-    snapshot: Arc<ModelSnapshot>,
-    batch: SealedBatch,
-    slot: usize,
-    now: u64,
-    burst: Option<FaultPlan>,
-    chaos: Option<ChaosPlan>,
-}
-
 /// The in-process inference server. Thread-safe: any thread may
 /// [`Server::submit`]; any thread may [`Server::drain`] — execution
 /// parallelism comes from the engine's worker pool, the server itself
@@ -162,7 +139,11 @@ impl Server {
                 }
             }
         }
-        let coalescer = Coalescer::new(snapshots.len(), config.batch_window);
+        let shapes: Vec<(usize, usize)> = snapshots
+            .iter()
+            .map(|s| (s.input_dim(), s.num_classes()))
+            .collect();
+        let coalescer = Coalescer::new(&shapes, config.batch_window);
         let breakers = (0..snapshots.len())
             .map(|_| Breaker::new(config.resilience.breaker))
             .collect();
@@ -279,9 +260,7 @@ impl Server {
         }
 
         let deadline = resilience.deadline_ticks.map(|ticks| now + ticks);
-        let ticket = state
-            .coalescer
-            .admit(serve_on, item, pixels.to_vec(), deadline);
+        let ticket = state.coalescer.admit(serve_on, item, pixels, deadline);
         if is_probe {
             state.breakers[index].set_probe(ticket.0);
             state.events.push(ServeEvent::BreakerHalfOpen {
@@ -330,11 +309,11 @@ impl Server {
     /// Under a chaos plan this is also where scheduled panics, slow
     /// batches, response poison, and transient-fault bursts strike.
     pub fn drain(&self) -> usize {
-        let (sealed, now) = {
+        let (mut batches, now) = {
             let mut state = lock_or_recover(&self.state);
             (state.coalescer.take_sealed(), state.now)
         };
-        if sealed.is_empty() {
+        if batches.is_empty() {
             return 0;
         }
         let recorder = self.engine.recorder();
@@ -342,38 +321,36 @@ impl Server {
         let mut events: Vec<ServeEvent> = Vec::new();
 
         // Seal-time deadline enforcement: requests already expired when
-        // their batch seals answer immediately and never run.
+        // their batch seals answer immediately and never run; each
+        // leaves its batch's requests and slab together.
         let mut responses: Vec<Response> = Vec::new();
-        let mut batches: Vec<SealedBatch> = Vec::new();
-        for mut batch in sealed {
-            let (expired, live): (Vec<_>, Vec<_>) = batch
-                .requests
-                .drain(..)
-                .partition(|r| r.deadline.is_some_and(|d| now > d));
-            for request in expired {
-                events.push(ServeEvent::DeadlineMissed {
-                    tick: now,
-                    ticket: request.ticket.0,
-                    batch: batch.seq,
-                    at_seal: true,
-                });
-                responses.push(Response {
-                    ticket: request.ticket,
-                    model: batch.model,
-                    item: request.item,
-                    batch: batch.seq,
-                    outcome: Err(ServeError::DeadlineMissed {
-                        deadline: request.deadline.unwrap_or_default(),
-                        at: now,
-                    }),
-                    degraded: false,
-                    latency_ns: None,
-                });
+        if self.config.resilience.deadline_ticks.is_some() {
+            let expired = |r: &CoalescedRequest| r.deadline.is_some_and(|d| now > d);
+            for batch in &mut batches {
+                let requests = &batch.requests;
+                batch.slab.retain(|k| !expired(&requests[k]));
+                for request in batch.requests.extract_if(.., |r| expired(r)) {
+                    events.push(ServeEvent::DeadlineMissed {
+                        tick: now,
+                        ticket: request.ticket.0,
+                        batch: batch.seq,
+                        at_seal: true,
+                    });
+                    responses.push(Response {
+                        ticket: request.ticket,
+                        model: batch.model,
+                        item: request.item,
+                        batch: batch.seq,
+                        outcome: Err(ServeError::DeadlineMissed {
+                            deadline: request.deadline.unwrap_or_default(),
+                            at: now,
+                        }),
+                        degraded: false,
+                        latency_ns: None,
+                    });
+                }
             }
-            if !live.is_empty() {
-                batch.requests = live;
-                batches.push(batch);
-            }
+            batches.retain(|b| !b.requests.is_empty());
         }
 
         // The tick-wide transient-fault burst, decorrelated per batch.
@@ -385,45 +362,30 @@ impl Server {
             });
         }
 
-        let mut metas = Vec::with_capacity(batches.len());
-        for batch in &batches {
-            metas.push(BatchMeta {
-                seq: batch.seq,
-                model: batch.model,
-                tickets: batch
-                    .requests
-                    .iter()
-                    .map(|r| (r.ticket, r.item, r.deadline))
-                    .collect(),
-            });
-        }
         // Replica-loss accumulators, one per batch slot: workers record
         // each panicking attempt here before resuming the unwind, so
         // quarantine accounting is exact at any thread count.
         let losses: Vec<AtomicU32> = (0..batches.len()).map(|_| AtomicU32::new(0)).collect();
 
+        // Each job carries its batch's slot; the worker borrows the
+        // batch, so a retried attempt runs on the same slab.
         let jobs = batches
-            .into_iter()
+            .iter()
             .enumerate()
             .map(|(slot, batch)| {
                 Job::new(
                     format!("serve/batch{}", batch.seq),
                     u64::try_from(batch.requests.len()).unwrap_or(u64::MAX),
-                    BatchPayload {
-                        snapshot: Arc::clone(&self.snapshots[batch.model]),
-                        burst: storm.map(|plan| plan.for_site(batch.seq)),
-                        batch,
-                        slot,
-                        now,
-                        chaos,
-                    },
+                    slot,
                 )
             })
             .collect();
         let results =
             self.engine
-                .run_jobs_supervised(jobs, self.config.supervision, |payload, attempt| {
-                    run_batch(payload, attempt, &losses)
+                .run_jobs_supervised(jobs, self.config.supervision, |&slot, attempt| {
+                    let batch = &batches[slot];
+                    let burst = storm.map(|plan| plan.for_site(batch.seq));
+                    self.run_batch(batch, now, burst, attempt, &losses[slot])
                 });
 
         // Pull every finished stopwatch out in one short critical
@@ -438,10 +400,8 @@ impl Server {
             for response in &responses {
                 pulled.push((response.ticket.0, state.watches.remove(&response.ticket.0)));
             }
-            for meta in &metas {
-                for &(ticket, _, _) in &meta.tickets {
-                    pulled.push((ticket.0, state.watches.remove(&ticket.0)));
-                }
+            for request in batches.iter().flat_map(|b| &b.requests) {
+                pulled.push((request.ticket.0, state.watches.remove(&request.ticket.0)));
             }
         }
         let latencies: BTreeMap<u64, u64> = pulled
@@ -469,52 +429,53 @@ impl Server {
         // `(model, ok, ticket ids)` per batch, fed to the breakers in
         // seal order inside the final critical section.
         let mut breaker_feed: Vec<(usize, bool, Vec<u64>)> = Vec::new();
-        for (slot, (meta, result)) in metas.iter().zip(results).enumerate() {
+        for (slot, (batch, result)) in batches.iter().zip(results).enumerate() {
             recorder.add("serve.batches", 1);
-            recorder.observe("serve.batch_size", meta.tickets.len() as f64);
+            recorder.observe("serve.batch_size", batch.requests.len() as f64);
             let lost = losses[slot].load(Ordering::Relaxed);
             if lost > 0 {
                 events.push(ServeEvent::ReplicaQuarantined {
                     tick: now,
-                    model: meta.model,
-                    batch: meta.seq,
+                    model: batch.model,
+                    batch: batch.seq,
                     lost,
                 });
                 replica_lost += u64::from(lost);
             }
-            let delay = chaos.map_or(0, |c| c.delay_ticks(meta.seq));
+            let delay = chaos.map_or(0, |c| c.delay_ticks(batch.seq));
             let completion = now + delay;
             let batch_ok = matches!(&result, Ok(Ok(_)));
             breaker_feed.push((
-                meta.model,
+                batch.model,
                 batch_ok,
-                meta.tickets.iter().map(|&(t, _, _)| t.0).collect(),
+                batch.requests.iter().map(|r| r.ticket.0).collect(),
             ));
-            for (k, &(ticket, item, deadline)) in meta.tickets.iter().enumerate() {
+            for (k, request) in batch.requests.iter().enumerate() {
+                let (ticket, item) = (request.ticket, request.item);
                 let mut outcome = match &result {
                     Ok(Ok(predictions)) => {
                         predictions
                             .get(k)
                             .copied()
                             .ok_or_else(|| ServeError::BatchFailed {
-                                batch: meta.seq,
+                                batch: batch.seq,
                                 message: "prediction missing from batch output".to_string(),
                             })
                     }
                     Ok(Err(serve_err)) => Err(serve_err.clone()),
                     Err(engine_err) => Err(ServeError::BatchFailed {
-                        batch: meta.seq,
+                        batch: batch.seq,
                         message: engine_err.to_string(),
                     }),
                 };
                 if outcome.is_ok() {
-                    if let Some(deadline) = deadline.filter(|&d| completion > d) {
+                    if let Some(deadline) = request.deadline.filter(|&d| completion > d) {
                         // The batch answered, but (chaos-delayed) past
                         // the request's deadline.
                         events.push(ServeEvent::DeadlineMissed {
                             tick: now,
                             ticket: ticket.0,
-                            batch: meta.seq,
+                            batch: batch.seq,
                             at_seal: false,
                         });
                         deadline_missed += 1;
@@ -526,13 +487,13 @@ impl Server {
                         // Poison serves a deterministic wrong class —
                         // an *answered* request with a corrupted value,
                         // which is exactly why the trace records it.
-                        let classes = self.snapshots[meta.model].num_classes();
+                        let classes = self.snapshots[batch.model].num_classes();
                         outcome =
                             outcome.map(|honest| plan.poisoned_prediction(item, honest, classes));
                         events.push(ServeEvent::Poisoned {
                             tick: now,
                             ticket: ticket.0,
-                            batch: meta.seq,
+                            batch: batch.seq,
                         });
                         poisoned += 1;
                     }
@@ -543,9 +504,9 @@ impl Server {
                 }
                 responses.push(Response {
                     ticket,
-                    model: meta.model,
+                    model: batch.model,
                     item,
-                    batch: meta.seq,
+                    batch: batch.seq,
                     outcome,
                     degraded: false,
                     latency_ns,
@@ -617,68 +578,61 @@ impl Server {
             }
         }
     }
-}
 
-/// One supervised attempt of one batch: build the request slab, check
-/// out a replica (a freshly-injected one-shot under a burst), run the
-/// batched prediction path, and return the replica to the pool.
-///
-/// A chaos-scheduled panic strikes *after* checkout, so it consumes the
-/// replica exactly as a real mid-inference panic would: the unwinding
-/// attempt records the loss in its slot (quarantine accounting), the
-/// engine's supervision catches the panic, and the next checkout
-/// rebuilds bit-identically from the snapshot recipe.
-fn run_batch(
-    payload: &BatchPayload,
-    attempt: u32,
-    losses: &[AtomicU32],
-) -> Result<Vec<usize>, ServeError> {
-    let snapshot = &payload.snapshot;
-    let mut slab = RequestSlab::new(snapshot.input_dim(), snapshot.num_classes());
-    for request in &payload.batch.requests {
-        slab.push(&request.pixels, presentation_seed(request.item), 0)
-            .map_err(|e| ServeError::Build(e.to_string()))?;
-    }
-    let chaos_strikes = payload.chaos.as_ref().is_some_and(|plan| {
-        payload
-            .batch
-            .requests
-            .iter()
-            .any(|r| plan.should_panic(r.item, payload.now, attempt))
-    });
-    let mut replica = match &payload.burst {
-        Some(plan) => snapshot.burst_replica(plan)?,
-        None => snapshot.replica()?,
-    };
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        if chaos_strikes {
-            // nc-lint: allow(R5, reason = "deliberate chaos-scheduled replica panic; caught by the engine's supervision")
-            panic!(
-                "chaos: scheduled replica panic (batch {})",
-                payload.batch.seq
-            );
-        }
-        let mut predictions = Vec::new();
-        replica.predict_batch(&slab.batch(), &mut predictions);
-        predictions
-    }));
-    match outcome {
-        Ok(predictions) => {
-            // Burst replicas carry injected faults and are discarded;
-            // healthy replicas return to the pool.
-            if payload.burst.is_none() {
-                snapshot.release(replica);
+    /// One supervised attempt of one batch: check out a replica (a
+    /// freshly-injected one-shot under a `burst`), run the batched
+    /// prediction path on the batch's slab, and return the replica to
+    /// the pool.
+    ///
+    /// A chaos-scheduled panic strikes *after* checkout, so it consumes
+    /// the replica exactly as a real mid-inference panic would: the
+    /// unwinding attempt records the loss in `lost` (quarantine
+    /// accounting), the engine's supervision catches the panic, and the
+    /// next checkout rebuilds bit-identically from the snapshot recipe.
+    fn run_batch(
+        &self,
+        batch: &SealedBatch,
+        now: u64,
+        burst: Option<FaultPlan>,
+        attempt: u32,
+        lost: &AtomicU32,
+    ) -> Result<Vec<usize>, ServeError> {
+        let snapshot = &self.snapshots[batch.model];
+        let chaos_strikes = self.config.chaos.is_some_and(|plan| {
+            batch
+                .requests
+                .iter()
+                .any(|r| plan.should_panic(r.item, now, attempt))
+        });
+        let mut replica = match &burst {
+            Some(plan) => snapshot.burst_replica(plan)?,
+            None => snapshot.replica()?,
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if chaos_strikes {
+                // nc-lint: allow(R5, reason = "deliberate chaos-scheduled replica panic; caught by the engine's supervision")
+                panic!("chaos: scheduled replica panic (batch {})", batch.seq);
             }
-            Ok(predictions)
-        }
-        Err(panic) => {
-            // The replica dies with the attempt (it is dropped here,
-            // never released). Record the loss, then let the engine's
-            // supervision observe the panic as usual.
-            if let Some(slot) = losses.get(payload.slot) {
-                slot.fetch_add(1, Ordering::Relaxed);
+            let mut predictions = Vec::new();
+            replica.predict_batch(&batch.slab.batch(), &mut predictions);
+            predictions
+        }));
+        match outcome {
+            Ok(predictions) => {
+                // Burst replicas carry injected faults and are
+                // discarded; healthy replicas return to the pool.
+                if burst.is_none() {
+                    snapshot.release(replica);
+                }
+                Ok(predictions)
             }
-            resume_unwind(panic)
+            Err(panic) => {
+                // The replica dies with the attempt (it is dropped
+                // here, never released). Record the loss, then let the
+                // engine's supervision observe the panic as usual.
+                lost.fetch_add(1, Ordering::Relaxed);
+                resume_unwind(panic)
+            }
         }
     }
 }
@@ -686,6 +640,7 @@ fn run_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coalescer::presentation_seed;
     use crate::resilience::BreakerConfig;
     use nc_core::{ExperimentScale, FitBudget, ModelSpec};
     use nc_dataset::{digits::DigitsSpec, Difficulty};

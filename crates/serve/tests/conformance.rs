@@ -3,13 +3,13 @@
 //! arrival order, batch-window size, or engine thread count.
 //!
 //! The offline side is computed independently (spec → build → fit →
-//! `predict_batch` over a positional `PixelSlab`), not through the
+//! `predict_batch` over `RequestSlab::from_dataset`), not through the
 //! serving stack, so the test proves the serving path reproduces the
 //! canonical evaluation — the coalescer may regroup items arbitrarily,
 //! but every item keeps its `EVAL_PRESENTATION_SEED_BASE | i` seed.
 
 use nc_core::{Engine, ExperimentScale, FitBudget, ModelSpec};
-use nc_dataset::{digits::DigitsSpec, Dataset, Difficulty, PixelSlab};
+use nc_dataset::{digits::DigitsSpec, Dataset, Difficulty, RequestSlab};
 use nc_mlp::Activation;
 use nc_serve::{ModelSnapshot, ResilienceConfig, ServeConfig, Server};
 use nc_snn::SnnParams;
@@ -90,7 +90,7 @@ fn family_specs() -> Vec<(&'static str, ModelSpec)> {
 fn offline_predictions(spec: &ModelSpec, train: &Dataset, test: &Dataset) -> Vec<usize> {
     let mut model = spec.build().unwrap();
     model.fit(train, &budget()).unwrap();
-    let slab = PixelSlab::from_dataset(test);
+    let slab = RequestSlab::from_dataset(test);
     let mut out = Vec::new();
     model.predict_batch(&slab.batch(), &mut out);
     out
@@ -198,7 +198,7 @@ fn served_confusion_matches_offline_evaluate_batch() {
 
     let mut model = spec.build().unwrap();
     model.fit(&train, &budget()).unwrap();
-    let offline_confusion = model.evaluate_batch(&PixelSlab::from_dataset(&test).batch());
+    let offline_confusion = model.evaluate_batch(&RequestSlab::from_dataset(&test).batch());
 
     let snapshot =
         Arc::new(ModelSnapshot::prepare(name, spec, budget(), Arc::clone(&train), None).unwrap());

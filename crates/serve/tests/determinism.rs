@@ -32,12 +32,14 @@ fn coalescer_trace_is_a_pure_function_of_the_stream() {
             .map(|_| (rng.next_index(models), rng.next_below(1000)))
             .collect();
 
-        // Replay the identical stream through two coalescers.
-        let mut a = Coalescer::new(models, window);
-        let mut b = Coalescer::new(models, window);
+        // Replay the identical stream through two coalescers. Each item
+        // admits its own 3 pixels, so the slab alignment is checkable.
+        let pixels = |item: u64| item.to_le_bytes()[..3].to_vec();
+        let mut a = Coalescer::new(&vec![(3, 10); models], window);
+        let mut b = Coalescer::new(&vec![(3, 10); models], window);
         for &(model, item) in &stream {
-            let ta = a.admit(model, item, vec![], None);
-            let tb = b.admit(model, item, vec![], None);
+            let ta = a.admit(model, item, &pixels(item), None);
+            let tb = b.admit(model, item, &pixels(item), None);
             assert_eq!(ta, tb, "case {case}");
         }
         a.flush();
@@ -71,13 +73,18 @@ fn coalescer_trace_is_a_pure_function_of_the_stream() {
                 .collect();
             assert_eq!(&got, items, "case {case}");
             // Every item's seed follows the offline convention,
-            // regardless of batch position.
-            for request in &batch.requests {
+            // regardless of batch position, and slab item `k` is
+            // request `k`'s pixels and seed.
+            let slab = batch.slab.batch();
+            assert_eq!(slab.len(), batch.requests.len(), "case {case}");
+            for (k, request) in batch.requests.iter().enumerate() {
                 assert_eq!(
                     presentation_seed(request.item),
                     nc_dataset::model::EVAL_PRESENTATION_SEED_BASE | request.item,
                     "case {case}"
                 );
+                assert_eq!(slab.item(k), pixels(request.item), "case {case}");
+                assert_eq!(slab.seed(k), presentation_seed(request.item), "case {case}");
             }
         }
     });
